@@ -22,7 +22,7 @@ import numpy as np
 
 from .container import TensorContainer, load_container, save_container
 from .criteria import CRITERION_TAGS, Criterion
-from .errors import PruneKitError
+from .errors import IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
@@ -113,9 +113,12 @@ def _bias_flag(value: str) -> bool | None:
 
 def _write_report(path: str | None, payload: dict) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise IoFailure(f"cannot write report to {path!r}: {exc}") from exc
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
@@ -213,10 +216,7 @@ def _cmd_bench(args) -> tuple[int, dict]:
                            bias_update_enabled=_bias_flag(args.bias_update),
                            threads=resolve_threads(args.threads))
     print(table.to_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table.to_json())
-            fh.write("\n")
+    _write_report(args.out, table.to_dict())
     _write_report(args.report, table.to_dict())
     summary = {
         "command": "bench",

@@ -16,17 +16,13 @@ from .errors import EmptyStats, ShapeMismatch
 from .stats import ColumnStats
 
 
-def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats,
-                enabled: bool = True) -> WeightLayer:
+def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> WeightLayer:
     """Return the layer with its bias compensated for the masked weights.
 
     Uses the pre-prune weight values; weights are not modified here. When the
     layer has no bias and some compensation is non-zero, a bias vector is
     materialized (callers should surface that a parameter vector was added).
-    With ``enabled`` False the layer passes through untouched.
     """
-    if not enabled:
-        return layer
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != layer.weights.shape:
         raise ShapeMismatch(f"mask shape {mask.shape} != weights shape "

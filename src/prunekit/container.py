@@ -241,13 +241,15 @@ def load_container(path: str) -> TensorContainer:
         manifest = json.loads(blob[len(MAGIC) + 4 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvariantViolation(f"{path!r}: manifest is not valid JSON: {exc}") from exc
-    records = manifest.get("tensors")
+    records = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
         raise InvariantViolation(f"{path!r}: manifest has no tensor list")
 
     payload = blob[header_end:]
     container = TensorContainer()
     for record in records:
+        if not isinstance(record, dict):
+            raise InvariantViolation(f"{path!r}: manifest entry is not an object")
         name = record.get("name")
         if not isinstance(name, str) or not name:
             raise InvariantViolation(f"{path!r}: manifest entry without a name")
@@ -261,6 +263,11 @@ def load_container(path: str) -> TensorContainer:
         if dtype not in _DISK_DTYPES:
             raise InvariantViolation(f"{path!r}: tensor {name!r} has unsupported "
                                      f"dtype {dtype!r}")
+        flags = {key: record.get(key) for key in ("centered", "has_bias")}
+        if any(value is not None and not isinstance(value, bool)
+               for value in flags.values()):
+            raise InvariantViolation(f"{path!r}: tensor {name!r} has non-boolean "
+                                     f"layer flags {flags!r}")
         offset = record.get("offset")
         if not isinstance(offset, int) or offset < 0:
             raise TruncatedPayload(f"{path!r}: tensor {name!r} has invalid offset")
@@ -272,7 +279,5 @@ def load_container(path: str) -> TensorContainer:
                 f"but payload holds {len(payload)}")
         buf = np.frombuffer(payload, dtype=_DISK_DTYPES[dtype], count=count,
                             offset=offset)
-        container.add(name, buf.reshape(shape), dtype=dtype,
-                      centered=record.get("centered"),
-                      has_bias=record.get("has_bias"))
+        container.add(name, buf.reshape(shape), dtype=dtype, **flags)
     return container

@@ -7,22 +7,25 @@ within a comparison group the lowest-scoring weights are pruned first.
 Available criteria:
 
     magnitude        |W|
-    wanda            ||x_j||_2 * |W|            (raw activation norm)
-    stade            ||x_j - mean_j||_2 * |W|   (centered activation norm)
-    stade-star       sqrt(mean(x_j^2)) * |W|    (second moment; no bias update)
+    wanda            sqrt(sumsq_j) * |W|        (raw activation norm)
+    stade            sqrt(m2_j) * |W|           (centered activation norm)
+    stade-star       sqrt(sumsq_j / n) * |W|    (root second moment; no bias update)
     stade-w          wanda on centered layers, stade otherwise
     sparsegpt-score  W^2 / diag((G + damping*I)^-1)
 
-The stade-star score is the square root of the per-feature second moment
-mean(x^2) = var*(n-1)/n + mean^2, the plug-in estimate of E[x^2]; this
-makes the score an exact monotone transform of the empirical no-bias-update
-reconstruction error, so its argmin matches exhaustive enumeration on the
-same sample.
+wanda, stade and stade-star differ only in their per-feature factor, read
+from the accumulated statistics (``sumsq``: raw sum of squares, ``m2``:
+centered sum of squares). The stade-star factor is the root of the
+plug-in second moment mean(x_j^2), which makes the score an exact monotone
+transform of the empirical no-bias-update reconstruction error, so its
+argmin matches exhaustive enumeration on the same sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -45,8 +48,8 @@ CRITERION_TAGS = ("magnitude", "wanda", "stade", "stade-star", "stade-w",
 class Criterion:
     """A pruning criterion selection; ``damping`` applies to sparsegpt-score only.
 
-    ``damping`` is a non-negative float or the string "auto", which resolves
-    to 0.01 * mean(diag(G)) at scoring time.
+    ``damping`` is a finite non-negative float (0 means undamped) or the
+    string "auto", which resolves to 0.01 * mean(diag(G)) at scoring time.
     """
 
     tag: str
@@ -63,8 +66,8 @@ class Criterion:
                 if self.damping != "auto":
                     raise ValueError(f"damping must be a float or 'auto', "
                                      f"got {self.damping!r}")
-            elif self.damping < 0:
-                raise ValueError(f"damping must be >= 0, got {self.damping}")
+            elif not (math.isfinite(self.damping) and self.damping >= 0):
+                raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
         elif self.damping is not None:
             raise ValueError(f"criterion {self.tag!r} takes no damping")
 
@@ -117,49 +120,43 @@ def score_magnitude(weights: np.ndarray) -> np.ndarray:
     return np.abs(_check_weights(weights))
 
 
-def score_wanda(weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
-    """Raw activation norm times |W|."""
+# tag -> (per-feature factor, minimum calibration rows). stade needs two
+# rows: with one the centered norm is identically zero and every ranking
+# would be arbitrary.
+_ACTIVATION_FACTORS = {
+    "wanda": (stats_l2, 1),
+    "stade": (stats_centered_l2, 2),
+    "stade-star": (lambda stats: np.sqrt(stats.sumsq / stats.n), 2),
+}
+
+
+def _score_activation(tag: str, weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
+    """Per-feature statistics factor of criterion ``tag`` times |W|."""
+    factor, min_rows = _ACTIVATION_FACTORS[tag]
     weights = _check_weights(weights)
-    _check_stats(stats, weights.shape[0], 1)
-    return stats_l2(stats)[:, None] * np.abs(weights)
+    _check_stats(stats, weights.shape[0], min_rows)
+    return factor(stats)[:, None] * np.abs(weights)
 
 
-def score_stade(weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
-    """Centered activation norm times |W|.
-
-    Needs at least two rows; with one the centered norm is identically zero
-    and every ranking would be arbitrary.
-    """
-    weights = _check_weights(weights)
-    _check_stats(stats, weights.shape[0], 2)
-    return stats_centered_l2(stats)[:, None] * np.abs(weights)
-
-
-def score_stade_star(weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
-    """Root second moment times |W|, for pruning without a bias update."""
-    weights = _check_weights(weights)
-    _check_stats(stats, weights.shape[0], 2)
-    n = stats.n
-    second_moment = stats.variance() * ((n - 1) / n) + stats.mean**2
-    return np.sqrt(second_moment)[:, None] * np.abs(weights)
+score_wanda = partial(_score_activation, "wanda")
+score_stade = partial(_score_activation, "stade")
+score_stade_star = partial(_score_activation, "stade-star")
 
 
 def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
-                    damping: float = 0.0, auto_damping: bool = True) -> np.ndarray:
+                    damping: float | str = "auto") -> np.ndarray:
     """W^2 over the diagonal of the damped inverse Gram.
 
-    The diagonal comes from a Cholesky factorization of G + damping*I; when
-    ``damping`` is 0 and ``auto_damping`` is set, damping defaults to
-    0.01 * mean(diag(G)). The raw ratio is kept (no square root): only the
-    ranking matters.
+    The diagonal comes from a Cholesky factorization of G + damping*I.
+    ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means undamped. The
+    raw ratio is kept (no square root): only the ranking matters.
     """
     weights = _check_weights(weights)
     m = weights.shape[0]
     if gram.m != m:
         raise DimensionMismatch(f"gram width {gram.m} != weight rows {m}")
-    lam = float(damping)
-    if lam == 0.0 and auto_damping:
-        lam = 0.01 * float(np.mean(np.diag(gram.gram)))
+    lam = (0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto"
+           else float(damping))
     damped = gram.gram + lam * np.eye(m)
     try:
         factor = scipy.linalg.cho_factor(damped, lower=True, check_finite=False)
@@ -186,16 +183,10 @@ def compute_scores(tag: str, weights: np.ndarray,
                    gram: GramAccumulator | None = None,
                    damping: float | str = "auto") -> np.ndarray:
     """Dispatch to the scorer for a resolved criterion tag."""
+    if tag in _ACTIVATION_FACTORS:
+        return _score_activation(tag, weights, stats)
     if tag == "magnitude":
         return score_magnitude(weights)
-    if tag == "wanda":
-        return score_wanda(weights, stats)
-    if tag == "stade":
-        return score_stade(weights, stats)
-    if tag == "stade-star":
-        return score_stade_star(weights, stats)
     if tag == "sparsegpt-score":
-        if damping == "auto":
-            return score_sparsegpt(weights, gram, 0.0, auto_damping=True)
-        return score_sparsegpt(weights, gram, float(damping), auto_damping=False)
+        return score_sparsegpt(weights, gram, damping)
     raise ValueError(f"cannot score unresolved criterion {tag!r}")

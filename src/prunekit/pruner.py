@@ -129,17 +129,15 @@ def prune_layer(
         gram = GramAccumulator(layer.m)
         gram.update(train)
     scores = compute_scores(resolved, layer.weights, stats=stats, gram=gram,
-                            damping=criterion.damping if criterion.damping is not None
-                            else "auto")
+                            damping=criterion.damping)
 
     mask = build_mask(scores, spec)
     violation = mask_violation(mask, spec)
     if violation is not None:
         raise AssertionError(f"layer {name!r}: built an invalid mask: {violation}")
 
-    compensated = bias_update(layer, mask, stats, enabled=bias_update_enabled)
-    pruned = WeightLayer(weights=apply_mask(layer, mask).weights,
-                         bias=compensated.bias, centered=layer.centered)
+    compensated = bias_update(layer, mask, stats) if bias_update_enabled else layer
+    pruned = apply_mask(compensated, mask)
 
     warnings = []
     try:

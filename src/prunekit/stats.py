@@ -1,14 +1,17 @@
 """Per-input-feature streaming statistics over calibration batches.
 
-Keeps count, mean, sample variance (divisor n-1) and raw sum of squares per
-feature, updated one batch at a time in float64. The variance update is the
-batched incremental form
+Keeps count, mean, centered sum of squares ``m2`` = sum_i (x_ij - mean_j)^2
+and raw sum of squares per feature, in float64. A batch is summarized
+two-pass (mean first, then squared deviations from it), and summaries
+combine with the pairwise rule of Chan, Golub & LeVeque (1979):
 
-    V_new = ((n-1)*V + n*mu^2 - n_new*mu_new^2 + sum(batch^2)) / (n_new - 1)
+    delta = mean_b - mean_a
+    mean  = mean_a + delta * n_b / n
+    m2    = m2_a + m2_b + delta^2 * n_a * n_b / n
 
-which avoids carrying a single ever-growing sum-of-squares accumulator for
-the centered moment; the raw sum of squares is still tracked separately
-because the activation-norm score needs ||X[:,j]||_2. For any partition of
+Nothing subtracts two large raw moments, so features whose offset dwarfs
+their spread keep their variance. The raw sum of squares is tracked
+because the activation-norm scores need ||X[:,j]||_2. For any partition of
 a stream into batches the result matches a two-pass computation over the
 concatenated rows to ~1e-9 relative.
 """
@@ -30,15 +33,11 @@ from .errors import (
 
 @dataclass
 class ColumnStats:
-    """Running per-feature statistics over n calibration rows.
-
-    ``var`` holds the raw sample-variance accumulator, which may dip a hair
-    below zero from roundoff; read it through :meth:`variance`, which clamps.
-    """
+    """Running per-feature statistics over n calibration rows."""
 
     n: int
     mean: np.ndarray
-    var: np.ndarray
+    m2: np.ndarray
     sumsq: np.ndarray
 
     @property
@@ -46,7 +45,8 @@ class ColumnStats:
         return self.mean.shape[0]
 
     def variance(self) -> np.ndarray:
-        return np.maximum(self.var, 0.0)
+        """Sample variance m2 / (n-1); zero below two rows."""
+        return self.m2 / (self.n - 1) if self.n > 1 else np.zeros_like(self.m2)
 
 
 def stats_init(m: int) -> ColumnStats:
@@ -54,7 +54,7 @@ def stats_init(m: int) -> ColumnStats:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidDimension(f"feature dimension must be a positive integer, got {m!r}")
     zeros = np.zeros(int(m), dtype=np.float64)
-    return ColumnStats(n=0, mean=zeros.copy(), var=zeros.copy(), sumsq=zeros.copy())
+    return ColumnStats(n=0, mean=zeros.copy(), m2=zeros.copy(), sumsq=zeros.copy())
 
 
 def _check_batch(rows: np.ndarray, m: int) -> np.ndarray:
@@ -68,47 +68,36 @@ def _check_batch(rows: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
+def _summarize(rows: np.ndarray) -> ColumnStats:
+    """Two-pass statistics of one batch, reusing a single row-sized temporary."""
+    n = rows.shape[0]
+    mean = rows.sum(axis=0) / max(n, 1)
+    tmp = np.multiply(rows, rows)
+    sumsq = tmp.sum(axis=0)
+    np.subtract(rows, mean, out=tmp)
+    tmp *= tmp
+    return ColumnStats(n=n, mean=mean, m2=tmp.sum(axis=0), sumsq=sumsq)
+
+
 def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
     """Fold a batch of calibration rows into the accumulator.
 
     Returns a new ColumnStats; the input is not mutated. An empty batch is
     an identity.
     """
-    rows = _check_batch(rows, stats.m)
-    b = rows.shape[0]
-    if b == 0:
-        return ColumnStats(stats.n, stats.mean.copy(), stats.var.copy(),
-                           stats.sumsq.copy())
-    n, n_new = stats.n, stats.n + b
-    batch_sumsq = (rows * rows).sum(axis=0)
-    mean_new = (stats.mean * n) / n_new + rows.sum(axis=0) / n_new
-    if n_new <= 1:
-        var_new = np.zeros_like(stats.var)
-    else:
-        # (n-1)*var + n*mean^2 equals the raw sum of squares seen so far,
-        # also valid for n in {0, 1} where var is 0 by definition.
-        var_new = ((n - 1) * stats.var + n * stats.mean**2
-                   - n_new * mean_new**2 + batch_sumsq) / (n_new - 1)
-    return ColumnStats(n=n_new, mean=mean_new, var=var_new,
-                       sumsq=stats.sumsq + batch_sumsq)
+    return stats_merge(stats, _summarize(_check_batch(rows, stats.m)))
 
 
 def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:
     """Combine two accumulators built on disjoint shards of one stream."""
     if a.m != b.m:
         raise DimensionMismatch(f"accumulator widths differ: {a.m} != {b.m}")
-    n_new = a.n + b.n
-    if n_new == 0:
-        return stats_init(a.m)
-    mean_new = (a.mean * a.n + b.mean * b.n) / n_new
-    if n_new <= 1:
-        var_new = np.zeros(a.m, dtype=np.float64)
-    else:
-        raw_a = (a.n - 1) * a.var + a.n * a.mean**2 if a.n else 0.0
-        raw_b = (b.n - 1) * b.var + b.n * b.mean**2 if b.n else 0.0
-        var_new = (raw_a + raw_b - n_new * mean_new**2) / (n_new - 1)
-    return ColumnStats(n=n_new, mean=mean_new, var=np.asarray(var_new),
-                       sumsq=a.sumsq + b.sumsq)
+    n = a.n + b.n
+    # max(n, 1) only matters when both sides are empty; the result stays zero.
+    delta = b.mean - a.mean
+    mean = a.mean + delta * (b.n / max(n, 1))
+    m2 = a.m2 + b.m2 + delta**2 * (a.n * b.n / max(n, 1))
+    return ColumnStats(n=n, mean=mean, m2=m2, sumsq=a.sumsq + b.sumsq)
 
 
 def stats_l2(stats: ColumnStats) -> np.ndarray:
@@ -117,22 +106,23 @@ def stats_l2(stats: ColumnStats) -> np.ndarray:
 
 
 def stats_centered_l2(stats: ColumnStats) -> np.ndarray:
-    """Per-feature centered norm ||x_j - mean_j||_2 = sqrt((n-1) * var_j)."""
+    """Per-feature centered norm ||x_j - mean_j||_2 = sqrt(m2_j)."""
     if stats.n == 0:
         raise EmptyStats("no calibration rows accumulated")
-    return np.sqrt((stats.n - 1) * stats.variance())
+    return np.sqrt(stats.m2)
 
 
 # -- container serialization -------------------------------------------
 
-_STAT_FIELDS = ("mean", "var", "sumsq", "n")
-
-
 def stats_to_container(container: TensorContainer, layer_name: str,
                        stats: ColumnStats) -> None:
-    """Store an accumulator as "<layer>.stats.mean" etc. plus a scalar n."""
+    """Store an accumulator as "<layer>.stats.mean" etc. plus a scalar n.
+
+    The centered moment is stored as the sample variance ("var"), the
+    field existing containers carry.
+    """
     container.add(f"{layer_name}.stats.mean", stats.mean)
-    container.add(f"{layer_name}.stats.var", stats.var)
+    container.add(f"{layer_name}.stats.var", stats.variance())
     container.add(f"{layer_name}.stats.sumsq", stats.sumsq)
     container.add(f"{layer_name}.stats.n", np.array([float(stats.n)]))
 
@@ -145,4 +135,5 @@ def stats_from_container(container: TensorContainer, layer_name: str) -> ColumnS
     if not (mean.shape == var.shape == sumsq.shape):
         raise DimensionMismatch(
             f"stats vectors for {layer_name!r} have inconsistent shapes")
-    return ColumnStats(n=n, mean=mean.copy(), var=var.copy(), sumsq=sumsq.copy())
+    return ColumnStats(n=n, mean=mean.copy(), m2=var * max(n - 1, 0),
+                       sumsq=sumsq.copy())

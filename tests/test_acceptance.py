@@ -191,8 +191,7 @@ def test_08_inverse_gram_diagonal_matches_dense_inversion():
         gram = GramAccumulator(m)
         gram.update(rows)
         lam = 0.01 * float(np.mean(np.diag(gram.gram)))
-        scores = score_sparsegpt(np.ones((m, 1)), gram, damping=lam,
-                                 auto_damping=False)
+        scores = score_sparsegpt(np.ones((m, 1)), gram, damping=lam)
         factored_diag = 1.0 / scores[:, 0]
         dense_diag = np.diag(np.linalg.inv(gram.gram + lam * np.eye(m)))
         rel = np.abs(factored_diag - dense_diag) / np.abs(dense_diag)

@@ -127,6 +127,22 @@ def test_bench_rejects_single_criterion():
     assert "two criteria" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["prune", "bench"])
+def test_unwritable_output_fails_cleanly(workspace, command):
+    target = str(workspace / "no-such-dir" / "out.json")
+    if command == "prune":
+        args = ("prune", "--model", str(workspace / "model.pkt"),
+                "--calib", str(workspace / "calib.pkt"), "--criterion", "wanda",
+                "--sparsity", "0.5", "--out", str(workspace / "p3.pkt"),
+                "--report", target)
+    else:
+        args = ("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
+                "--seeds", "1", "--dims", "4,8,2", "--samples", "32", "--out", target)
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("shrink")
     assert proc.returncode == 2

@@ -41,13 +41,6 @@ def test_centered_input_leaves_bias_alone():
     assert np.array_equal(out.bias, layer.bias)
 
 
-def test_disabled_update_is_noop():
-    layer = WeightLayer(np.ones((2, 2)), np.array([5.0, -3.0]), centered=False)
-    stats = stats_of([[4.0, 9.0], [2.0, 1.0]])
-    out = bias_update(layer, np.ones((2, 2), dtype=bool), stats, enabled=False)
-    assert out.bias is layer.bias
-
-
 def test_multi_prune_sums_contributions():
     layer = WeightLayer(np.array([[2.0], [3.0], [-1.0]]), np.array([1.0]),
                         centered=False)

@@ -127,6 +127,22 @@ def test_bad_shape_in_manifest(tmp_path):
         load_container(str(path))
 
 
+@pytest.mark.parametrize("manifest", [
+    [{"name": "t", "shape": [1], "dtype": "f32", "offset": 0}],
+    {"tensors": [7]},
+    {"tensors": [{"name": "l", "shape": [1], "dtype": "f32", "offset": 0,
+                  "centered": "false", "has_bias": False}]},
+    {"tensors": [{"name": "l", "shape": [1], "dtype": "f32", "offset": 0,
+                  "centered": False, "has_bias": 0}]},
+], ids=["list-manifest", "int-entry", "string-centered", "int-has-bias"])
+def test_malformed_manifest_is_invariant_violation(tmp_path, manifest):
+    blob = json.dumps(manifest).encode()
+    path = tmp_path / "bad.pkt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + b"\x00" * 4)
+    with pytest.raises(InvariantViolation):
+        load_container(str(path))
+
+
 def test_missing_bias_entry():
     c = TensorContainer()
     c.add("l", np.ones((2, 2)), centered=False, has_bias=True)

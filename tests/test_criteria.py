@@ -136,15 +136,14 @@ def test_stade_star_rejects_single_row():
 def test_sparsegpt_identity_gram():
     g = GramAccumulator(1)
     g.gram = np.eye(1)
-    scores = score_sparsegpt(np.array([[2.0]]), g, damping=0.0, auto_damping=False)
+    scores = score_sparsegpt(np.array([[2.0]]), g, damping=0.0)
     assert scores[0, 0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_sparsegpt_diagonal_gram_closed_form():
     g = GramAccumulator(2)
     g.gram = np.diag([4.0, 1.0])
-    scores = score_sparsegpt(np.array([[1.0], [1.0]]), g, damping=0.0,
-                             auto_damping=False)
+    scores = score_sparsegpt(np.array([[1.0], [1.0]]), g, damping=0.0)
     np.testing.assert_allclose(scores[:, 0], [4.0, 1.0], rtol=1e-12)
 
 
@@ -155,7 +154,7 @@ def test_sparsegpt_matches_dense_inverse():
     g.update(a)
     lam = 0.3
     w = np.ones((8, 1))
-    scores = score_sparsegpt(w, g, damping=lam, auto_damping=False)
+    scores = score_sparsegpt(w, g, damping=lam)
     dense_diag = np.diag(np.linalg.inv(g.gram + lam * np.eye(8)))
     np.testing.assert_allclose(1.0 / scores[:, 0], dense_diag, rtol=1e-5)
 
@@ -165,8 +164,8 @@ def test_sparsegpt_auto_damping_rescues_rank_deficiency():
     g = GramAccumulator(3)
     g.update(rows)
     with pytest.raises(SingularGram):
-        score_sparsegpt(np.ones((3, 1)), g, damping=0.0, auto_damping=False)
-    scores = score_sparsegpt(np.ones((3, 1)), g, damping=0.0, auto_damping=True)
+        score_sparsegpt(np.ones((3, 1)), g, damping=0.0)
+    scores = score_sparsegpt(np.ones((3, 1)), g, damping="auto")
     assert np.isfinite(scores).all() and (scores > 0).all()
 
 
@@ -197,8 +196,9 @@ def test_criterion_damping_validation():
         Criterion("sparsegpt-score")
     with pytest.raises(ValueError):
         Criterion("wanda", damping=0.1)
-    with pytest.raises(ValueError):
-        Criterion("sparsegpt-score", damping=-1.0)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            Criterion("sparsegpt-score", damping=bad)
     with pytest.raises(ValueError):
         Criterion("not-a-criterion")
     assert Criterion("sparsegpt-score", damping="auto").damping == "auto"

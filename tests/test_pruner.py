@@ -125,6 +125,23 @@ def test_bias_flag_behavior_per_criterion():
     assert rep_forced.layers[0].bias_delta_norm > 0
 
 
+def test_disabled_update_is_noop():
+    rng = np.random.default_rng(12)
+    rows = 5.0 + rng.standard_normal((60, 6))  # offsets stade would compensate
+    model, calib = TensorContainer(), TensorContainer()
+    for name, bias in (("a", rng.standard_normal(3)), ("b", None)):
+        model.add_layer(name, WeightLayer(rng.uniform(0.5, 1.0, (6, 3)), bias, False))
+        calib.add(f"{name}.calib", rows)
+    out, report = prune_container(model, calib, Criterion("stade"),
+                                  SparsitySpec.unstructured(0.5),
+                                  bias_update_enabled=False)
+    assert out.get_layer("a").bias.tobytes() == model.get_layer("a").bias.tobytes()
+    assert out.get_layer("b").bias is None
+    for rec in report.layers:
+        assert rec.criterion == "stade"
+        assert rec.bias_delta_norm == 0.0 and not rec.bias_added
+
+
 def test_layer_order_independence():
     rng = np.random.default_rng(5)
     layers = {f"l{i}": (rng.standard_normal((8, 3)), rng.uniform(-1, 1, (50, 8)))

@@ -47,7 +47,7 @@ def test_init_zeroed():
 
 def test_init_single_feature():
     s = stats_init(1)
-    assert s.n == 0 and np.array_equal(s.var, [0])
+    assert s.n == 0 and np.array_equal(s.variance(), [0])
 
 
 def test_init_rejects_nonpositive():
@@ -142,15 +142,37 @@ def test_merge_matches_single_stream():
     whole = accumulate([rows], 4)
     assert merged.n == whole.n
     np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(merged.var, whole.var, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(merged.variance(), whole.variance(),
+                               rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(merged.sumsq, whole.sumsq, rtol=1e-9, atol=1e-9)
 
 
 def test_merge_with_empty_accumulator():
-    rows = np.array([[1.0], [3.0]])
-    merged = stats_merge(accumulate([rows], 1), stats_init(1))
-    assert merged.n == 2
-    assert merged.mean[0] == pytest.approx(2.0)
+    rows = np.random.default_rng(13).uniform(-7, 7, size=(9, 3))
+    batch = accumulate([rows], 3)
+    assert np.array_equal(batch.mean, rows.sum(axis=0) / 9)
+    for merged in (stats_merge(batch, stats_init(3)),
+                   stats_merge(stats_init(3), batch)):
+        assert merged.n == 9
+        # bit-for-bit: the empty side contributes nothing, not even roundoff
+        assert merged.mean.tobytes() == batch.mean.tobytes()
+        assert merged.m2.tobytes() == batch.m2.tobytes()
+        assert merged.sumsq.tobytes() == batch.sumsq.tobytes()
+
+
+@pytest.mark.parametrize("mu, sigma", [(3e4, 1e-3), (1e4, 1e-2)])
+def test_large_offset_features_keep_their_variance(mu, sigma):
+    # Near-constant features with a large offset, stored as float32 like
+    # calibration payloads: raw moments cancel catastrophically here.
+    rng = np.random.default_rng(29)
+    rows = (mu + sigma * rng.standard_normal((4096, 3))).astype(np.float32)
+    rows = rows.astype(np.float64)
+    expected = rows.var(axis=0, ddof=1)
+    assert (expected > 0).all()
+    shards = stats_merge(accumulate([rows[:1500]], 3), accumulate([rows[1500:]], 3))
+    for s in (accumulate([rows], 3), accumulate(np.array_split(rows, 16), 3), shards):
+        assert s.n == 4096
+        np.testing.assert_allclose(s.variance(), expected, rtol=1e-9, atol=0)
 
 
 def test_merge_width_mismatch():
