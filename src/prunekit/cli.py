@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .container import TensorContainer, load_container, save_container
-from .criteria import CRITERION_TAGS, Criterion
+from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
 from .errors import IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
 from .masks import SparsitySpec
@@ -43,12 +42,17 @@ def _dims(text: str) -> tuple[int, int, int]:
     return parts
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--out", help="primary output path")
-    parser.add_argument("--report", help="write the detailed JSON report here")
-    parser.add_argument("--threads", default=os.environ.get("PRUNEKIT_THREADS", "1"),
-                        help="worker cap: a count or 'auto' (env PRUNEKIT_THREADS)")
+_COMMON = {
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "out": dict(help="primary output path"),
+    "report": dict(help="write the detailed JSON report here"),
+    "threads": dict(default="1", help="worker cap: a count or 'auto'"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a toy model and calibration containers")
-    _add_common(p)
+    _add_common(p, "seed", "out", "report")
     p.add_argument("--dims", type=_dims, default=(16, 32, 8),
                    help="d_in,d_hidden,d_out (default 16,32,8)")
     p.add_argument("--norm", choices=NORM_KINDS, default="none")
@@ -66,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("stats", help="accumulate per-layer calibration statistics")
-    _add_common(p)
+    _add_common(p, "out", "report")
     p.add_argument("--calib", required=True, help="calibration container path")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("prune", help="prune every layer of a model container")
-    _add_common(p)
+    _add_common(p, "out", "report", "threads")
     p.add_argument("--model", required=True, help="model container path")
     p.add_argument("--calib", required=True, help="calibration container path")
     p.add_argument("--criterion", required=True, choices=CRITERION_TAGS)
@@ -79,21 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ratio like 0.5 or pattern like 2:4")
     p.add_argument("--bias-update", choices=("on", "off", "auto"), default="auto",
                    help="auto = per-criterion default")
-    p.add_argument("--damping", default="auto",
-                   help="sparsegpt-score damping: a float or 'auto'")
+    p.add_argument("--damping",
+                   help="sparsegpt-score only: a float or 'auto' (the default)")
     p.add_argument("--holdout", type=float, default=0.2,
                    help="fraction of calibration rows held out for the error report")
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("verify", help="check a criterion against brute-force enumeration")
-    _add_common(p)
-    p.add_argument("--criterion", required=True, choices=("wanda", "stade", "stade-star"))
+    _add_common(p, "seed", "report", "threads")
+    p.add_argument("--criterion", required=True, choices=CHECKABLE_TAGS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--data", choices=("auto", *DATA_REGIMES), default="auto")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="compare criteria on seeded toy models")
-    _add_common(p)
+    _add_common(p, "seed", "out", "threads")
     p.add_argument("--criteria", required=True,
                    help="comma-separated criterion tags (at least two)")
     p.add_argument("--sparsity", required=True, type=SparsitySpec.parse)
@@ -167,9 +171,8 @@ def _cmd_stats(args) -> tuple[int, dict]:
 def _cmd_prune(args) -> tuple[int, dict]:
     if not args.out:
         raise PruneKitError("prune requires --out for the pruned container")
-    damping = args.damping if args.damping == "auto" else float(args.damping)
-    criterion = (Criterion(args.criterion, damping=damping)
-                 if args.criterion == "sparsegpt-score" else Criterion(args.criterion))
+    damping = args.damping if args.damping in (None, "auto") else float(args.damping)
+    criterion = Criterion(args.criterion, damping=damping)
     model = load_container(args.model)
     calib = load_container(args.calib)
     pruned, report = prune_container(
@@ -201,8 +204,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
         threads=resolve_threads(args.threads))
     payload = result.to_dict()
     _write_report(args.report, payload)
-    if args.out:
-        _write_report(args.out, payload)
     summary = {"command": "verify", **payload}
     return (0 if result.passed else 1), summary
 
@@ -217,7 +218,6 @@ def _cmd_bench(args) -> tuple[int, dict]:
                            threads=resolve_threads(args.threads))
     print(table.to_text())
     _write_report(args.out, table.to_dict())
-    _write_report(args.report, table.to_dict())
     summary = {
         "command": "bench",
         "criteria": table.criteria,

@@ -8,22 +8,26 @@ File layout (".pkt"):
     payload        contiguous row-major little-endian buffers
 
 Each manifest entry carries ``name``, ``shape``, ``dtype`` and the byte
-``offset`` of its buffer in the payload. Entries that represent weight
-layers additionally carry ``centered`` (the layer's input distribution is
-zero-mean per feature, e.g. after a mean-subtracting normalization) and
-``has_bias`` (a companion "<name>.bias" tensor follows). Buffers are "f32"
-except prune masks, which are "u8" holding 0/1.
+``offset`` of its buffer in the payload. Buffers are contiguous, in manifest
+order: each starts where the previous one ends, and the payload ends where
+the last one does. Entries that represent weight layers additionally carry
+``centered`` (the layer's input distribution is zero-mean per feature, e.g.
+after a mean-subtracting normalization) and ``has_bias`` (a companion
+"<name>.bias" tensor follows). Buffers are "f32" except prune masks, which
+are "u8" holding 0/1.
 
-Float tensors surface in memory as float64 (the widening is exact) and are
-cast back to float32 on save; values that originated as float32 therefore
-round-trip bit-exactly. Containers are immutable after load in the sense
-that nothing in this package mutates a loaded array; any number of readers
-may share one container, saving is single-writer.
+Float payloads must be finite. Float tensors surface in memory as float64
+(the widening is exact) and are cast back to float32 on save; values that
+originated as float32 therefore round-trip bit-exactly. Containers are
+immutable after load in the sense that nothing in this package mutates a
+loaded array; any number of readers may share one container, saving is
+single-writer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -221,6 +225,10 @@ def save_container(container: TensorContainer, path: str) -> None:
         raise IoFailure(f"cannot write container to {path!r}: {exc}") from exc
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_container(path: str) -> TensorContainer:
     """Read a container file, validating the manifest against the payload."""
     try:
@@ -239,7 +247,7 @@ def load_container(path: str) -> TensorContainer:
         raise TruncatedPayload(f"{path!r}: manifest truncated")
     try:
         manifest = json.loads(blob[len(MAGIC) + 4 : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise InvariantViolation(f"{path!r}: manifest is not valid JSON: {exc}") from exc
     records = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
@@ -247,6 +255,7 @@ def load_container(path: str) -> TensorContainer:
 
     payload = blob[header_end:]
     container = TensorContainer()
+    end = 0
     for record in records:
         if not isinstance(record, dict):
             raise InvariantViolation(f"{path!r}: manifest entry is not an object")
@@ -257,7 +266,7 @@ def load_container(path: str) -> TensorContainer:
             raise InvariantViolation(f"{path!r}: duplicate tensor name {name!r}")
         shape = record.get("shape")
         if (not isinstance(shape, list) or not shape
-                or any(not isinstance(d, int) or d < 0 for d in shape)):
+                or any(not _is_count(d) for d in shape)):
             raise ShapeMismatch(f"{path!r}: tensor {name!r} has invalid shape {shape!r}")
         dtype = record.get("dtype")
         if dtype not in _DISK_DTYPES:
@@ -269,15 +278,25 @@ def load_container(path: str) -> TensorContainer:
             raise InvariantViolation(f"{path!r}: tensor {name!r} has non-boolean "
                                      f"layer flags {flags!r}")
         offset = record.get("offset")
-        if not isinstance(offset, int) or offset < 0:
+        if not _is_count(offset):
             raise TruncatedPayload(f"{path!r}: tensor {name!r} has invalid offset")
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = count * _DISK_DTYPES[dtype].itemsize
-        if offset + nbytes > len(payload):
+        if offset != end:
+            raise InvariantViolation(f"{path!r}: tensor {name!r} starts at byte "
+                                     f"{offset}, expected {end}")
+        count = math.prod(shape)
+        end = offset + count * _DISK_DTYPES[dtype].itemsize
+        if end > len(payload):
             raise TruncatedPayload(
-                f"{path!r}: tensor {name!r} needs bytes [{offset}, {offset + nbytes}) "
+                f"{path!r}: tensor {name!r} needs bytes [{offset}, {end}) "
                 f"but payload holds {len(payload)}")
         buf = np.frombuffer(payload, dtype=_DISK_DTYPES[dtype], count=count,
                             offset=offset)
+        # Finite f32 values cannot overflow a float64 sum, so the sum is finite
+        # exactly when every value is; unlike isfinite it needs no temporary.
+        if dtype == "f32" and not math.isfinite(buf.sum(dtype=np.float64)):
+            raise InvariantViolation(f"{path!r}: tensor {name!r} contains NaN/Inf")
         container.add(name, buf.reshape(shape), dtype=dtype, **flags)
+    if end != len(payload):
+        raise InvariantViolation(f"{path!r}: {len(payload) - end} trailing payload "
+                                 f"bytes after the last tensor")
     return container

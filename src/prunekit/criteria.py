@@ -19,6 +19,9 @@ centered sum of squares). The stade-star factor is the root of the
 plug-in second moment mean(x_j^2), which makes the score an exact monotone
 transform of the empirical no-bias-update reconstruction error, so its
 argmin matches exhaustive enumeration on the same sample.
+
+Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
+the pruner, the oracle and the CLI read.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -40,16 +44,39 @@ from .errors import (
 )
 from .stats import ColumnStats, stats_centered_l2, stats_l2
 
-CRITERION_TAGS = ("magnitude", "wanda", "stade", "stade-star", "stade-w",
-                  "sparsegpt-score")
+
+@dataclass(frozen=True)
+class CriterionRule:
+    """The whole policy of one resolved criterion: one row of CRITERION_RULES."""
+
+    factor: Callable[[ColumnStats], np.ndarray] | None  # times |W|; None: own scorer
+    min_rows: int  # calibration rows the score needs
+    needs_gram: bool  # scores from the Gram x^T x, so takes a damping
+    bias_update: bool  # the --bias-update auto default
+    optimal_in: tuple[str, bool] | None  # (data regime, bias refit) the oracle checks
+
+
+# stade needs two rows: with one the centered norm is identically zero and
+# every ranking would be arbitrary.
+CRITERION_RULES = {
+    "magnitude": CriterionRule(None, 0, False, False, None),
+    "wanda": CriterionRule(stats_l2, 1, False, False, ("centered", True)),
+    "stade": CriterionRule(stats_centered_l2, 2, False, True, ("uncentered", True)),
+    "stade-star": CriterionRule(lambda stats: np.sqrt(stats.sumsq / stats.n), 2,
+                                False, False, ("uncentered", False)),
+    "sparsegpt-score": CriterionRule(None, 0, True, False, None),
+}
+# stade-w is not a row: select_criterion resolves it to wanda or stade per layer.
+CRITERION_TAGS = (*CRITERION_RULES, "stade-w")
+CHECKABLE_TAGS = tuple(tag for tag, rule in CRITERION_RULES.items() if rule.optimal_in)
 
 
 @dataclass(frozen=True)
 class Criterion:
     """A pruning criterion selection; ``damping`` applies to sparsegpt-score only.
 
-    ``damping`` is a finite non-negative float (0 means undamped) or the
-    string "auto", which resolves to 0.01 * mean(diag(G)) at scoring time.
+    ``damping`` is a finite non-negative float (0 means undamped) or "auto",
+    the default, which resolves to 0.01 * mean(diag(G)) at scoring time.
     """
 
     tag: str
@@ -59,17 +86,18 @@ class Criterion:
         if self.tag not in CRITERION_TAGS:
             raise ValueError(f"unknown criterion {self.tag!r}; "
                              f"expected one of {CRITERION_TAGS}")
-        if self.tag == "sparsegpt-score":
-            if self.damping is None:
-                raise ValueError("sparsegpt-score requires damping (float or 'auto')")
-            if isinstance(self.damping, str):
-                if self.damping != "auto":
-                    raise ValueError(f"damping must be a float or 'auto', "
-                                     f"got {self.damping!r}")
-            elif not (math.isfinite(self.damping) and self.damping >= 0):
-                raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
-        elif self.damping is not None:
-            raise ValueError(f"criterion {self.tag!r} takes no damping")
+        rule = CRITERION_RULES.get(self.tag)
+        if rule is None or not rule.needs_gram:
+            if self.damping is not None:
+                raise ValueError(f"criterion {self.tag!r} takes no damping")
+        elif self.damping is None:
+            object.__setattr__(self, "damping", "auto")
+        elif isinstance(self.damping, str):
+            if self.damping != "auto":
+                raise ValueError(f"damping must be a float or 'auto', "
+                                 f"got {self.damping!r}")
+        elif not (math.isfinite(self.damping) and self.damping >= 0):
+            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
 
 
 class GramAccumulator:
@@ -120,22 +148,12 @@ def score_magnitude(weights: np.ndarray) -> np.ndarray:
     return np.abs(_check_weights(weights))
 
 
-# tag -> (per-feature factor, minimum calibration rows). stade needs two
-# rows: with one the centered norm is identically zero and every ranking
-# would be arbitrary.
-_ACTIVATION_FACTORS = {
-    "wanda": (stats_l2, 1),
-    "stade": (stats_centered_l2, 2),
-    "stade-star": (lambda stats: np.sqrt(stats.sumsq / stats.n), 2),
-}
-
-
 def _score_activation(tag: str, weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
     """Per-feature statistics factor of criterion ``tag`` times |W|."""
-    factor, min_rows = _ACTIVATION_FACTORS[tag]
+    rule = CRITERION_RULES[tag]
     weights = _check_weights(weights)
-    _check_stats(stats, weights.shape[0], min_rows)
-    return factor(stats)[:, None] * np.abs(weights)
+    _check_stats(stats, weights.shape[0], rule.min_rows)
+    return rule.factor(stats)[:, None] * np.abs(weights)
 
 
 score_wanda = partial(_score_activation, "wanda")
@@ -183,10 +201,11 @@ def compute_scores(tag: str, weights: np.ndarray,
                    gram: GramAccumulator | None = None,
                    damping: float | str = "auto") -> np.ndarray:
     """Dispatch to the scorer for a resolved criterion tag."""
-    if tag in _ACTIVATION_FACTORS:
+    rule = CRITERION_RULES.get(tag)
+    if rule is None:
+        raise ValueError(f"cannot score unresolved criterion {tag!r}")
+    if rule.factor is not None:
         return _score_activation(tag, weights, stats)
-    if tag == "magnitude":
-        return score_magnitude(weights)
-    if tag == "sparsegpt-score":
+    if rule.needs_gram:
         return score_sparsegpt(weights, gram, damping)
-    raise ValueError(f"cannot score unresolved criterion {tag!r}")
+    return score_magnitude(weights)

@@ -22,7 +22,7 @@ from .container import TensorContainer, WeightLayer
 from .criteria import Criterion
 from .masks import SparsitySpec
 from .parallel import parallel_map
-from .pruner import prune_container
+from .pruner import prune_container, split_holdout
 
 NORM_KINDS = ("layernorm-like", "rmsnorm-like", "none")
 LAYER_NAMES = ("fc1", "fc2")
@@ -157,14 +157,6 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def _as_criterion(c: str | Criterion) -> Criterion:
-    if isinstance(c, Criterion):
-        return c
-    if c == "sparsegpt-score":
-        return Criterion(c, damping="auto")
-    return Criterion(c)
-
-
 def run_comparison(
     criteria: list[str | Criterion],
     spec: SparsitySpec,
@@ -178,10 +170,12 @@ def run_comparison(
     """Prune freshly generated toy models with every criterion over several seeds.
 
     Each criterion uses its default bias-update behavior unless overridden.
+    The end-to-end error is measured on the same held-out samples as each
+    layer's own error.
     Every requested (criterion, layer, seed) cell is filled; identical seeds
     give identical tables.
     """
-    crits = [_as_criterion(c) for c in criteria]
+    crits = [c if isinstance(c, Criterion) else Criterion(c) for c in criteria]
     if len(crits) < 2:
         raise ValueError("comparison needs at least two criteria")
     if seeds < 1:
@@ -190,9 +184,7 @@ def run_comparison(
 
     def run_seed(seed: int):
         model, calib = gen_toy_mlp(seed, config.dims, config.norm, config.samples)
-        rows = calib.get("fc1.calib")
-        n_holdout = max(1, int(np.floor(holdout_fraction * rows.shape[0])))
-        holdout = rows[-n_holdout:]
+        _, holdout = split_holdout(calib.get("fc1.calib"), holdout_fraction)
         dense_out = forward_toy(model, holdout)
         per_criterion = {}
         for crit in crits:

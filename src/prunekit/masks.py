@@ -45,10 +45,6 @@ class SparsitySpec:
                     and math.isfinite(self.ratio) and 0.0 <= self.ratio <= 1.0):
                 raise InvalidRatio(f"ratio must lie in [0, 1], got {self.ratio!r}")
 
-    @property
-    def is_structured(self) -> bool:
-        return self.n is not None
-
     @classmethod
     def unstructured(cls, ratio: float) -> "SparsitySpec":
         return cls(ratio=float(ratio))
@@ -73,9 +69,7 @@ class SparsitySpec:
             raise InvalidRatio(f"bad sparsity ratio {text!r}") from exc
 
     def __str__(self) -> str:
-        if self.is_structured:
-            return f"{self.n}:{self.m}"
-        return f"{self.ratio:g}"
+        return f"{self.ratio:g}" if self.ratio is not None else f"{self.n}:{self.m}"
 
 
 def _check_scores(scores: np.ndarray) -> np.ndarray:
@@ -87,24 +81,30 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _groups(spec: SparsitySpec, m_in: int) -> tuple[int, int, int]:
+    """(group count, group size, pruned per group) along the input axis.
+
+    The one comparison-group rule: a ratio prunes floor(p*M) of the whole
+    column, an n:m pattern prunes n of every consecutive m inputs.
+    """
+    if spec.ratio is not None:
+        return 1, m_in, int(math.floor(spec.ratio * m_in))
+    if m_in % spec.m != 0:
+        raise IndivisibleGroup(f"input dimension {m_in} not divisible by "
+                               f"group size {spec.m}")
+    return m_in // spec.m, spec.m, spec.n
+
+
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
     """Boolean mask, True = pruned, lowest scores pruned per comparison group."""
     scores = _check_scores(scores)
-    m_in, _ = scores.shape
+    m_in, h = scores.shape
+    count, size, k = _groups(spec, m_in)
     mask = np.zeros(scores.shape, dtype=bool)
-    if spec.is_structured:
-        if m_in % spec.m != 0:
-            raise IndivisibleGroup(f"input dimension {m_in} not divisible by "
-                                   f"group size {spec.m}")
-        grouped = scores.reshape(m_in // spec.m, spec.m, -1)
+    if k:
+        grouped = scores.reshape(count, size, h)
         order = np.argsort(grouped, axis=1, kind="stable")
-        view = mask.reshape(grouped.shape)
-        np.put_along_axis(view, order[:, : spec.n, :], True, axis=1)
-    else:
-        k = int(math.floor(spec.ratio * m_in))
-        if k:
-            order = np.argsort(scores, axis=0, kind="stable")
-            np.put_along_axis(mask, order[:k, :], True, axis=0)
+        np.put_along_axis(mask.reshape(grouped.shape), order[:, :k, :], True, axis=1)
     return mask
 
 
@@ -113,23 +113,16 @@ def mask_violation(mask: np.ndarray, spec: SparsitySpec) -> str | None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         return f"mask must be 2-D, got {mask.ndim}-D"
-    m_in, _ = mask.shape
-    if spec.is_structured:
-        if m_in % spec.m != 0:
-            return f"input dimension {m_in} not divisible by group size {spec.m}"
-        counts = mask.reshape(m_in // spec.m, spec.m, -1).sum(axis=1)
-        bad = np.argwhere(counts != spec.n)
-        if bad.size:
-            g, col = bad[0]
-            return (f"group {g} of column {col}: {counts[g, col]} pruned, "
-                    f"expected {spec.n}")
-    else:
-        expected = int(math.floor(spec.ratio * m_in))
-        counts = mask.sum(axis=0)
-        bad = np.flatnonzero(counts != expected)
-        if bad.size:
-            col = bad[0]
-            return f"column {col}: {counts[col]} pruned, expected {expected}"
+    m_in, h = mask.shape
+    try:
+        count, size, k = _groups(spec, m_in)
+    except IndivisibleGroup as exc:
+        return str(exc)
+    counts = mask.reshape(count, size, h).sum(axis=1)
+    bad = np.argwhere(counts != k)
+    if bad.size:
+        g, col = bad[0]
+        return f"group {g} of column {col}: {counts[g, col]} pruned, expected {k}"
     return None
 
 

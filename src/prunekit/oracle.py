@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .criteria import compute_scores
+from .criteria import CHECKABLE_TAGS, CRITERION_RULES, compute_scores
 from .errors import EmptyStats, InstanceTooLarge, ShapeMismatch
 from .parallel import parallel_map
 from .stats import stats_init, stats_update
@@ -24,12 +24,6 @@ MAX_FEATURES = 64
 MAX_ROWS = 4096
 
 DATA_REGIMES = ("uncentered", "centered", "offset")
-_CHECKABLE = {
-    # tag -> (default data regime, allow_bias)
-    "stade": ("uncentered", True),
-    "wanda": ("centered", True),
-    "stade-star": ("uncentered", False),
-}
 
 
 def brute_force_single_prune(
@@ -126,15 +120,16 @@ def check_criterion_optimality(
     ``data`` picks the input regime: "centered" subtracts empirical column
     means exactly, "offset" plants a near-constant offset feature,
     "uncentered" is the plain draw, and "auto" uses the regime the criterion
-    is claimed optimal for. ``max_bias_shift`` records the largest
-    |refit bias - original bias| seen, which must vanish on centered data.
+    is claimed optimal for in ``CRITERION_RULES``. ``max_bias_shift``
+    records the largest |refit bias - original bias| seen, which must vanish
+    on centered data.
     """
-    if tag not in _CHECKABLE:
+    if tag not in CHECKABLE_TAGS:
         raise ValueError(f"no optimality check for criterion {tag!r}; "
-                         f"expected one of {sorted(_CHECKABLE)}")
+                         f"expected one of {sorted(CHECKABLE_TAGS)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    default_data, allow_bias = _CHECKABLE[tag]
+    default_data, allow_bias = CRITERION_RULES[tag].optimal_in
     if data == "auto":
         data = default_data
     if data not in DATA_REGIMES:

@@ -10,10 +10,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def resolve_threads(value: int | str | None) -> int:
-    """Map a --threads value (int, "auto", or None) to a worker count >= 1."""
-    if value is None:
-        return 1
+def resolve_threads(value: int | str) -> int:
+    """Map a --threads value (int or "auto") to a worker count >= 1."""
     if isinstance(value, str):
         if value == "auto":
             return os.cpu_count() or 1

@@ -19,6 +19,7 @@ import numpy as np
 from .compensate import bias_delta_norm, bias_update
 from .container import TensorContainer, WeightLayer
 from .criteria import (
+    CRITERION_RULES,
     Criterion,
     GramAccumulator,
     compute_scores,
@@ -33,9 +34,6 @@ from .errors import (
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
 from .stats import ColumnStats, stats_init, stats_update
-
-# Criteria whose definition includes the closed-form bias update.
-_BIAS_DEFAULT_ON = frozenset({"stade"})
 
 CENTERED_RATIO_THRESHOLD = 0.1
 
@@ -92,8 +90,15 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     return float(np.mean((y0 - y1) ** 2))
 
 
-def default_bias_update(resolved_tag: str) -> bool:
-    return resolved_tag in _BIAS_DEFAULT_ON
+def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split rows into (statistics rows, held-out tail of floor(fraction * n) rows).
+
+    With an empty tail every row is held out, so the error report never
+    averages over nothing.
+    """
+    n_holdout = int(math.floor(fraction * rows.shape[0]))
+    train = rows[: rows.shape[0] - n_holdout]
+    return train, (rows[-n_holdout:] if n_holdout else train)
 
 
 def prune_layer(
@@ -112,20 +117,15 @@ def prune_layer(
             f"layer {name!r}: calibration width {calib_rows.shape} does not "
             f"match input dimension {layer.m}")
 
-    n_rows = calib_rows.shape[0]
-    n_holdout = int(math.floor(holdout_fraction * n_rows))
-    train = calib_rows[: n_rows - n_holdout]
-    holdout = calib_rows[n_rows - n_holdout :]
-    if holdout.shape[0] == 0:
-        holdout = train
-
+    train, holdout = split_holdout(calib_rows, holdout_fraction)
     stats = stats_update(stats_init(layer.m), train)
     resolved = select_criterion(criterion, layer)
+    rule = CRITERION_RULES[resolved]
     if bias_update_enabled is None:
-        bias_update_enabled = default_bias_update(resolved)
+        bias_update_enabled = rule.bias_update
 
     gram = None
-    if resolved == "sparsegpt-score":
+    if rule.needs_gram:
         gram = GramAccumulator(layer.m)
         gram.update(train)
     scores = compute_scores(resolved, layer.weights, stats=stats, gram=gram,
@@ -182,9 +182,9 @@ def prune_container(
     """Prune every weight layer of ``model``; returns the pruned container
     (layers, biases, and "<layer>.mask" tensors) plus a per-layer report.
 
-    ``bias_update_enabled`` None picks the per-criterion default: on for
-    stade (and for stade-w on layers where it resolves to stade), off for
-    magnitude, wanda, stade-star and sparsegpt-score.
+    ``bias_update_enabled`` None picks the resolved criterion's default from
+    ``CRITERION_RULES``. A model that is itself a pruning output can be
+    pruned again: its old biases and masks are replaced by the new ones.
     """
     if not 0.0 <= holdout_fraction <= 0.5:
         raise ValueError(f"holdout_fraction must lie in [0, 0.5], "
@@ -202,11 +202,11 @@ def prune_container(
 
     out = TensorContainer()
     for entry in model.entries():
+        stem, _, suffix = entry.name.rpartition(".")
         if entry.is_layer:
             pruned, mask, _ = results[entry.name]
             out.add_layer(entry.name, pruned)
             out.add_mask(entry.name, mask)
-        elif not (entry.name.endswith(".bias")
-                  and entry.name[: -len(".bias")] in results):
+        elif not (suffix in ("bias", "mask") and stem in results):
             out.add(entry.name, entry.array, dtype=entry.dtype)
     return out, PruneReport([results[name][2] for name in layer_names])

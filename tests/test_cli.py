@@ -1,15 +1,18 @@
 import json
+import os
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from prunekit import SparsitySpec, load_container, validate_mask
+from prunekit.container import MAGIC
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "prunekit", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def last_json_line(stdout):
@@ -139,6 +142,75 @@ def test_unwritable_output_fails_cleanly(workspace, command):
         args = ("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
                 "--seeds", "1", "--dims", "4,8,2", "--samples", "32", "--out", target)
     proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_reprune_a_pruned_container(workspace):
+    args = ("--calib", str(workspace / "calib.pkt"), "--criterion", "stade")
+    first, second = workspace / "re1.pkt", workspace / "re2.pkt"
+    proc = run_cli("prune", "--model", str(workspace / "model.pkt"), *args,
+                   "--sparsity", "0.5", "--out", str(first))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("prune", "--model", str(first), *args,
+                   "--sparsity", "0.75", "--out", str(second))
+    assert proc.returncode == 0, proc.stderr
+    pruned = load_container(str(second))
+    for name in pruned.layer_names():
+        assert validate_mask(pruned.get_mask(name), SparsitySpec.unstructured(0.75))
+
+
+def _removed_flag_argv(workspace, command):
+    ws = str(workspace)
+    return {
+        "gen": ("gen", "--out", f"{ws}/g.pkt", "--calib-out", f"{ws}/gc.pkt"),
+        "stats": ("stats", "--calib", f"{ws}/calib.pkt", "--out", f"{ws}/s.pkt"),
+        "prune": ("prune", "--model", f"{ws}/model.pkt", "--calib", f"{ws}/calib.pkt",
+                  "--criterion", "wanda", "--sparsity", "0.5", "--out", f"{ws}/r.pkt"),
+        "verify": ("verify", "--criterion", "stade", "--trials", "5"),
+        "bench": ("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
+                  "--seeds", "1", "--dims", "4,8,2", "--samples", "32"),
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("prune", "--seed"), ("stats", "--seed"), ("stats", "--threads"),
+    ("gen", "--threads"), ("verify", "--out"), ("bench", "--report"),
+])
+def test_removed_flags_are_usage_errors(workspace, command, flag):
+    argv = _removed_flag_argv(workspace, command)
+    assert run_cli(*argv).returncode == 0
+    proc = run_cli(*argv, flag, "1")
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+
+
+def test_threads_environment_variable_is_ignored():
+    env = {**os.environ, "PRUNEKIT_THREADS": "not-a-count"}
+    proc = run_cli("verify", "--criterion", "stade", "--trials", "5", env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_damping_with_another_criterion_fails(workspace):
+    proc = run_cli("prune", "--model", str(workspace / "model.pkt"),
+                   "--calib", str(workspace / "calib.pkt"), "--criterion", "wanda",
+                   "--damping", "0.1", "--sparsity", "0.5",
+                   "--out", str(workspace / "d.pkt"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "damping" in proc.stderr
+
+
+@pytest.mark.parametrize("manifest", [
+    b'{"tensors":' + b"[" * 100_000,
+    b'{"tensors":[{"name":"fc1","shape":[true,2],"dtype":"f32","offset":0,'
+    b'"centered":false,"has_bias":false}]}',
+], ids=["deep-nesting", "bool-dim"])
+def test_hostile_container_fails_cleanly(workspace, manifest):
+    path = workspace / "hostile.pkt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest + b"\x00" * 8)
+    proc = run_cli("prune", "--model", str(path), "--calib", str(workspace / "calib.pkt"),
+                   "--criterion", "wanda", "--sparsity", "0.5",
+                   "--out", str(workspace / "h.pkt"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prunekit import (
@@ -16,6 +16,7 @@ from prunekit.container import MAGIC
 from prunekit.errors import (
     InvariantViolation,
     MagicMismatch,
+    PruneKitError,
     ShapeMismatch,
     TruncatedPayload,
 )
@@ -186,6 +187,86 @@ def test_non_layer_entry_has_no_flags(tmp_path):
     by_name = {e["name"]: e for e in manifest["tensors"]}
     assert "centered" in by_name["layer0"] and "has_bias" in by_name["layer0"]
     assert "centered" not in by_name["layer0.bias"]
+
+
+def _entry(name="t", shape=(1,), offset=0):
+    return {"name": name, "shape": list(shape), "dtype": "f32", "offset": offset}
+
+
+def _file(manifest, payload):
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps({"tensors": manifest}).encode()
+    return MAGIC + struct.pack("<I", len(manifest)) + manifest + payload
+
+
+_ONE = np.float32(1.0).tobytes()
+
+
+@pytest.mark.parametrize("blob, error", [
+    (_file(b'{"tensors":' + b"[" * 100_000, b""), InvariantViolation),
+    (_file([_entry(shape=[True, 2])], _ONE * 2), ShapeMismatch),
+    (_file([_entry(offset=False)], _ONE), TruncatedPayload),
+    (_file([_entry(shape=[2**62, 8])], _ONE), TruncatedPayload),
+    (_file([_entry("a"), _entry("b")], _ONE * 2), InvariantViolation),
+    (_file([_entry("a", offset=4), _entry("b", offset=0)], _ONE * 2), InvariantViolation),
+    (_file([_entry()], _ONE * 2), InvariantViolation),
+    (_file([_entry()], np.float32(np.nan).tobytes()), InvariantViolation),
+    (_file([_entry()], np.float32(-np.inf).tobytes()), InvariantViolation),
+], ids=["deep-nesting", "bool-dim", "bool-offset", "huge-shape", "overlapping-offsets",
+        "out-of-order-offsets", "trailing-bytes", "nan", "inf"])
+def test_hostile_file_is_typed_error(tmp_path, blob, error):
+    path = tmp_path / "bad.pkt"
+    path.write_bytes(blob)
+    with pytest.raises(error):
+        load_container(str(path))
+
+
+def test_zero_width_layer_round_trips(tmp_path):
+    c = make_layer_container(np.zeros((3, 0)))
+    c.add("after", np.ones(2))
+    path = tmp_path / "m.pkt"
+    save_container(c, str(path))
+    loaded = load_container(str(path))
+    assert loaded.get_layer("layer0").weights.shape == (3, 0)
+    assert np.array_equal(loaded.get("after"), [1.0, 1.0])
+
+
+@pytest.fixture(scope="module")
+def valid_blob(tmp_path_factory):
+    c = make_layer_container(np.arange(12.0).reshape(3, 4) / 7, bias=[1.0, -2.0, 0.5, 0.0])
+    c.add_mask("layer0", np.eye(3, 4, dtype=bool))
+    c.add("layer0.calib", np.linspace(-3.0, 3.0, 15).reshape(5, 3))
+    path = tmp_path_factory.mktemp("valid") / "m.pkt"
+    save_container(c, str(path))
+    return path.read_bytes()
+
+
+# (position, bytes removed there, bytes inserted there); negative positions
+# count from the end, positions past either end clamp to it.
+_SPLICES = st.tuples(st.integers(-600, 600), st.integers(0, 8), st.binary(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(splices=st.lists(_SPLICES, min_size=1, max_size=4))
+@example(splices=[(10**6, 0, b"\x00")])  # one trailing payload byte
+@example(splices=[(-2, 2, b"\x80\x7f")])  # the last float becomes NaN/Inf
+def test_mutated_file_is_typed_error_or_exact(tmp_path_factory, valid_blob, splices):
+    blob = valid_blob
+    for pos, cut, insert in splices:
+        pos = min(pos, len(blob)) if pos >= 0 else max(len(blob) + pos, 0)
+        blob = blob[:pos] + insert + blob[pos + cut:]
+    path = tmp_path_factory.mktemp("fuzz") / "m.pkt"
+    path.write_bytes(blob)
+    try:
+        loaded = load_container(str(path))
+    except PruneKitError:
+        return
+    # Whatever loads is exactly its buffers: finite, contiguous, no slack.
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    payload = b"".join(e.array.astype({"f32": "<f4", "u8": "u1"}[e.dtype]).tobytes()
+                       for e in loaded.entries())
+    assert payload == blob[len(MAGIC) + 4 + mlen:]
+    assert all(np.isfinite(e.array).all() for e in loaded.entries())
 
 
 float32_values = st.floats(min_value=-1e6, max_value=1e6, width=32,

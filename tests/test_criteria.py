@@ -192,8 +192,7 @@ def test_select_criterion_resolves_stade_w():
 
 
 def test_criterion_damping_validation():
-    with pytest.raises(ValueError):
-        Criterion("sparsegpt-score")
+    assert Criterion("sparsegpt-score").damping == "auto"
     with pytest.raises(ValueError):
         Criterion("wanda", damping=0.1)
     for bad in (-1.0, float("nan"), float("inf"), float("-inf")):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from prunekit import (
+    Criterion,
     SparsitySpec,
     ToyMlpConfig,
     classify_centered,
     forward_toy,
     gen_toy_mlp,
+    prune_container,
     run_comparison,
     save_container,
     stats_init,
@@ -116,6 +118,23 @@ def test_identical_resolution_gives_identical_mse():
     table = run_comparison(["wanda", "stade-w"], spec, seeds=2, config=config)
     assert table.layer_mse["wanda"]["fc1"] == table.layer_mse["stade-w"]["fc1"]
     assert table.resolved["stade-w"] == ["wanda", "stade"]
+
+
+@pytest.mark.parametrize("samples, holdout", [(64, 0.0), (8, 0.1)])
+def test_e2e_error_uses_the_layer_holdout_rows(samples, holdout):
+    # With an empty held-out tail every layer is scored on all rows; the
+    # end-to-end error must be scored on the same rows.
+    config = ToyMlpConfig(dims=(6, 12, 3), norm="none", samples=samples)
+    spec = SparsitySpec.unstructured(0.5)
+    table = run_comparison(["wanda", "stade"], spec, seeds=1, config=config,
+                           base_seed=4, holdout_fraction=holdout)
+    model, calib = gen_toy_mlp(4, config.dims, config.norm, samples)
+    rows = calib.get("fc1.calib")
+    for tag in table.criteria:
+        pruned, _ = prune_container(model, calib, Criterion(tag), spec,
+                                    holdout_fraction=holdout)
+        expected = np.mean((forward_toy(model, rows) - forward_toy(pruned, rows)) ** 2)
+        assert table.e2e_mse[tag] == [float(expected)]
 
 
 def test_table_text_is_aligned():

@@ -117,6 +117,24 @@ def test_validate_detects_count_mismatch():
     assert "column 0" in mask_violation(mask, spec)
 
 
+def test_violation_names_group_and_column():
+    mask = np.zeros((8, 3), dtype=bool)
+    mask[:5, 2] = True
+    assert mask_violation(mask, SparsitySpec.unstructured(0.5)).startswith(
+        "group 0 of column 0: 0 pruned, expected 4")
+    assert mask_violation(mask, SparsitySpec.structured(2, 4)).startswith(
+        "group 0 of column 0: 0 pruned, expected 2")
+    assert "not divisible" in mask_violation(mask, SparsitySpec.structured(2, 3))
+
+
+@pytest.mark.parametrize("shape", [(8, 0), (0, 3)])
+def test_zero_size_scores(shape):
+    for spec in (SparsitySpec.unstructured(0.5), SparsitySpec.structured(2, 4)):
+        mask = build_mask(np.zeros(shape), spec)
+        assert mask.shape == shape and not mask.any()
+        assert mask_violation(mask, spec) is None
+
+
 def test_apply_mask_identity():
     w = np.random.default_rng(7).standard_normal((5, 3))
     layer = WeightLayer(w, None, centered=False)

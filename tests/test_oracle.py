@@ -6,6 +6,7 @@ from prunekit import (
     bias_update,
     brute_force_single_prune,
     check_criterion_optimality,
+    compute_scores,
     random_instance,
     reconstruction_mse,
     stats_init,
@@ -115,6 +116,29 @@ def test_wanda_misranks_offset_features():
 def test_stade_still_matches_on_offset_features():
     result = check_criterion_optimality("stade", trials=200, seed=10, data="offset")
     assert result.passed
+
+
+@pytest.mark.parametrize("mean, std", [(1e3, 1e-2), (1e4, 1e-2), (3e4, 1e-3)])
+def test_stade_matches_enumeration_on_large_offset_f32_features(mean, std):
+    # Up to three features sit at a large offset with a tiny spread, stored
+    # as float32 like container payloads: the regime where raw-moment
+    # statistics lose the variance the stade score ranks by.
+    rng = np.random.default_rng(int(mean / std))
+    for _ in range(500):
+        n, m = int(rng.integers(8, 65)), int(rng.integers(2, 17))
+        mu = rng.uniform(-5.0, 5.0, size=m)
+        sigma = rng.uniform(0.1, 2.0, size=m)
+        planted = rng.choice(m, size=min(3, m), replace=False)
+        mu[planted] = rng.choice([-1.0, 1.0], size=planted.size) * mean
+        sigma[planted] = std
+        calib = (mu + sigma * rng.standard_normal((n, m))).astype(np.float32)
+        calib = calib.astype(np.float64)
+        w_col = rng.uniform(-1.0, 1.0, size=m)
+        stats = stats_update(stats_init(m), calib)
+        chosen = int(np.argmin(compute_scores("stade", w_col[:, None], stats=stats)))
+        best, _, _ = brute_force_single_prune(w_col, float(rng.uniform(-1.0, 1.0)),
+                                              calib, allow_bias=True)
+        assert chosen == best
 
 
 def test_check_result_deterministic_across_threads():

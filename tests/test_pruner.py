@@ -16,6 +16,7 @@ from prunekit import (
     validate_mask,
 )
 from prunekit.errors import InsufficientSamples, MissingCalibration
+from prunekit.pruner import split_holdout
 
 
 def stats_of(rows):
@@ -107,6 +108,32 @@ def test_holdout_fraction_bounds():
     with pytest.raises(ValueError):
         prune_container(model, calib, Criterion("wanda"),
                         SparsitySpec.unstructured(0.5), holdout_fraction=0.6)
+
+
+def test_split_holdout_tail_or_every_row():
+    rows = np.arange(20.0).reshape(10, 2)
+    train, holdout = split_holdout(rows, 0.2)
+    assert np.array_equal(train, rows[:8]) and np.array_equal(holdout, rows[8:])
+    for fraction in (0.0, 0.05):
+        train, holdout = split_holdout(rows, fraction)
+        assert np.array_equal(train, rows) and np.array_equal(holdout, rows)
+
+
+def test_repruning_a_pruned_container():
+    model, calib = toy_pair()
+    first, _ = prune_container(model, calib, Criterion("stade"),
+                               SparsitySpec.unstructured(0.5))
+    spec = SparsitySpec.unstructured(0.75)
+    second, report = prune_container(first, calib, Criterion("stade"), spec)
+    masks = [name for name in second.names() if name.endswith(".mask")]
+    assert masks == ["fc1.mask", "fc2.mask"]
+    for name, rec in zip(second.layer_names(), report.layers):
+        layer = second.get_layer(name)
+        mask = second.get_mask(name)
+        assert validate_mask(mask, spec)
+        assert rec.achieved_sparsity == np.floor(0.75 * layer.m) / layer.m
+        earlier = first.get_mask(name)
+        assert np.all(layer.weights[earlier] == 0.0) and np.all(mask[earlier])
 
 
 def test_bias_flag_behavior_per_criterion():
