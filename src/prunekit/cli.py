@@ -21,7 +21,7 @@ import numpy as np
 
 from .container import TensorContainer, load_container, save_container
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
-from .errors import IoFailure, PruneKitError
+from .errors import InvalidRatio, IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
@@ -40,6 +40,13 @@ def _dims(text: str) -> tuple[int, int, int]:
     if len(parts) != 3 or any(d < 1 for d in parts):
         raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected three positive sizes")
     return parts
+
+
+def _sparsity(text: str) -> SparsitySpec:
+    try:
+        return SparsitySpec.parse(text)
+    except InvalidRatio as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 _COMMON = {
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model container path")
     p.add_argument("--calib", required=True, help="calibration container path")
     p.add_argument("--criterion", required=True, choices=CRITERION_TAGS)
-    p.add_argument("--sparsity", required=True, type=SparsitySpec.parse,
+    p.add_argument("--sparsity", required=True, type=_sparsity,
                    help="ratio like 0.5 or pattern like 2:4")
     p.add_argument("--bias-update", choices=("on", "off", "auto"), default="auto",
                    help="auto = per-criterion default")
@@ -100,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed", "out", "threads")
     p.add_argument("--criteria", required=True,
                    help="comma-separated criterion tags (at least two)")
-    p.add_argument("--sparsity", required=True, type=SparsitySpec.parse)
+    p.add_argument("--sparsity", required=True, type=_sparsity)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--dims", type=_dims, default=(16, 32, 8))
     p.add_argument("--norm", choices=NORM_KINDS, default="none")
@@ -192,7 +199,8 @@ def _cmd_prune(args) -> tuple[int, dict]:
         "criterion": args.criterion,
         "sparsity": str(args.sparsity),
         "layers": len(report.layers),
-        "mean_mse": float(np.mean([r.reconstruction_mse for r in report.layers])),
+        "mean_mse": (float(np.mean([r.reconstruction_mse for r in report.layers]))
+                     if report.layers else 0.0),
         "report": args.report,
     }
     return 0, summary

@@ -16,12 +16,17 @@ after a mean-subtracting normalization) and ``has_bias`` (a companion
 "<name>.bias" tensor follows). Buffers are "f32" except prune masks, which
 are "u8" holding 0/1.
 
-Float payloads must be finite. Float tensors surface in memory as float64
-(the widening is exact) and are cast back to float32 on save; values that
-originated as float32 therefore round-trip bit-exactly. Containers are
-immutable after load in the sense that nothing in this package mutates a
-loaded array; any number of readers may share one container, saving is
-single-writer.
+Values are checked once, when a tensor enters a container through
+``TensorContainer.add``; every tensor the loader reads enters that way. An
+"f32" tensor is accepted exactly when its float32 cast is finite, and a "u8"
+tensor named "<layer>.mask" must hold only 0/1, so a bad value fails at
+load and nothing later scans the values again. Float tensors surface in
+memory as float64 (the widening is exact) and are cast back to float32 on
+save; values that originated as float32 therefore round-trip bit-exactly.
+Stored arrays are read-only views, so a container's own arrays cannot
+change after their check; ``add`` does not copy a float64 array, whose
+owner must not write to it afterwards. Any number of readers may share one
+container, saving is single-writer.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ MAGIC = b"PRUNEKT1"
 
 _DISK_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _MEMORY_DTYPES = {"f32": np.float64, "u8": np.uint8}
+# Halfway between FLT_MAX and 2**128: a magnitude below it rounds to a finite
+# float32, the tie itself rounds to even, which is infinity. A numpy float64,
+# so a float32 min/max is compared in float64 instead of the limit being cast
+# down to float32 (where it overflows).
+_F32_LIMIT = np.float64(2.0**128 - 2.0**103)
 
 
 @dataclass
@@ -117,15 +127,25 @@ class TensorContainer:
         centered: bool | None = None,
         has_bias: bool | None = None,
     ) -> None:
+        """Check ``array`` against its dtype's value rule and store it read-only."""
         if not name:
             raise InvariantViolation("tensor name must be non-empty")
         if name in self._entries:
             raise InvariantViolation(f"duplicate tensor name {name!r}")
         if dtype not in _DISK_DTYPES:
             raise InvariantViolation(f"unsupported dtype {dtype!r} for {name!r}")
-        arr = np.ascontiguousarray(array, dtype=_MEMORY_DTYPES[dtype])
+        array = np.asarray(array)
+        # min/max of the input itself: no temporary, no cast that could
+        # overflow, and NaN fails both comparisons.
+        if dtype == "f32" and array.size and not (
+                -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
+            raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
+        arr = np.ascontiguousarray(array, dtype=_MEMORY_DTYPES[dtype]).view()
+        if dtype == "u8" and name.endswith(".mask") and arr.size and arr.max() > 1:
+            raise InvariantViolation(f"tensor {name!r}: mask values must be 0 or 1")
         if arr.ndim == 0:
             arr = arr.reshape(1)
+        arr.flags.writeable = False
         self._entries[name] = TensorEntry(name, arr, dtype, centered, has_bias)
 
     # -- weight layers -------------------------------------------------
@@ -152,8 +172,6 @@ class TensorContainer:
         if weights.ndim != 2:
             raise ShapeMismatch(f"layer {name!r}: weights must be 2-D, got shape "
                                 f"{weights.shape}")
-        if not np.isfinite(weights).all():
-            raise InvariantViolation(f"layer {name!r}: weights contain NaN/Inf")
         bias = None
         if entry.has_bias:
             bias_name = f"{name}.bias"
@@ -164,8 +182,6 @@ class TensorContainer:
             if bias.shape != (weights.shape[1],):
                 raise ShapeMismatch(f"layer {name!r}: bias shape {bias.shape} "
                                     f"!= ({weights.shape[1]},)")
-            if not np.isfinite(bias).all():
-                raise InvariantViolation(f"layer {name!r}: bias contains NaN/Inf")
         return WeightLayer(weights=weights, bias=bias, centered=bool(entry.centered))
 
     # -- masks ----------------------------------------------------------
@@ -181,23 +197,8 @@ def _entry_nbytes(entry: TensorEntry) -> int:
     return entry.array.size * _DISK_DTYPES[entry.dtype].itemsize
 
 
-def _validate_for_save(container: TensorContainer) -> None:
-    for entry in container.entries():
-        if entry.dtype == "f32":
-            cast = entry.array.astype("<f4")
-            if not np.isfinite(cast).all():
-                raise InvariantViolation(
-                    f"tensor {entry.name!r}: non-finite value in float payload")
-        elif entry.name.endswith(".mask"):
-            vals = np.unique(entry.array)
-            if not np.isin(vals, (0, 1)).all():
-                raise InvariantViolation(
-                    f"tensor {entry.name!r}: mask values must be 0 or 1")
-
-
 def save_container(container: TensorContainer, path: str) -> None:
     """Write ``container`` to ``path``; two saves of equal content are byte-identical."""
-    _validate_for_save(container)
     manifest = []
     offset = 0
     for entry in container.entries():
@@ -253,7 +254,7 @@ def load_container(path: str) -> TensorContainer:
     if not isinstance(records, list):
         raise InvariantViolation(f"{path!r}: manifest has no tensor list")
 
-    payload = blob[header_end:]
+    payload_len = len(blob) - header_end
     container = TensorContainer()
     end = 0
     for record in records:
@@ -262,8 +263,6 @@ def load_container(path: str) -> TensorContainer:
         name = record.get("name")
         if not isinstance(name, str) or not name:
             raise InvariantViolation(f"{path!r}: manifest entry without a name")
-        if name in container:
-            raise InvariantViolation(f"{path!r}: duplicate tensor name {name!r}")
         shape = record.get("shape")
         if (not isinstance(shape, list) or not shape
                 or any(not _is_count(d) for d in shape)):
@@ -285,18 +284,17 @@ def load_container(path: str) -> TensorContainer:
                                      f"{offset}, expected {end}")
         count = math.prod(shape)
         end = offset + count * _DISK_DTYPES[dtype].itemsize
-        if end > len(payload):
+        if end > payload_len:
             raise TruncatedPayload(
                 f"{path!r}: tensor {name!r} needs bytes [{offset}, {end}) "
-                f"but payload holds {len(payload)}")
-        buf = np.frombuffer(payload, dtype=_DISK_DTYPES[dtype], count=count,
-                            offset=offset)
-        # Finite f32 values cannot overflow a float64 sum, so the sum is finite
-        # exactly when every value is; unlike isfinite it needs no temporary.
-        if dtype == "f32" and not math.isfinite(buf.sum(dtype=np.float64)):
-            raise InvariantViolation(f"{path!r}: tensor {name!r} contains NaN/Inf")
-        container.add(name, buf.reshape(shape), dtype=dtype, **flags)
-    if end != len(payload):
-        raise InvariantViolation(f"{path!r}: {len(payload) - end} trailing payload "
+                f"but payload holds {payload_len}")
+        buf = np.frombuffer(blob, dtype=_DISK_DTYPES[dtype], count=count,
+                            offset=header_end + offset)
+        try:
+            container.add(name, buf.reshape(shape), dtype=dtype, **flags)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"{path!r}: {exc}") from exc
+    if end != payload_len:
+        raise InvariantViolation(f"{path!r}: {payload_len - end} trailing payload "
                                  f"bytes after the last tensor")
     return container

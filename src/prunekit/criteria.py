@@ -42,7 +42,7 @@ from .errors import (
     NonFiniteInput,
     SingularGram,
 )
-from .stats import ColumnStats, stats_centered_l2, stats_l2
+from .stats import ColumnStats, _check_batch, stats_centered_l2, stats_l2
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,7 @@ class GramAccumulator:
         return self.gram.shape[0]
 
     def update(self, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.m:
-            raise DimensionMismatch(
-                f"rows must be 2-D with width {self.m}, got shape {rows.shape}")
-        if rows.size and not np.isfinite(rows).all():
-            raise NonFiniteInput("calibration rows contain NaN/Inf")
+        rows = _check_batch(rows, self.m)
         g = self.gram + rows.T @ rows
         # BLAS need not return an exactly symmetric product; re-symmetrize.
         self.gram = (g + g.T) / 2.0

@@ -74,7 +74,10 @@ def classify_centered(stats: ColumnStats,
 
 def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
                        rows: np.ndarray) -> float:
-    """Mean squared output difference between the two layers over ``rows``."""
+    """Mean squared output difference between the two layers over ``rows``.
+
+    An empty output (no rows or no output columns) averages to 0.0.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
@@ -87,7 +90,7 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     y1 = rows @ pruned.weights
     if pruned.bias is not None:
         y1 = y1 + pruned.bias
-    return float(np.mean((y0 - y1) ** 2))
+    return float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
 
 
 def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyStats,
     InvalidDimension,
+    InvariantViolation,
     NonFiniteInput,
 )
 
@@ -119,8 +120,12 @@ def stats_to_container(container: TensorContainer, layer_name: str,
     """Store an accumulator as "<layer>.stats.mean" etc. plus a scalar n.
 
     The centered moment is stored as the sample variance ("var"), the
-    field existing containers carry.
+    field existing containers carry. n is stored as float32, which holds
+    every count up to 2**24 exactly; a larger n is refused.
     """
+    if stats.n > 2**24:
+        raise InvariantViolation(f"{layer_name!r}: row count {stats.n} exceeds "
+                                 f"2**24, above which float32 skips counts")
     container.add(f"{layer_name}.stats.mean", stats.mean)
     container.add(f"{layer_name}.stats.var", stats.variance())
     container.add(f"{layer_name}.stats.sumsq", stats.sumsq)

@@ -4,9 +4,17 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from prunekit import SparsitySpec, load_container, validate_mask
+from prunekit import (
+    SparsitySpec,
+    TensorContainer,
+    WeightLayer,
+    load_container,
+    save_container,
+    validate_mask,
+)
 from prunekit.container import MAGIC
 
 
@@ -227,3 +235,37 @@ def test_every_success_ends_with_json(workspace):
                    "--out", str(workspace / "p2.pkt"))
     assert proc.returncode == 0
     assert isinstance(last_json_line(proc.stdout), dict)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("layers", [["fc"], []], ids=["zero-width-layer", "no-layers"])
+def test_empty_outputs_give_strict_json(tmp_path, layers):
+    model, calib = TensorContainer(), TensorContainer()
+    for name in layers:
+        model.add_layer(name, WeightLayer(np.zeros((4, 0)), None, centered=False))
+        calib.add(f"{name}.calib", np.random.default_rng(0).standard_normal((10, 4)))
+    save_container(model, str(tmp_path / "m.pkt"))
+    save_container(calib, str(tmp_path / "c.pkt"))
+    report = tmp_path / "r.json"
+    proc = run_cli("prune", "--model", str(tmp_path / "m.pkt"),
+                   "--calib", str(tmp_path / "c.pkt"), "--criterion", "stade",
+                   "--sparsity", "0.5", "--out", str(tmp_path / "o.pkt"),
+                   "--report", str(report))
+    assert proc.returncode == 0 and "Warning" not in proc.stderr, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert json.loads(last, parse_constant=_reject_constant)["mean_mse"] == 0.0
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert [rec["reconstruction_mse"] for rec in payload["layers"]] == [0.0] * len(layers)
+
+
+@pytest.mark.parametrize("value", ["abc", "1:0", "2:x", "1.5"])
+@pytest.mark.parametrize("command", ["prune", "bench"])
+def test_bad_sparsity_is_usage_error(workspace, command, value):
+    argv = list(_removed_flag_argv(workspace, command))
+    argv[argv.index("--sparsity") + 1] = value
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "--sparsity" in proc.stderr and "Traceback" not in proc.stderr

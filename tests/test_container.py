@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -92,12 +93,11 @@ def test_truncated_manifest(tmp_path):
         load_container(str(path))
 
 
-def test_nan_weight_rejected_on_save(tmp_path):
+def test_nan_weight_rejected_on_add():
     w = np.ones((2, 2))
     w[0, 1] = np.nan
-    c = make_layer_container(w)
     with pytest.raises(InvariantViolation, match="layer0"):
-        save_container(c, str(tmp_path / "m.pkt"))
+        make_layer_container(w)
 
 
 def test_duplicate_name_rejected():
@@ -170,11 +170,55 @@ def test_mask_round_trip(tmp_path):
     assert np.array_equal(loaded.get_mask("layer0"), mask)
 
 
-def test_mask_values_validated(tmp_path):
+def test_mask_values_validated():
     c = TensorContainer()
-    c.add("l.mask", np.array([0, 1, 7], dtype=np.uint8), dtype="u8")
     with pytest.raises(InvariantViolation, match="mask"):
-        save_container(c, str(tmp_path / "m.pkt"))
+        c.add("l.mask", np.array([0, 1, 7], dtype=np.uint8), dtype="u8")
+
+
+def test_loaded_mask_byte_other_than_0_1_fails(tmp_path):
+    c = make_layer_container(np.ones((2, 2)))
+    c.add_mask("layer0", np.eye(2, dtype=bool))
+    path = tmp_path / "m.pkt"
+    save_container(c, str(path))
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 7  # the mask is the last buffer
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvariantViolation, match="layer0.mask"):
+        load_container(str(path))
+
+
+def test_stored_tensors_are_read_only(tmp_path):
+    w = np.ones((2, 3))
+    c = make_layer_container(w, bias=[1.0, 2.0, 3.0])
+    c.add_mask("layer0", np.zeros((2, 3), dtype=bool))
+    # float64 input is stored without a copy; the caller's array stays writable.
+    assert np.shares_memory(c.get("layer0"), w) and w.flags.writeable
+    path = tmp_path / "m.pkt"
+    save_container(c, str(path))
+    for container in (c, load_container(str(path))):
+        for entry in container.entries():
+            with pytest.raises(ValueError, match="read-only"):
+                entry.array[0] = 0
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, 2.0**128 - 2.0**103, np.nan])
+def test_value_with_no_finite_float32_rejected_without_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="float32"):
+            TensorContainer().add("t", np.array([0.0, value]))
+
+
+def test_value_rounding_to_float32_max_round_trips(tmp_path):
+    c = TensorContainer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c.add("t", np.array([3.4028235e38, -3.4028235e38]))
+    path = tmp_path / "m.pkt"
+    save_container(c, str(path))
+    fmax = float(np.finfo(np.float32).max)
+    assert np.array_equal(load_container(str(path)).get("t"), [fmax, -fmax])
 
 
 def test_non_layer_entry_has_no_flags(tmp_path):

@@ -237,6 +237,12 @@ def test_reconstruction_mse_identity():
     assert reconstruction_mse(layer, layer, rows) == 0.0
 
 
+@pytest.mark.parametrize("m, h, n", [(4, 0, 10), (4, 2, 0)])
+def test_reconstruction_mse_of_empty_output_is_zero(m, h, n):
+    layer = WeightLayer(np.ones((m, h)), None, centered=False)
+    assert reconstruction_mse(layer, layer, np.ones((n, m))) == 0.0
+
+
 def test_reconstruction_mse_matches_single_prune_closed_form():
     # Pruning weight j with the optimal bias leaves exactly the centered
     # second moment of feature j times the squared weight.

@@ -18,8 +18,10 @@ from prunekit.errors import (
     DimensionMismatch,
     EmptyStats,
     InvalidDimension,
+    InvariantViolation,
     NonFiniteInput,
 )
+from prunekit.stats import ColumnStats
 
 
 def two_pass(rows):
@@ -190,6 +192,15 @@ def test_container_round_trip():
     # f32 storage precision
     np.testing.assert_allclose(back.mean, s.mean, rtol=1e-6)
     np.testing.assert_allclose(back.sumsq, s.sumsq, rtol=1e-6)
+
+
+def test_container_refuses_a_count_float32_cannot_store():
+    zeros = np.zeros(2)
+    c = TensorContainer()
+    stats_to_container(c, "a", ColumnStats(2**24, zeros, zeros, zeros))
+    assert stats_from_container(c, "a").n == 2**24
+    with pytest.raises(InvariantViolation, match=r"2\*\*24"):
+        stats_to_container(c, "b", ColumnStats(2**24 + 1, zeros, zeros, zeros))
 
 
 bounded = st.floats(min_value=-100.0, max_value=100.0,
