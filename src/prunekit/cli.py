@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import InvalidRatio, IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
-from .parallel import resolve_threads
 from .pruner import prune_container
 from .stats import stats_init, stats_to_container, stats_update
 
@@ -49,11 +49,32 @@ def _sparsity(text: str) -> SparsitySpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _threads(text: str) -> int:
+    """A --threads value: a positive count, or "auto" for the CPU count."""
+    if text == "auto":
+        return os.cpu_count() or 1
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"bad thread count {text!r}; "
+                                         f"expected a positive integer or 'auto'")
+    return int(text)
+
+
+def _damping(text: str) -> float | str:
+    """A --damping value: "auto" or a float; Criterion checks its range."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad damping {text!r}; "
+                                         f"expected a float or 'auto'") from None
+
+
 _COMMON = {
     "seed": dict(type=int, default=0, help="base RNG seed"),
-    "out": dict(help="primary output path"),
+    "out": dict(required=True, help="primary output path"),
     "report": dict(help="write the detailed JSON report here"),
-    "threads": dict(default="1", help="worker cap: a count or 'auto'"),
+    "threads": dict(type=_threads, default=1, help="worker cap: a count or 'auto'"),
 }
 
 
@@ -90,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ratio like 0.5 or pattern like 2:4")
     p.add_argument("--bias-update", choices=("on", "off", "auto"), default="auto",
                    help="auto = per-criterion default")
-    p.add_argument("--damping",
+    p.add_argument("--damping", type=_damping,
                    help="sparsegpt-score only: a float or 'auto' (the default)")
     p.add_argument("--holdout", type=float, default=0.2,
                    help="fraction of calibration rows held out for the error report")
@@ -104,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="compare criteria on seeded toy models")
-    _add_common(p, "seed", "out", "threads")
+    _add_common(p, "seed", "threads")
+    p.add_argument("--out", help="write the comparison table JSON here")
     p.add_argument("--criteria", required=True,
                    help="comma-separated criterion tags (at least two)")
     p.add_argument("--sparsity", required=True, type=_sparsity)
@@ -133,8 +155,6 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
-    if not args.out:
-        raise PruneKitError("gen requires --out for the model container")
     model, calib = gen_toy_mlp(args.seed, args.dims, args.norm, args.samples)
     save_container(model, args.out)
     save_container(calib, args.calib_out)
@@ -153,8 +173,6 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 
 def _cmd_stats(args) -> tuple[int, dict]:
-    if not args.out:
-        raise PruneKitError("stats requires --out for the statistics container")
     calib = load_container(args.calib)
     out = TensorContainer()
     detail = {}
@@ -176,17 +194,14 @@ def _cmd_stats(args) -> tuple[int, dict]:
 
 
 def _cmd_prune(args) -> tuple[int, dict]:
-    if not args.out:
-        raise PruneKitError("prune requires --out for the pruned container")
-    damping = args.damping if args.damping in (None, "auto") else float(args.damping)
-    criterion = Criterion(args.criterion, damping=damping)
+    criterion = Criterion(args.criterion, damping=args.damping)
     model = load_container(args.model)
     calib = load_container(args.calib)
     pruned, report = prune_container(
         model, calib, criterion, args.sparsity,
         bias_update_enabled=_bias_flag(args.bias_update),
         holdout_fraction=args.holdout,
-        threads=resolve_threads(args.threads))
+        threads=args.threads)
     save_container(pruned, args.out)
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
@@ -209,7 +224,7 @@ def _cmd_prune(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     result = check_criterion_optimality(
         args.criterion, args.trials, args.seed, data=args.data,
-        threads=resolve_threads(args.threads))
+        threads=args.threads)
     payload = result.to_dict()
     _write_report(args.report, payload)
     summary = {"command": "verify", **payload}
@@ -223,7 +238,7 @@ def _cmd_bench(args) -> tuple[int, dict]:
                            base_seed=args.seed,
                            holdout_fraction=args.holdout,
                            bias_update_enabled=_bias_flag(args.bias_update),
-                           threads=resolve_threads(args.threads))
+                           threads=args.threads)
     print(table.to_text())
     _write_report(args.out, table.to_dict())
     summary = {

@@ -5,6 +5,11 @@ adding that amount back to the bias is the unique bias minimizing the
 expected squared output change for a single pruned weight. Multiple pruned
 weights are compensated by summing the per-weight shifts (mean-preserving by
 linearity; the single-weight case is where optimality is exact).
+
+The mask and the statistics pass the same checks as everywhere else in the
+engine: ``masks._layer_mask`` (the mask has the weights' shape) and
+``stats._check_stats`` (width and at least one row), so a statistics-width
+mismatch raises ``DimensionMismatch`` here as it does in the scorers.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .container import WeightLayer
-from .errors import EmptyStats, ShapeMismatch
-from .stats import ColumnStats
+from .errors import ShapeMismatch
+from .masks import _layer_mask
+from .stats import ColumnStats, _check_stats
 
 
 def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> WeightLayer:
@@ -23,14 +29,8 @@ def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> Wei
     layer has no bias and some compensation is non-zero, a bias vector is
     materialized (callers should surface that a parameter vector was added).
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != layer.weights.shape:
-        raise ShapeMismatch(f"mask shape {mask.shape} != weights shape "
-                            f"{layer.weights.shape}")
-    if stats.m != layer.m:
-        raise ShapeMismatch(f"stats width {stats.m} != layer input dim {layer.m}")
-    if stats.n == 0:
-        raise EmptyStats("bias compensation needs at least one calibration row")
+    mask = _layer_mask(layer, mask)
+    _check_stats(stats, layer.m, min_rows=1)
     delta = (mask * (stats.mean[:, None] * layer.weights)).sum(axis=0)
     if layer.bias is None:
         if not np.any(delta):

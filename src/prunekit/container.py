@@ -23,6 +23,8 @@ tensor named "<layer>.mask" must hold only 0/1, so a bad value fails at
 load and nothing later scans the values again. Float tensors surface in
 memory as float64 (the widening is exact) and are cast back to float32 on
 save; values that originated as float32 therefore round-trip bit-exactly.
+Every loaded tensor owns its memory (f32 by the widening, u8 by a copy), so
+nothing keeps the file's bytes alive after ``load_container`` returns.
 Stored arrays are read-only views, so a container's own arrays cannot
 change after their check; ``add`` does not copy a float64 array, whose
 owner must not write to it afterwards. Any number of readers may share one
@@ -289,9 +291,13 @@ def load_container(path: str) -> TensorContainer:
                 f"{path!r}: tensor {name!r} needs bytes [{offset}, {end}) "
                 f"but payload holds {payload_len}")
         buf = np.frombuffer(blob, dtype=_DISK_DTYPES[dtype], count=count,
-                            offset=header_end + offset)
+                            offset=header_end + offset).reshape(shape)
+        # add widens an f32 buffer into its own float64 array; a u8 buffer
+        # is copied, so no loaded tensor keeps the whole file alive.
+        if dtype == "u8":
+            buf = buf.copy()
         try:
-            container.add(name, buf.reshape(shape), dtype=dtype, **flags)
+            container.add(name, buf, dtype=dtype, **flags)
         except InvariantViolation as exc:
             raise InvariantViolation(f"{path!r}: {exc}") from exc
     if end != payload_len:

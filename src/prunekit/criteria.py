@@ -21,7 +21,9 @@ transform of the empirical no-bias-update reconstruction error, so its
 argmin matches exhaustive enumeration on the same sample.
 
 Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
-the pruner, the oracle and the CLI read.
+the pruner, the oracle and the CLI read. Every scorer applies the engine's
+input rules (``stats._matrix`` to the weights, ``stats._check_stats`` to
+the statistics) before it computes anything.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ import numpy as np
 import scipy.linalg
 
 from .container import WeightLayer
-from .errors import (
-    DimensionMismatch,
-    EmptyStats,
-    InsufficientSamples,
-    NonFiniteInput,
-    SingularGram,
-)
-from .stats import ColumnStats, _check_batch, stats_centered_l2, stats_l2
+from .errors import DimensionMismatch, SingularGram
+from .stats import ColumnStats, _check_stats, _matrix, stats_centered_l2, stats_l2
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class Criterion:
             if self.damping != "auto":
                 raise ValueError(f"damping must be a float or 'auto', "
                                  f"got {self.damping!r}")
-        elif not (math.isfinite(self.damping) and self.damping >= 0):
+        elif not 0.0 <= self.damping < math.inf:  # NaN fails both
             raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
 
 
@@ -112,41 +108,22 @@ class GramAccumulator:
         return self.gram.shape[0]
 
     def update(self, rows: np.ndarray) -> None:
-        rows = _check_batch(rows, self.m)
+        rows = _matrix(rows, "batch", self.m)
         g = self.gram + rows.T @ rows
         # BLAS need not return an exactly symmetric product; re-symmetrize.
         self.gram = (g + g.T) / 2.0
         self.n += rows.shape[0]
 
 
-def _check_weights(weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise DimensionMismatch(f"weights must be 2-D, got {weights.ndim}-D")
-    if not np.isfinite(weights).all():
-        raise NonFiniteInput("weights contain NaN/Inf")
-    return weights
-
-
-def _check_stats(stats: ColumnStats, m: int, min_rows: int) -> None:
-    if stats.m != m:
-        raise DimensionMismatch(f"stats width {stats.m} != weight rows {m}")
-    if stats.n == 0:
-        raise EmptyStats("no calibration rows accumulated")
-    if stats.n < min_rows:
-        raise InsufficientSamples(
-            f"criterion needs >= {min_rows} calibration rows, got {stats.n}")
-
-
 def score_magnitude(weights: np.ndarray) -> np.ndarray:
     """|W|."""
-    return np.abs(_check_weights(weights))
+    return np.abs(_matrix(weights, "weights"))
 
 
 def _score_activation(tag: str, weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
     """Per-feature statistics factor of criterion ``tag`` times |W|."""
     rule = CRITERION_RULES[tag]
-    weights = _check_weights(weights)
+    weights = _matrix(weights, "weights")
     _check_stats(stats, weights.shape[0], rule.min_rows)
     return rule.factor(stats)[:, None] * np.abs(weights)
 
@@ -164,7 +141,7 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means undamped. The
     raw ratio is kept (no square root): only the ranking matters.
     """
-    weights = _check_weights(weights)
+    weights = _matrix(weights, "weights")
     m = weights.shape[0]
     if gram.m != m:
         raise DimensionMismatch(f"gram width {gram.m} != weight rows {m}")

@@ -31,8 +31,8 @@ class InvalidDimension(PruneKitError):
     """Requested feature dimension is not a positive integer."""
 
 
-class DimensionMismatch(PruneKitError):
-    """Batch or vector width disagrees with the accumulator's dimension."""
+class DimensionMismatch(ShapeMismatch):
+    """An engine array is not 2-D or its width disagrees with the expected one."""
 
 
 class NonFiniteInput(PruneKitError):

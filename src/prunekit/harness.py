@@ -176,8 +176,11 @@ def run_comparison(
     give identical tables.
     """
     crits = [c if isinstance(c, Criterion) else Criterion(c) for c in criteria]
+    tags = [c.tag for c in crits]
     if len(crits) < 2:
         raise ValueError("comparison needs at least two criteria")
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"comparison repeats a criterion tag: {tags}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     seed_values = [base_seed + i for i in range(seeds)]
@@ -204,14 +207,14 @@ def run_comparison(
 
     layers = list(LAYER_NAMES)
     table = ComparisonTable(
-        criteria=[c.tag for c in crits],
+        criteria=tags,
         layers=layers,
         seeds=seed_values,
         sparsity=str(spec),
         norm=config.norm,
-        layer_mse={c.tag: {layer: [] for layer in layers} for c in crits},
-        e2e_mse={c.tag: [] for c in crits},
-        resolved={c.tag: [] for c in crits},
+        layer_mse={tag: {layer: [] for layer in layers} for tag in tags},
+        e2e_mse={tag: [] for tag in tags},
+        resolved={tag: [] for tag in tags},
     )
     for result in seed_results:
         for tag, (by_layer, e2e, resolved) in result.items():

@@ -5,6 +5,10 @@ scores are pruned (k = floor(p*M) for unstructured sparsity) or, for an n:m
 structured pattern, the lowest n within every consecutive group of m entries
 along the input axis. Ties break toward the lower input index, so masks
 depend only on the score ranking and are deterministic.
+
+Scores obey the engine's input rule (``stats._matrix``: finite, 2-D), and
+``_layer_mask`` is the one check that a mask matches its layer's weights,
+shared by ``apply_mask`` and ``compensate.bias_update``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import WeightLayer
-from .errors import (
-    IndivisibleGroup,
-    InvalidRatio,
-    NonFiniteInput,
-    ShapeMismatch,
-)
+from .errors import IndivisibleGroup, InvalidRatio, ShapeMismatch
+from .stats import _matrix
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SparsitySpec:
                                    f"got {self.n}:{self.m}")
         else:
             if not (isinstance(self.ratio, (int, float))
-                    and math.isfinite(self.ratio) and 0.0 <= self.ratio <= 1.0):
+                    and 0.0 <= self.ratio <= 1.0):
                 raise InvalidRatio(f"ratio must lie in [0, 1], got {self.ratio!r}")
 
     @classmethod
@@ -72,15 +72,6 @@ class SparsitySpec:
         return f"{self.ratio:g}" if self.ratio is not None else f"{self.n}:{self.m}"
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ShapeMismatch(f"scores must be 2-D, got {scores.ndim}-D")
-    if not np.isfinite(scores).all():
-        raise NonFiniteInput("scores contain NaN/Inf")
-    return scores
-
-
 def _groups(spec: SparsitySpec, m_in: int) -> tuple[int, int, int]:
     """(group count, group size, pruned per group) along the input axis.
 
@@ -97,7 +88,7 @@ def _groups(spec: SparsitySpec, m_in: int) -> tuple[int, int, int]:
 
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
     """Boolean mask, True = pruned, lowest scores pruned per comparison group."""
-    scores = _check_scores(scores)
+    scores = _matrix(scores, "scores")
     m_in, h = scores.shape
     count, size, k = _groups(spec, m_in)
     mask = np.zeros(scores.shape, dtype=bool)
@@ -131,11 +122,17 @@ def validate_mask(mask: np.ndarray, spec: SparsitySpec) -> bool:
     return mask_violation(mask, spec) is None
 
 
-def apply_mask(layer: WeightLayer, mask: np.ndarray) -> WeightLayer:
-    """Zero the pruned entries; surviving entries pass through bit-identically."""
+def _layer_mask(layer: WeightLayer, mask: np.ndarray) -> np.ndarray:
+    """``mask`` as a bool array, which must have the layer's weight shape."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != layer.weights.shape:
         raise ShapeMismatch(f"mask shape {mask.shape} != weights shape "
                             f"{layer.weights.shape}")
+    return mask
+
+
+def apply_mask(layer: WeightLayer, mask: np.ndarray) -> WeightLayer:
+    """Zero the pruned entries; surviving entries pass through bit-identically."""
+    mask = _layer_mask(layer, mask)
     return WeightLayer(weights=np.where(mask, 0.0, layer.weights),
                        bias=layer.bias, centered=layer.centered)

@@ -6,7 +6,9 @@ the empirical squared reconstruction error directly on the calibration rows
 It is the ground truth the ranking criteria are checked against: on any
 sample, the stade argmin must match enumeration with bias refitting, wanda
 must match it on exactly mean-centered data, and stade-star must match it
-with the bias frozen.
+with the bias frozen. Its inputs obey the engine's input rule
+(``stats._matrix``), so a NaN or infinity raises ``NonFiniteInput`` rather
+than yielding no minimizer.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .criteria import CHECKABLE_TAGS, CRITERION_RULES, compute_scores
-from .errors import EmptyStats, InstanceTooLarge, ShapeMismatch
+from .errors import EmptyStats, InstanceTooLarge
 from .parallel import parallel_map
-from .stats import stats_init, stats_update
+from .stats import _matrix, stats_init, stats_update
 
 MAX_FEATURES = 64
 MAX_ROWS = 4096
@@ -40,15 +42,11 @@ def brute_force_single_prune(
     least-squares minimizer ``bias + mean(x_j) * w_j``; otherwise it stays
     fixed. Ties resolve to the lowest input index.
     """
-    w_col = np.asarray(w_col, dtype=np.float64)
-    calib = np.asarray(calib, dtype=np.float64)
-    if w_col.ndim != 1:
-        raise ShapeMismatch(f"w_col must be 1-D, got {w_col.ndim}-D")
-    if calib.ndim != 2 or calib.shape[1] != w_col.shape[0]:
-        raise ShapeMismatch(f"calib shape {calib.shape} does not match "
-                            f"{w_col.shape[0]} features")
-    m = w_col.shape[0]
-    n = calib.shape[0]
+    calib = _matrix(calib, "calib")
+    n, m = calib.shape
+    # The 1-D column and the scalar bias are checked as one-row matrices.
+    w_col = _matrix(np.asarray(w_col)[None], "w_col as a row", m)[0]
+    bias = float(_matrix([[bias]], "bias")[0, 0])
     if m > MAX_FEATURES or n > MAX_ROWS:
         raise InstanceTooLarge(f"instance {n}x{m} exceeds enumeration bounds "
                                f"{MAX_ROWS}x{MAX_FEATURES}")

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def resolve_threads(value: int | str) -> int:
-    """Map a --threads value (int or "auto") to a worker count >= 1."""
-    if isinstance(value, str):
-        if value == "auto":
-            return os.cpu_count() or 1
-        value = int(value)
-    return max(1, int(value))
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T],

@@ -6,6 +6,9 @@ layer's centered flag (stade-w protocol), scores are ranked into a mask, the
 bias is compensated, and the held-out rows score the reconstruction error.
 Calibration activations arrive precomputed in a companion container as
 "<layer>.calib" tensors, so the engine never needs to execute a model.
+Every calibration row, held-out tail included, obeys the engine's input
+rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
+``NonFiniteInput`` instead of reaching the error report.
 """
 
 from __future__ import annotations
@@ -25,15 +28,10 @@ from .criteria import (
     compute_scores,
     select_criterion,
 )
-from .errors import (
-    DimensionMismatch,
-    InsufficientSamples,
-    MissingCalibration,
-    ShapeMismatch,
-)
+from .errors import InsufficientSamples, MissingCalibration, ShapeMismatch
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
-from .stats import ColumnStats, stats_init, stats_update
+from .stats import ColumnStats, _matrix, stats_init, stats_update
 
 CENTERED_RATIO_THRESHOLD = 0.1
 
@@ -78,12 +76,9 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
 
     An empty output (no rows or no output columns) averages to 0.0.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
-    if rows.ndim != 2 or rows.shape[1] != original.m:
-        raise ShapeMismatch(f"rows must be 2-D with width {original.m}, "
-                            f"got shape {rows.shape}")
+    rows = _matrix(rows, "rows", original.m)
     y0 = rows @ original.weights
     if original.bias is not None:
         y0 = y0 + original.bias
@@ -114,12 +109,7 @@ def prune_layer(
     holdout_fraction: float = 0.2,
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
     """Run the stats -> score -> mask -> compensate pipeline on one layer."""
-    calib_rows = np.asarray(calib_rows, dtype=np.float64)
-    if calib_rows.ndim != 2 or calib_rows.shape[1] != layer.m:
-        raise DimensionMismatch(
-            f"layer {name!r}: calibration width {calib_rows.shape} does not "
-            f"match input dimension {layer.m}")
-
+    calib_rows = _matrix(calib_rows, f"layer {name!r}: calibration rows", layer.m)
     train, holdout = split_holdout(calib_rows, holdout_fraction)
     stats = stats_update(stats_init(layer.m), train)
     resolved = select_criterion(criterion, layer)

@@ -14,6 +14,12 @@ their spread keep their variance. The raw sum of squares is tracked
 because the activation-norm scores need ||X[:,j]||_2. For any partition of
 a stream into batches the result matches a two-pass computation over the
 concatenated rows to ~1e-9 relative.
+
+This module also states the engine's two input rules, which every public
+function of the engine applies to its own arguments: ``_matrix`` (an array
+is a finite 2-D float64 matrix of the expected width, else
+``DimensionMismatch`` or ``NonFiniteInput``) and ``_check_stats`` (an
+accumulator has the expected width and enough rows).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .container import TensorContainer
 from .errors import (
     DimensionMismatch,
     EmptyStats,
+    InsufficientSamples,
     InvalidDimension,
     InvariantViolation,
     NonFiniteInput,
@@ -58,15 +65,28 @@ def stats_init(m: int) -> ColumnStats:
     return ColumnStats(n=0, mean=zeros.copy(), m2=zeros.copy(), sumsq=zeros.copy())
 
 
-def _check_batch(rows: np.ndarray, m: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionMismatch(f"batch must be 2-D (rows x features), got {rows.ndim}-D")
-    if rows.shape[1] != m:
-        raise DimensionMismatch(f"batch width {rows.shape[1]} != accumulator width {m}")
-    if rows.size and not np.isfinite(rows).all():
-        raise NonFiniteInput("batch contains NaN/Inf")
-    return rows
+def _matrix(x, what: str, width: int | None = None) -> np.ndarray:
+    """The engine's input rule: ``x`` as a finite 2-D float64 array, with
+    ``width`` columns when given. ``what`` names the array in errors."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"{what} must be 2-D, got {x.ndim}-D")
+    if width is not None and x.shape[1] != width:
+        raise DimensionMismatch(f"{what} width {x.shape[1]} != expected {width}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} contains NaN/Inf")
+    return x
+
+
+def _check_stats(stats: ColumnStats, m: int, min_rows: int) -> None:
+    """``stats`` covers ``m`` features and holds at least ``min_rows`` rows."""
+    if stats.m != m:
+        raise DimensionMismatch(f"stats width {stats.m} != weight rows {m}")
+    if stats.n == 0:
+        raise EmptyStats("no calibration rows accumulated")
+    if stats.n < min_rows:
+        raise InsufficientSamples(
+            f"criterion needs >= {min_rows} calibration rows, got {stats.n}")
 
 
 def _summarize(rows: np.ndarray) -> ColumnStats:
@@ -86,7 +106,7 @@ def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
     Returns a new ColumnStats; the input is not mutated. An empty batch is
     an identity.
     """
-    return stats_merge(stats, _summarize(_check_batch(rows, stats.m)))
+    return stats_merge(stats, _summarize(_matrix(rows, "batch", stats.m)))
 
 
 def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:

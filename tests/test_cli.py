@@ -269,3 +269,32 @@ def test_bad_sparsity_is_usage_error(workspace, command, value):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "--sparsity" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, missing, extra", [
+    ("prune", None, ("--damping", "abc")),
+    ("prune", None, ("--threads", "abc")),
+    ("prune", None, ("--threads", "-3")),
+    ("verify", None, ("--threads", "0")),
+    ("bench", None, ("--threads", "1.5")),
+    ("gen", "--out", ()),
+    ("stats", "--out", ()),
+    ("prune", "--out", ()),
+], ids=["damping-abc", "threads-abc", "threads-negative", "threads-zero",
+        "threads-float", "gen-no-out", "stats-no-out", "prune-no-out"])
+def test_flag_syntax_errors_are_usage_errors(workspace, command, missing, extra):
+    argv = list(_removed_flag_argv(workspace, command))
+    if missing:
+        at = argv.index(missing)
+        del argv[at : at + 2]
+    proc = run_cli(*argv, *extra)
+    assert proc.returncode == 2
+    assert (missing or extra[0]) in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_bench_repeated_criterion_fails(workspace):
+    argv = list(_removed_flag_argv(workspace, "bench"))
+    argv[argv.index("--criteria") + 1] = "wanda,wanda"
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "wanda" in proc.stderr

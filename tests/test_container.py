@@ -202,6 +202,20 @@ def test_stored_tensors_are_read_only(tmp_path):
                 entry.array[0] = 0
 
 
+def test_loaded_tensors_own_their_memory(tmp_path):
+    c = make_layer_container(np.ones((64, 64)), bias=np.zeros(64))
+    c.add_mask("layer0", np.eye(64, dtype=bool))
+    path = tmp_path / "m.pkt"
+    save_container(c, str(path))
+    loaded = load_container(str(path))
+    for name in ("layer0.mask", "layer0", "layer0.bias"):
+        array = root = loaded.get(name)
+        while getattr(root, "base", None) is not None:
+            root = root.base
+        # Not the file's bytes, which are larger than any one tensor.
+        assert memoryview(root).nbytes <= array.nbytes, name
+
+
 @pytest.mark.parametrize("value", [1e39, -1e39, 2.0**128 - 2.0**103, np.nan])
 def test_value_with_no_finite_float32_rejected_without_warning(value):
     with warnings.catch_warnings():

@@ -110,6 +110,15 @@ def test_comparison_requires_two_criteria():
         run_comparison(["wanda"], SparsitySpec.unstructured(0.5), seeds=2)
 
 
+@pytest.mark.parametrize("criteria", [
+    ["wanda", "stade", "wanda"],
+    [Criterion("sparsegpt-score", damping=0.1), Criterion("sparsegpt-score", damping=1.0)],
+], ids=["same-tag", "same-tag-other-damping"])
+def test_comparison_rejects_repeated_tags(criteria):
+    with pytest.raises(ValueError, match="repeats"):
+        run_comparison(criteria, SparsitySpec.unstructured(0.5), seeds=1)
+
+
 def test_identical_resolution_gives_identical_mse():
     # On a centered layer stade-w resolves to wanda, so both runs build the
     # same masks and report the same error for that layer.
