@@ -4,11 +4,24 @@ The comparison group is one output column: within each column the lowest-k
 scores are pruned (k = floor(p*M) for unstructured sparsity) or, for an n:m
 structured pattern, the lowest n within every consecutive group of m entries
 along the input axis. Ties break toward the lower input index, so masks
-depend only on the score ranking and are deterministic.
+depend only on the score ranking and are deterministic: the mask is the
+first k entries of a stable sort of each group.
 
-Scores obey the engine's input rule (``stats._matrix``: finite, 2-D), and
-``_layer_mask`` is the one check that a mask matches its layer's weights,
-shared by ``apply_mask`` and ``compensate.bias_update``.
+No sort is made. The group size from ``_groups`` picks one of two
+selections, both giving that mask exactly:
+
+- groups of up to 16 entries (2:4, 4:8, 8:16, tiny layers) rank each entry
+  by pairwise comparison, counting lower-index entries that are ``<=`` it
+  and higher-index entries that are ``<`` it, and prune ranks below k;
+- larger groups find each group's k-th lowest score v with
+  ``ndarray.partition`` and prune the scores ``<= v``; where ties at v
+  would overfill a group, only its lowest-index scores equal to v that fit
+  are pruned. Output columns are taken 64 at a time, so the partitioned
+  copy holds 64 columns (1 MB at 2048 inputs) whatever the layer's width.
+
+Scores obey the engine's input rule (``stats._matrix``: finite, 2-D) and are
+never written to. ``_layer_mask`` is the one check that a mask matches its
+layer's weights, shared by ``apply_mask`` and ``compensate.bias_update``.
 """
 
 from __future__ import annotations
@@ -86,6 +99,10 @@ def _groups(spec: SparsitySpec, m_in: int) -> tuple[int, int, int]:
     return m_in // spec.m, spec.m, spec.n
 
 
+_RANK_MAX_GROUP = 16  # largest group ranked by pairwise comparison
+_BLOCK = 64           # output columns per partitioned copy
+
+
 def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
     """Boolean mask, True = pruned, lowest scores pruned per comparison group."""
     scores = _matrix(scores, "scores")
@@ -93,10 +110,45 @@ def build_mask(scores: np.ndarray, spec: SparsitySpec) -> np.ndarray:
     count, size, k = _groups(spec, m_in)
     mask = np.zeros(scores.shape, dtype=bool)
     if k:
-        grouped = scores.reshape(count, size, h)
-        order = np.argsort(grouped, axis=1, kind="stable")
-        np.put_along_axis(mask.reshape(grouped.shape), order[:, :k, :], True, axis=1)
+        select = _rank_select if size <= _RANK_MAX_GROUP else _partition_select
+        select(scores.reshape(count, size, h), k, mask.reshape(count, size, h))
     return mask
+
+
+def _rank_select(grouped: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Prune into ``out`` each entry whose stable rank in its group is below k.
+
+    One comparison per pair j < i: it adds one to i's rank when
+    ``g[j] <= g[i]`` (j sorts first, ties going to the lower index) and one
+    to j's rank otherwise.
+    """
+    size = grouped.shape[1]
+    rank = np.zeros(grouped.shape, dtype=np.uint8)
+    for i in range(1, size):
+        for j in range(i):
+            below = grouped[:, j] <= grouped[:, i]
+            rank[:, i] += below
+            rank[:, j] += ~below
+    np.less(rank, k, out=out)
+
+
+def _partition_select(grouped: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Prune into ``out`` each group's k lowest entries, found by partition."""
+    for j in range(0, grouped.shape[2], _BLOCK):
+        block = grouped[:, :, j:j + _BLOCK]
+        # An explicit copy: ascontiguousarray returns a view of a one-column
+        # block, and partitioning it would reorder the caller's scores.
+        kth = block.transpose(2, 0, 1).copy()
+        kth.partition(k - 1, axis=2)
+        v = kth[:, :, k - 1].T[:, None, :]
+        pruned = block <= v
+        surplus = pruned.sum(axis=1, keepdims=True) - k
+        if surplus.any():
+            # Ties at v overfill the group: prune only the lowest-index ones.
+            tied = block == v
+            fits = tied.sum(axis=1, keepdims=True) - surplus
+            pruned &= ~tied | (tied.cumsum(axis=1) <= fits)
+        out[:, :, j:j + _BLOCK] = pruned
 
 
 def mask_violation(mask: np.ndarray, spec: SparsitySpec) -> str | None:

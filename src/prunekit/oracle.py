@@ -7,18 +7,21 @@ It is the ground truth the ranking criteria are checked against: on any
 sample, the stade argmin must match enumeration with bias refitting, wanda
 must match it on exactly mean-centered data, and stade-star must match it
 with the bias frozen. Its inputs obey the engine's input rule
-(``stats._matrix``), so a NaN or infinity raises ``NonFiniteInput`` rather
-than yielding no minimizer.
+(``stats._matrix``), so a NaN or infinity raises ``NonFiniteInput``, as does
+a finite instance whose objective overflows float64; an instance without
+features raises ``InvalidDimension``. It always returns a minimizer or
+raises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .criteria import CHECKABLE_TAGS, CRITERION_RULES, compute_scores
-from .errors import EmptyStats, InstanceTooLarge
+from .errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
 from .parallel import parallel_map
 from .stats import _matrix, stats_init, stats_update
 
@@ -40,7 +43,9 @@ def brute_force_single_prune(
     the empirical mean squared output difference over the calibration rows.
     With ``allow_bias`` the bias is re-fit per candidate to its closed-form
     least-squares minimizer ``bias + mean(x_j) * w_j``; otherwise it stays
-    fixed. Ties resolve to the lowest input index.
+    fixed. Ties resolve to the lowest input index. A candidate whose
+    objective is not finite raises ``NonFiniteInput``: the enumeration must
+    weigh every candidate to be ground truth.
     """
     calib = _matrix(calib, "calib")
     n, m = calib.shape
@@ -50,17 +55,22 @@ def brute_force_single_prune(
     if m > MAX_FEATURES or n > MAX_ROWS:
         raise InstanceTooLarge(f"instance {n}x{m} exceeds enumeration bounds "
                                f"{MAX_ROWS}x{MAX_FEATURES}")
+    if m == 0:
+        raise InvalidDimension("enumeration needs at least one feature")
     if n == 0:
         raise EmptyStats("enumeration needs at least one calibration row")
 
-    dense = calib @ w_col + bias
     best_j, best_b, best_obj = -1, float(bias), np.inf
-    for j in range(m):
-        b = bias + calib[:, j].mean() * w_col[j] if allow_bias else bias
-        pruned = dense - calib[:, j] * w_col[j] - bias + b
-        objective = float(np.mean((dense - pruned) ** 2))
-        if objective < best_obj:
-            best_j, best_b, best_obj = j, float(b), objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = calib @ w_col + bias
+        for j in range(m):
+            b = bias + calib[:, j].mean() * w_col[j] if allow_bias else bias
+            pruned = dense - calib[:, j] * w_col[j] - bias + b
+            objective = float(np.mean((dense - pruned) ** 2))
+            if not math.isfinite(objective):
+                raise NonFiniteInput(f"objective of feature {j} is not finite")
+            if objective < best_obj:
+                best_j, best_b, best_obj = j, float(b), objective
     return best_j, best_b, best_obj
 
 

@@ -207,3 +207,66 @@ def test_monotone_transform_leaves_mask_unchanged(scores, kind):
     base = build_mask(scores, spec)
     for transform in (lambda s: 3.0 * s + 7.0, np.expm1, np.arctan):
         assert np.array_equal(build_mask(transform(scores), spec), base)
+
+
+def stable_sort_mask(scores, spec):
+    """Reference: the first k entries of a stable argsort of each group."""
+    m_in, h = scores.shape
+    if spec.ratio is not None:
+        count, size, k = 1, m_in, int(np.floor(spec.ratio * m_in))
+    else:
+        count, size, k = m_in // spec.m, spec.m, spec.n
+    mask = np.zeros(scores.shape, dtype=bool)
+    if k:
+        grouped = scores.reshape(count, size, h)
+        order = np.argsort(grouped, axis=1, kind="stable")
+        np.put_along_axis(mask.reshape(grouped.shape), order[:, :k, :], True, axis=1)
+    return mask
+
+
+# Group sizes on both sides of the rank/partition cutoff (16 entries).
+PATTERNS = [(1, 2), (2, 4), (4, 8), (8, 16), (16, 32)]
+
+
+@st.composite
+def selection_cases(draw):
+    spec = draw(st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]).map(SparsitySpec.unstructured),
+        st.floats(0.0, 1.0).map(SparsitySpec.unstructured),
+        st.sampled_from(PATTERNS).map(lambda p: SparsitySpec.structured(*p))))
+    rows = (draw(st.integers(0, 80)) if spec.ratio is not None
+            else spec.m * draw(st.integers(0, 3)))
+    # Column counts around the 64-column partition block.
+    cols = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["half-integer", "all-equal", "signed-zero", "normal"]))
+    if kind == "half-integer":
+        scores = rng.integers(-4, 5, (rows, cols)) / 2.0
+    elif kind == "all-equal":
+        scores = np.repeat(rng.integers(-2, 3, (1, cols)) / 2.0, rows, axis=0)
+    elif kind == "signed-zero":
+        scores = rng.choice([0.0, -0.0, 0.5], size=(rows, cols))
+    else:
+        scores = rng.standard_normal((rows, cols))
+    return scores, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+def test_selection_matches_stable_sort(case):
+    scores, spec = case
+    assert np.array_equal(build_mask(scores, spec), stable_sort_mask(scores, spec))
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (1, 8), (64, 1), (64, 3), (130, 70)])
+def test_build_mask_leaves_scores_unchanged(shape):
+    # One-column input is where a contiguous view of the scores could be
+    # partitioned in place; tied scores also run the tie-breaking branch.
+    scores = np.random.default_rng(13).integers(0, 4, shape) / 2.0
+    before = scores.copy()
+    specs = [SparsitySpec.unstructured(0.5)] + [
+        SparsitySpec.structured(n, m) for n, m in [(1, 2), (16, 32)]
+        if shape[0] % m == 0]
+    for spec in specs:
+        build_mask(scores, spec)
+        assert np.array_equal(scores, before)

@@ -12,7 +12,7 @@ from prunekit import (
     stats_init,
     stats_update,
 )
-from prunekit.errors import EmptyStats, InstanceTooLarge
+from prunekit.errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
 
 # Two features: one symmetric around zero, one constant with a large offset.
 # With a bias refit the constant feature prunes for free; without one the
@@ -50,6 +50,28 @@ def test_instance_bounds():
         brute_force_single_prune(np.ones(2), 0.0, np.ones((4097, 2)), True)
     with pytest.raises(EmptyStats):
         brute_force_single_prune(np.ones(2), 0.0, np.empty((0, 2)), True)
+
+
+def test_zero_features_is_typed_error():
+    with pytest.raises(InvalidDimension):
+        brute_force_single_prune(np.zeros(0), 0.0, np.zeros((5, 0)), True)
+
+
+@pytest.mark.parametrize("allow_bias", [True, False])
+def test_overflowing_objective_is_typed_error(allow_bias):
+    # Finite input whose products overflow float64: no candidate has a
+    # finite objective, so there is no minimizer to return.
+    with pytest.raises(NonFiniteInput):
+        brute_force_single_prune(np.full(3, 1e200), 0.0, np.full((4, 3), 1e200),
+                                 allow_bias)
+
+
+def test_one_non_finite_candidate_is_typed_error():
+    # Feature 1 is constant, so refitting the bias prunes it for free, but
+    # its mean overflows: skipping it would return feature 0 (objective 1).
+    calib = np.array([[1.0, 1e308], [-1.0, 1e308], [1.0, 1e308], [-1.0, 1e308]])
+    with pytest.raises(NonFiniteInput):
+        brute_force_single_prune(np.array([1.0, 1e-308]), 0.0, calib, True)
 
 
 def test_tie_resolves_to_lowest_index():
