@@ -1,10 +1,12 @@
 """Closed-form bias compensation for pruned weights.
 
-Removing weight W[j, m] shifts output m by -mean_j * W[j, m] in expectation;
-adding that amount back to the bias is the unique bias minimizing the
-expected squared output change for a single pruned weight. Multiple pruned
-weights are compensated by summing the per-weight shifts (mean-preserving by
-linearity; the single-weight case is where optimality is exact).
+Removing weight W[j, m] shifts output m by -mean_j * W[j, m] on average over
+the calibration rows. For any set S of weights pruned from column m, the
+output change is sum_{j in S} x_j W[j, m] less the bias change, and the
+constant minimizing its mean square is its mean. So the summed shifts,
+b_m + sum_{j in S} mean_j W[j, m], are exactly the least-squares bias on the
+statistics rows for every mask, not only for a single pruned weight. Which
+set S to prune is the ranking criteria's question, not this module's.
 
 The mask and the statistics pass the same checks as everywhere else in the
 engine: ``masks._layer_mask`` (the mask has the weights' shape) and

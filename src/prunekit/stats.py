@@ -117,7 +117,11 @@ def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:
     # max(n, 1) only matters when both sides are empty; the result stays zero.
     delta = b.mean - a.mean
     mean = a.mean + delta * (b.n / max(n, 1))
-    m2 = a.m2 + b.m2 + delta**2 * (a.n * b.n / max(n, 1))
+    m2 = a.m2 + b.m2
+    # With one side empty the cross term is zero, but delta**2 * 0 would be
+    # inf * 0 = NaN once |delta| exceeds sqrt(float64 max).
+    if a.n and b.n:
+        m2 = m2 + delta**2 * (a.n * b.n / n)
     return ColumnStats(n=n, mean=mean, m2=m2, sumsq=a.sumsq + b.sumsq)
 
 

@@ -131,3 +131,22 @@ def test_shape_and_stats_errors():
         bias_update(layer, np.ones((2, 2), dtype=bool), stats_of([[1.0, 2.0, 3.0]]))
     with pytest.raises(EmptyStats):
         bias_update(layer, np.ones((2, 2), dtype=bool), stats_init(2))
+
+
+def test_multi_prune_bias_is_least_squares_for_any_mask():
+    # For any pruned set the summed shifts are the exact least-squares bias
+    # on the statistics rows: solve for it as a one-column regression.
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        n, m, h = int(rng.integers(2, 65)), int(rng.integers(2, 17)), 3
+        rows = rng.uniform(-5, 5, size=m) + rng.uniform(0.1, 2.0, size=m) \
+            * rng.standard_normal((n, m))
+        w = rng.uniform(-1, 1, size=(m, h))
+        b0 = rng.uniform(-1, 1, size=h)
+        mask = rng.random((m, h)) < rng.uniform(0.1, 0.9)
+        layer = WeightLayer(w, b0, centered=False)
+        closed = bias_update(layer, mask, stats_of(rows)).bias
+
+        target = rows @ w + b0 - rows @ np.where(mask, 0.0, w)
+        lsq, *_ = np.linalg.lstsq(np.ones((n, 1)), target, rcond=None)
+        np.testing.assert_allclose(closed, lsq[0], rtol=1e-12, atol=1e-12)

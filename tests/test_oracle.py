@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prunekit import (
     WeightLayer,
@@ -13,6 +15,7 @@ from prunekit import (
     stats_update,
 )
 from prunekit.errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
+from prunekit.oracle import MAX_FEATURES, MAX_ROWS
 
 # Two features: one symmetric around zero, one constant with a large offset.
 # With a bias refit the constant feature prunes for free; without one the
@@ -107,6 +110,68 @@ def test_refit_bias_matches_compensation_path():
         assert b == pytest.approx(compensated.bias[0], rel=1e-9, abs=1e-12)
 
 
+def loop_single_prune(w_col, bias, calib, allow_bias):
+    """Reference: the enumerator as one candidate per loop iteration."""
+    best_j, best_b, best_obj = -1, float(bias), np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = calib @ w_col + bias
+        for j in range(calib.shape[1]):
+            b = bias + calib[:, j].mean() * w_col[j] if allow_bias else bias
+            pruned = dense - calib[:, j] * w_col[j] - bias + b
+            objective = float(np.mean((dense - pruned) ** 2))
+            if not np.isfinite(objective):
+                raise NonFiniteInput(f"objective of feature {j} is not finite")
+            if objective < best_obj:
+                best_j, best_b, best_obj = j, float(b), objective
+    return best_j, best_b, best_obj
+
+
+@st.composite
+def enumeration_cases(draw):
+    n = draw(st.sampled_from([1, 2, 64, 4096]) | st.integers(1, 200))
+    m = draw(st.sampled_from([1, 2, 64]) | st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    calib = rng.uniform(-5, 5, m) + rng.uniform(0.1, 2, m) * rng.standard_normal((n, m))
+    w_col = rng.uniform(-1, 1, m)
+    picked = rng.random(m) < 0.3
+    regime = draw(st.sampled_from(["plain", "ties", "offset", "huge"]))
+    if regime == "ties":  # duplicated columns with equal weights tie exactly
+        calib = calib[:, rng.integers(0, max(1, m // 3), m)]
+        w_col = np.full(m, w_col[0])
+    elif regime == "offset":  # near-constant columns at a large offset
+        k = int(picked.sum())
+        calib[:, picked] = (rng.choice([-1.0, 1.0], k) * 10 ** rng.uniform(3, 8, k)
+                            + 10 ** rng.uniform(-6, -2, k) * rng.standard_normal((n, k)))
+    elif regime == "huge":  # the squared error of these candidates overflows
+        calib[:, picked] *= 1e160
+    return w_col, float(rng.uniform(-1, 1)), calib
+
+
+def bound_case(n, m):
+    rng = np.random.default_rng(n * m)
+    return rng.uniform(-1, 1, m), 0.25, rng.uniform(-5, 5, m) + rng.standard_normal((n, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(enumeration_cases(), st.booleans())
+@example(bound_case(1, 1), True).via("one row, one feature")
+@example(bound_case(1, 1), False).via("one row, one feature")
+@example(bound_case(MAX_ROWS, MAX_FEATURES), True).via("the enumeration bounds")
+@example(bound_case(MAX_ROWS, MAX_FEATURES), False).via("the enumeration bounds")
+def test_enumeration_matches_candidate_loop(case, allow_bias):
+    w_col, bias, calib = case
+    try:
+        expected = loop_single_prune(w_col, bias, calib, allow_bias)
+    except NonFiniteInput as exc:
+        with pytest.raises(NonFiniteInput) as raised:
+            brute_force_single_prune(w_col, bias, calib, allow_bias)
+        assert str(raised.value) == str(exc)  # names the same feature
+        return
+    got = brute_force_single_prune(w_col, bias, calib, allow_bias)
+    assert type(got[0]) is int
+    assert got == expected  # bit-identical, ties to the same lowest index
+
+
 def test_stade_matches_enumeration_on_uncentered_data():
     result = check_criterion_optimality("stade", trials=200, seed=7)
     assert result.passed
@@ -167,6 +232,19 @@ def test_check_result_deterministic_across_threads():
     a = check_criterion_optimality("stade", trials=64, seed=3, threads=1)
     b = check_criterion_optimality("stade", trials=64, seed=3, threads=4)
     assert a.to_dict() == b.to_dict()
+
+
+def test_counterexample_deterministic_across_threads():
+    # The reported record is built after all trials ran; pin it to the first
+    # mismatching trial of this seed so that building it cannot shift it.
+    a = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=1)
+    b = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=2)
+    assert a.to_dict() == b.to_dict()
+    detail = a.first_counterexample
+    assert (detail["trial"], detail["criterion_choice"], detail["enumeration_choice"]) \
+        == (2, 3, 4)
+    assert detail["enumeration_objective"] == 0.0006974445790327541
+    assert a.mismatches == 161
 
 
 def test_check_rejects_unknown_criterion_and_bad_trials():

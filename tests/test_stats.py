@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prunekit import (
+    compute_scores,
     stats_centered_l2,
     stats_from_container,
     stats_init,
@@ -160,6 +161,25 @@ def test_merge_with_empty_accumulator():
         assert merged.mean.tobytes() == batch.mean.tobytes()
         assert merged.m2.tobytes() == batch.m2.tobytes()
         assert merged.sumsq.tobytes() == batch.sumsq.tobytes()
+
+
+def test_merge_with_empty_side_at_huge_offset():
+    # |mean| above sqrt(float64 max) = 1.34e154: the zero cross term of an
+    # empty side must not become delta**2 * 0 = inf * 0 = NaN.
+    rows = np.array([[1e160, 1.0], [1e160 + 1e145, 2.0], [1e160, 3.0]])
+    mean = rows.mean(axis=0)
+    m2 = ((rows - mean) ** 2).sum(axis=0)
+    with np.errstate(over="ignore"):  # the raw sum of squares overflows
+        batch = stats_update(stats_init(2), rows)
+        merged = (stats_merge(batch, stats_init(2)), stats_merge(stats_init(2), batch))
+        scores = compute_scores("stade", np.ones((2, 1)), stats=batch)
+        # Deviations of 1e185 overflow m2 itself: inf, not NaN.
+        wide = stats_update(stats_init(2), [[1e200, 1], [1e200 + 1e185, 2], [1e200, 3]])
+    for s in (batch, *merged):
+        assert s.n == 3
+        np.testing.assert_allclose(s.m2, m2, rtol=1e-12)
+    assert np.isfinite(scores).all()
+    assert wide.m2[0] == np.inf and wide.m2[1] == 2.0
 
 
 @pytest.mark.parametrize("mu, sigma", [(3e4, 1e-3), (1e4, 1e-2)])
