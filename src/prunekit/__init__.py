@@ -58,11 +58,9 @@ from .pruner import (
 from .stats import (
     ColumnStats,
     stats_centered_l2,
-    stats_from_container,
     stats_init,
     stats_l2,
     stats_merge,
-    stats_to_container,
     stats_update,
 )
 
@@ -106,11 +104,9 @@ __all__ = [
     "score_wanda",
     "select_criterion",
     "stats_centered_l2",
-    "stats_from_container",
     "stats_init",
     "stats_l2",
     "stats_merge",
-    "stats_to_container",
     "stats_update",
     "validate_mask",
 ]

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``gen`` (write a toy model + calibration pair), ``stats``
-(accumulate calibration statistics into a container), ``prune`` (prune a
-model container layer-wise), ``verify`` (check a criterion against the
-exhaustive single-prune enumerator), and ``bench`` (criterion comparison
-over seeded toy models).
+Subcommands: ``gen`` (write a toy model + calibration pair), ``prune``
+(prune a model container layer-wise, computing each layer's statistics from
+its calibration rows), ``verify`` (check a criterion against the exhaustive
+single-prune enumerator), and ``bench`` (criterion comparison over seeded
+toy models).
 
 Exit codes: 0 success, 1 validation failure (including a verify
 counterexample), 2 usage error. Every successful run, and every verify run,
@@ -20,16 +20,13 @@ import sys
 
 import numpy as np
 
-from .container import TensorContainer, load_container, save_container
+from .container import load_container, save_container
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
 from .errors import InvalidRatio, IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
 from .pruner import prune_container
-from .stats import stats_init, stats_to_container, stats_update
-
-_STATS_CHUNK = 256
 
 
 def _dims(text: str) -> tuple[int, int, int]:
@@ -97,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-out", required=True, help="calibration container path")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("stats", help="accumulate per-layer calibration statistics")
-    _add_common(p, "out", "report")
-    p.add_argument("--calib", required=True, help="calibration container path")
-    p.set_defaults(func=_cmd_stats)
-
     p = sub.add_parser("prune", help="prune every layer of a model container")
     _add_common(p, "out", "report", "threads")
     p.add_argument("--model", required=True, help="model container path")
@@ -168,27 +160,6 @@ def _cmd_gen(args) -> tuple[int, dict]:
         "model": args.out,
         "calib": args.calib_out,
     }
-    _write_report(args.report, summary)
-    return 0, summary
-
-
-def _cmd_stats(args) -> tuple[int, dict]:
-    calib = load_container(args.calib)
-    out = TensorContainer()
-    detail = {}
-    for name in calib.names():
-        if not name.endswith(".calib"):
-            continue
-        layer = name[: -len(".calib")]
-        rows = calib.get(name)
-        acc = stats_init(rows.shape[1])
-        for start in range(0, rows.shape[0], _STATS_CHUNK):
-            acc = stats_update(acc, rows[start : start + _STATS_CHUNK])
-        stats_to_container(out, layer, acc)
-        detail[layer] = {"rows": acc.n, "features": acc.m}
-    save_container(out, args.out)
-    summary = {"command": "stats", "calib": args.calib, "out": args.out,
-               "layers": detail}
     _write_report(args.report, summary)
     return 0, summary
 

@@ -1,4 +1,4 @@
-"""Bit-exact binary container for weight layers, calibration data, masks, and stats.
+"""Bit-exact binary container for weight layers, calibration data and masks.
 
 File layout (".pkt"):
 

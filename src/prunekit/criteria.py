@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .container import WeightLayer
-from .errors import DimensionMismatch, SingularGram
+from .errors import DimensionMismatch, NonFiniteInput, SingularGram
 from .stats import ColumnStats, _check_stats, _matrix, stats_centered_l2, stats_l2
 
 
@@ -108,10 +108,16 @@ class GramAccumulator:
         return self.gram.shape[0]
 
     def update(self, rows: np.ndarray) -> None:
+        """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64."""
         rows = _matrix(rows, "batch", self.m)
-        g = self.gram + rows.T @ rows
-        # BLAS need not return an exactly symmetric product; re-symmetrize.
-        self.gram = (g + g.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.gram + rows.T @ rows
+            # BLAS need not return an exactly symmetric product; re-symmetrize.
+            g = (g + g.T) / 2.0
+        # Cauchy-Schwarz bounds every entry by the diagonal's largest.
+        if not np.isfinite(np.diagonal(g)).all():
+            raise NonFiniteInput("Gram matrix overflows float64")
+        self.gram = g
         self.n += rows.shape[0]
 
 

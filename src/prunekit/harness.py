@@ -13,7 +13,6 @@ Feature offsets span (-3, 3) and feature scales are log-uniform over
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,9 +137,6 @@ class ComparisonTable:
             "e2e_mse": self.e2e_mse,
             "resolved": self.resolved,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table of mean held-out MSE per criterion."""

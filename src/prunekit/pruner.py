@@ -13,7 +13,6 @@ rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -56,9 +55,6 @@ class PruneReport:
 
     def to_dict(self) -> dict:
         return {"layers": [asdict(rec) for rec in self.layers]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def classify_centered(stats: ColumnStats,

@@ -28,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import TensorContainer
 from .errors import (
     DimensionMismatch,
     EmptyStats,
     InsufficientSamples,
     InvalidDimension,
-    InvariantViolation,
     NonFiniteInput,
 )
 
@@ -104,9 +102,15 @@ def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
     """Fold a batch of calibration rows into the accumulator.
 
     Returns a new ColumnStats; the input is not mutated. An empty batch is
-    an identity.
+    an identity. Finite rows whose moments overflow float64 (|x| above
+    about 1.3e154 squares to inf) raise ``NonFiniteInput``.
     """
-    return stats_merge(stats, _summarize(_matrix(rows, "batch", stats.m)))
+    rows = _matrix(rows, "batch", stats.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stats_merge(stats, _summarize(rows))
+    if not np.isfinite(np.concatenate((out.mean, out.m2, out.sumsq))).all():
+        raise NonFiniteInput("batch moments overflow float64")
+    return out
 
 
 def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:
@@ -135,34 +139,3 @@ def stats_centered_l2(stats: ColumnStats) -> np.ndarray:
     if stats.n == 0:
         raise EmptyStats("no calibration rows accumulated")
     return np.sqrt(stats.m2)
-
-
-# -- container serialization -------------------------------------------
-
-def stats_to_container(container: TensorContainer, layer_name: str,
-                       stats: ColumnStats) -> None:
-    """Store an accumulator as "<layer>.stats.mean" etc. plus a scalar n.
-
-    The centered moment is stored as the sample variance ("var"), the
-    field existing containers carry. n is stored as float32, which holds
-    every count up to 2**24 exactly; a larger n is refused.
-    """
-    if stats.n > 2**24:
-        raise InvariantViolation(f"{layer_name!r}: row count {stats.n} exceeds "
-                                 f"2**24, above which float32 skips counts")
-    container.add(f"{layer_name}.stats.mean", stats.mean)
-    container.add(f"{layer_name}.stats.var", stats.variance())
-    container.add(f"{layer_name}.stats.sumsq", stats.sumsq)
-    container.add(f"{layer_name}.stats.n", np.array([float(stats.n)]))
-
-
-def stats_from_container(container: TensorContainer, layer_name: str) -> ColumnStats:
-    mean = container.get(f"{layer_name}.stats.mean")
-    var = container.get(f"{layer_name}.stats.var")
-    sumsq = container.get(f"{layer_name}.stats.sumsq")
-    n = int(container.get(f"{layer_name}.stats.n")[0])
-    if not (mean.shape == var.shape == sumsq.shape):
-        raise DimensionMismatch(
-            f"stats vectors for {layer_name!r} have inconsistent shapes")
-    return ColumnStats(n=n, mean=mean.copy(), m2=var * max(n - 1, 0),
-                       sumsq=sumsq.copy())

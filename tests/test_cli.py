@@ -1,8 +1,11 @@
+import argparse
+import itertools
 import json
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from prunekit import (
     save_container,
     validate_mask,
 )
+from prunekit.cli import build_parser
 from prunekit.container import MAGIC
 
 
@@ -49,15 +53,17 @@ def test_gen_summary_line(workspace):
     assert summary["layers"] == ["fc1", "fc2"]
 
 
-def test_stats_runs_are_byte_identical(workspace):
+def test_prune_artifacts_do_not_depend_on_threads(workspace):
     outs = []
-    for i in range(2):
-        path = workspace / f"stats{i}.pkt"
-        proc = run_cli("stats", "--calib", str(workspace / "calib.pkt"),
-                       "--out", str(path))
+    for threads in ("1", "2"):
+        pruned, report = workspace / f"t{threads}.pkt", workspace / f"t{threads}.json"
+        proc = run_cli("prune", "--model", str(workspace / "model.pkt"),
+                       "--calib", str(workspace / "calib.pkt"),
+                       "--criterion", "stade-w", "--sparsity", "0.5",
+                       "--threads", threads, "--out", str(pruned),
+                       "--report", str(report))
         assert proc.returncode == 0, proc.stderr
-        assert last_json_line(proc.stdout)["command"] == "stats"
-        outs.append(path.read_bytes())
+        outs.append((pruned.read_bytes(), report.read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -172,7 +178,6 @@ def _removed_flag_argv(workspace, command):
     ws = str(workspace)
     return {
         "gen": ("gen", "--out", f"{ws}/g.pkt", "--calib-out", f"{ws}/gc.pkt"),
-        "stats": ("stats", "--calib", f"{ws}/calib.pkt", "--out", f"{ws}/s.pkt"),
         "prune": ("prune", "--model", f"{ws}/model.pkt", "--calib", f"{ws}/calib.pkt",
                   "--criterion", "wanda", "--sparsity", "0.5", "--out", f"{ws}/r.pkt"),
         "verify": ("verify", "--criterion", "stade", "--trials", "5"),
@@ -182,8 +187,8 @@ def _removed_flag_argv(workspace, command):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("prune", "--seed"), ("stats", "--seed"), ("stats", "--threads"),
-    ("gen", "--threads"), ("verify", "--out"), ("bench", "--report"),
+    ("prune", "--seed"), ("gen", "--threads"), ("verify", "--out"),
+    ("bench", "--report"),
 ])
 def test_removed_flags_are_usage_errors(workspace, command, flag):
     argv = _removed_flag_argv(workspace, command)
@@ -223,9 +228,13 @@ def test_hostile_container_fails_cleanly(workspace, manifest):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_unknown_subcommand_is_usage_error():
-    proc = run_cli("shrink")
-    assert proc.returncode == 2
+def test_unknown_subcommand_is_usage_error(workspace):
+    # ``stats`` was a subcommand; it was removed because nothing read its output.
+    for command in ("shrink", "stats"):
+        proc = run_cli(command, "--calib", str(workspace / "calib.pkt"),
+                       "--out", str(workspace / "s.pkt"))
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_every_success_ends_with_json(workspace):
@@ -278,10 +287,9 @@ def test_bad_sparsity_is_usage_error(workspace, command, value):
     ("verify", None, ("--threads", "0")),
     ("bench", None, ("--threads", "1.5")),
     ("gen", "--out", ()),
-    ("stats", "--out", ()),
     ("prune", "--out", ()),
 ], ids=["damping-abc", "threads-abc", "threads-negative", "threads-zero",
-        "threads-float", "gen-no-out", "stats-no-out", "prune-no-out"])
+        "threads-float", "gen-no-out", "prune-no-out"])
 def test_flag_syntax_errors_are_usage_errors(workspace, command, missing, extra):
     argv = list(_removed_flag_argv(workspace, command))
     if missing:
@@ -298,3 +306,24 @@ def test_bench_repeated_criterion_fails(workspace):
     proc = run_cli(*argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "wanda" in proc.stderr
+
+
+def _readme_cli_table():
+    """The README's ``| subcommand | flags |`` table as {subcommand: {flags}}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text[text.index("| subcommand | flags |"):].splitlines()[2:]
+    table = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines):
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command.strip("`")] = {f.strip().strip("`") for f in flags.split(",")}
+    return table
+
+
+def test_readme_cli_table_matches_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {command: {opt for action in sub._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+              for command, sub in subparsers.choices.items()}
+    assert _readme_cli_table() == parsed
+    assert sum(len(flags) for flags in parsed.values()) == 34

@@ -182,6 +182,15 @@ def test_gram_width_check():
         GramAccumulator(3).update(np.ones((2, 4)))
 
 
+def test_gram_overflow_is_typed_error_and_keeps_the_sum():
+    g = GramAccumulator(2)
+    g.update([[1.0, 2.0]])
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        g.update([[1e160, 1.0], [-1e160, 2.0]])
+    assert g.n == 1
+    np.testing.assert_array_equal(g.gram, [[1.0, 2.0], [2.0, 4.0]])
+
+
 def test_select_criterion_resolves_stade_w():
     centered = WeightLayer(np.ones((2, 2)), None, centered=True)
     uncentered = WeightLayer(np.ones((2, 2)), None, centered=False)

@@ -99,10 +99,10 @@ def test_comparison_table_complete_and_reproducible():
             assert len(table.layer_mse[tag][layer]) == 3
         assert len(table.e2e_mse[tag]) == 3
     again = run_comparison(["wanda", "stade"], spec, seeds=3, config=config)
-    assert table.to_json() == again.to_json()
+    assert table.to_dict() == again.to_dict()
     threaded = run_comparison(["wanda", "stade"], spec, seeds=3, config=config,
                               threads=4)
-    assert table.to_json() == threaded.to_json()
+    assert table.to_dict() == threaded.to_dict()
 
 
 def test_comparison_requires_two_criteria():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from prunekit import (
     stats_update,
     validate_mask,
 )
-from prunekit.errors import InsufficientSamples, MissingCalibration
+from prunekit.errors import InsufficientSamples, MissingCalibration, NonFiniteInput
 from prunekit.pruner import split_holdout
 
 
@@ -298,4 +300,13 @@ def test_report_serializes():
     assert len(payload["layers"]) == 2
     assert {"layer", "criterion", "achieved_sparsity",
             "reconstruction_mse"} <= payload["layers"][0].keys()
-    assert report.to_json().startswith("{")
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+
+
+@pytest.mark.parametrize("tag", ["wanda", "sparsegpt-score"])
+def test_overflowing_calibration_rows_are_typed_error(tag):
+    # Finite rows pass the input rule, but their squares overflow float64.
+    rows = np.random.default_rng(3).standard_normal((20, 4)) * 1e160
+    layer = WeightLayer(np.ones((4, 2)), np.zeros(2), centered=False)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        prune_layer("fc", layer, rows, Criterion(tag), SparsitySpec.unstructured(0.5))

@@ -7,22 +7,18 @@ from hypothesis.extra.numpy import arrays
 from prunekit import (
     compute_scores,
     stats_centered_l2,
-    stats_from_container,
     stats_init,
     stats_l2,
     stats_merge,
-    stats_to_container,
     stats_update,
 )
-from prunekit.container import TensorContainer
 from prunekit.errors import (
     DimensionMismatch,
     EmptyStats,
     InvalidDimension,
-    InvariantViolation,
     NonFiniteInput,
 )
-from prunekit.stats import ColumnStats
+from prunekit.stats import _summarize
 
 
 def two_pass(rows):
@@ -97,6 +93,15 @@ def test_non_finite_rejected():
         stats_update(stats_init(1), np.array([[np.nan]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1e160, 1.0], [-1e160, 2.0]],  # finite rows whose squares overflow
+    [[1e308, 1.0], [1e308, 2.0]],  # a column sum that overflows the mean
+], ids=["sumsq", "mean"])
+def test_overflowing_moments_are_typed_error(rows):
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        stats_update(stats_init(2), rows)
+
+
 def test_l2_three_four_five():
     s = accumulate([np.array([[3.0], [4.0]])], 1)
     assert stats_l2(s)[0] == pytest.approx(5.0, rel=1e-12)
@@ -169,17 +174,18 @@ def test_merge_with_empty_side_at_huge_offset():
     rows = np.array([[1e160, 1.0], [1e160 + 1e145, 2.0], [1e160, 3.0]])
     mean = rows.mean(axis=0)
     m2 = ((rows - mean) ** 2).sum(axis=0)
-    with np.errstate(over="ignore"):  # the raw sum of squares overflows
-        batch = stats_update(stats_init(2), rows)
-        merged = (stats_merge(batch, stats_init(2)), stats_merge(stats_init(2), batch))
-        scores = compute_scores("stade", np.ones((2, 1)), stats=batch)
-        # Deviations of 1e185 overflow m2 itself: inf, not NaN.
-        wide = stats_update(stats_init(2), [[1e200, 1], [1e200 + 1e185, 2], [1e200, 3]])
+    # The raw sum of squares overflows, so stats_update refuses these rows;
+    # the batch summary it would merge still reaches stats_merge directly.
+    with pytest.raises(NonFiniteInput):
+        stats_update(stats_init(2), rows)
+    with np.errstate(over="ignore"):
+        batch = _summarize(rows)
+    merged = (stats_merge(batch, stats_init(2)), stats_merge(stats_init(2), batch))
+    scores = compute_scores("stade", np.ones((2, 1)), stats=batch)
     for s in (batch, *merged):
         assert s.n == 3
         np.testing.assert_allclose(s.m2, m2, rtol=1e-12)
     assert np.isfinite(scores).all()
-    assert wide.m2[0] == np.inf and wide.m2[1] == 2.0
 
 
 @pytest.mark.parametrize("mu, sigma", [(3e4, 1e-3), (1e4, 1e-2)])
@@ -200,27 +206,6 @@ def test_large_offset_features_keep_their_variance(mu, sigma):
 def test_merge_width_mismatch():
     with pytest.raises(DimensionMismatch):
         stats_merge(stats_init(2), stats_init(3))
-
-
-def test_container_round_trip():
-    rows = np.random.default_rng(11).uniform(-4, 4, size=(33, 5))
-    s = accumulate([rows], 5)
-    c = TensorContainer()
-    stats_to_container(c, "fc", s)
-    back = stats_from_container(c, "fc")
-    assert back.n == s.n
-    # f32 storage precision
-    np.testing.assert_allclose(back.mean, s.mean, rtol=1e-6)
-    np.testing.assert_allclose(back.sumsq, s.sumsq, rtol=1e-6)
-
-
-def test_container_refuses_a_count_float32_cannot_store():
-    zeros = np.zeros(2)
-    c = TensorContainer()
-    stats_to_container(c, "a", ColumnStats(2**24, zeros, zeros, zeros))
-    assert stats_from_container(c, "a").n == 2**24
-    with pytest.raises(InvariantViolation, match=r"2\*\*24"):
-        stats_to_container(c, "b", ColumnStats(2**24 + 1, zeros, zeros, zeros))
 
 
 bounded = st.floats(min_value=-100.0, max_value=100.0,
