@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a toy model and calibration containers")
-    _add_common(p, "seed", "out", "report")
+    _add_common(p, "seed", "out")
     p.add_argument("--dims", type=_dims, default=(16, 32, 8),
                    help="d_in,d_hidden,d_out (default 16,32,8)")
     p.add_argument("--norm", choices=NORM_KINDS, default="none")
@@ -160,7 +160,6 @@ def _cmd_gen(args) -> tuple[int, dict]:
         "model": args.out,
         "calib": args.calib_out,
     }
-    _write_report(args.report, summary)
     return 0, summary
 
 
@@ -232,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, summary = args.func(args)
-    except PruneKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PruneKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))

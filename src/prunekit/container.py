@@ -12,12 +12,17 @@ Each manifest entry carries ``name``, ``shape``, ``dtype`` and the byte
 order: each starts where the previous one ends, and the payload ends where
 the last one does. Entries that represent weight layers additionally carry
 ``centered`` (the layer's input distribution is zero-mean per feature, e.g.
-after a mean-subtracting normalization) and ``has_bias`` (a companion
-"<name>.bias" tensor follows). Buffers are "f32" except prune masks, which
-are "u8" holding 0/1.
+after a mean-subtracting normalization) and ``has_bias``. Buffers are "f32"
+except prune masks, which are "u8" holding 0/1.
 
-Values are checked once, when a tensor enters a container through
-``TensorContainer.add``; every tensor the loader reads enters that way. An
+The layer rule: a weight layer "<name>" is 2-D f32, (M, H); its parts
+"<name>.bias" (f32, length H) and "<name>.mask" (u8, (M, H)) are not layers.
+A layer has a bias exactly when "<name>.bias" is present; ``has_bias`` is
+written from that, and a file whose flag disagrees fails to load.
+
+Values and the layer rule are checked once, when a tensor (a layer or a
+part, in either order) enters a container through ``TensorContainer.add``;
+every tensor the loader reads enters that way. An
 "f32" tensor is accepted exactly when its float32 cast is finite, and a "u8"
 tensor named "<layer>.mask" must hold only 0/1, so a bad value fails at
 load and nothing later scans the values again. Float tensors surface in
@@ -44,6 +49,7 @@ from .errors import (
     InvariantViolation,
     IoFailure,
     MagicMismatch,
+    PruneKitError,
     ShapeMismatch,
     TruncatedPayload,
 )
@@ -57,6 +63,7 @@ _MEMORY_DTYPES = {"f32": np.float64, "u8": np.uint8}
 # so a float32 min/max is compared in float64 instead of the limit being cast
 # down to float32 (where it overflows).
 _F32_LIMIT = np.float64(2.0**128 - 2.0**103)
+_PARTS = ("bias", "mask")  # the suffixes of the tensors a weight layer owns
 
 
 @dataclass
@@ -88,7 +95,6 @@ class TensorEntry:
     array: np.ndarray
     dtype: str
     centered: bool | None = None
-    has_bias: bool | None = None
 
     @property
     def is_layer(self) -> bool:
@@ -127,9 +133,8 @@ class TensorContainer:
         array: np.ndarray,
         dtype: str = "f32",
         centered: bool | None = None,
-        has_bias: bool | None = None,
     ) -> None:
-        """Check ``array`` against its dtype's value rule and store it read-only."""
+        """Check ``array`` against the value and layer rules, then store it read-only."""
         if not name:
             raise InvariantViolation("tensor name must be non-empty")
         if name in self._entries:
@@ -145,10 +150,33 @@ class TensorContainer:
         arr = np.ascontiguousarray(array, dtype=_MEMORY_DTYPES[dtype]).view()
         if dtype == "u8" and name.endswith(".mask") and arr.size and arr.max() > 1:
             raise InvariantViolation(f"tensor {name!r}: mask values must be 0 or 1")
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         arr.flags.writeable = False
-        self._entries[name] = TensorEntry(name, arr, dtype, centered, has_bias)
+        entry = TensorEntry(name, arr, dtype, centered)
+        self._check_layer_rule(entry)
+        self._entries[name] = entry
+
+    def _check_layer_rule(self, new: TensorEntry) -> None:
+        """The layer rule (module docstring) for ``new``, as a layer and as a
+        part of one, against the tensors already present."""
+        if new.is_layer and (new.dtype != "f32" or new.array.ndim != 2):
+            raise InvariantViolation(f"layer {new.name!r}: weights must be 2-D f32, got "
+                                     f"{new.dtype} of shape {new.array.shape}")
+        stem, _, suffix = new.name.rpartition(".")
+        owner = self._entries.get(stem) if suffix in _PARTS else None
+        pairs = [(owner, new)] if owner and owner.is_layer else []
+        if new.is_layer:
+            parts = (self._entries.get(f"{new.name}.{s}") for s in _PARTS)
+            pairs += [(new, part) for part in parts if part]
+        for layer, part in pairs:
+            dtype, shape = (("f32", layer.array.shape[1:]) if part.name.endswith(".bias")
+                            else ("u8", layer.array.shape))
+            if part.is_layer or part.dtype != dtype:
+                raise InvariantViolation(f"layer {layer.name!r}: {part.name!r} must be "
+                                         f"a {dtype} tensor, not a {part.dtype} "
+                                         f"{'layer' if part.is_layer else 'tensor'}")
+            if part.array.shape != shape:
+                raise ShapeMismatch(f"layer {layer.name!r}: {part.name!r} shape "
+                                    f"{part.array.shape} != {shape}")
 
     # -- weight layers -------------------------------------------------
 
@@ -156,35 +184,13 @@ class TensorContainer:
         return [e.name for e in self._entries.values() if e.is_layer]
 
     def add_layer(self, name: str, layer: WeightLayer) -> None:
-        if layer.weights.ndim != 2:
-            raise ShapeMismatch(f"layer {name!r}: weights must be 2-D")
-        self.add(name, layer.weights, centered=layer.centered,
-                 has_bias=layer.bias is not None)
+        self.add(name, layer.weights, centered=layer.centered)
         if layer.bias is not None:
-            if layer.bias.shape != (layer.h,):
-                raise ShapeMismatch(
-                    f"layer {name!r}: bias length {layer.bias.shape} != ({layer.h},)")
             self.add(f"{name}.bias", layer.bias)
 
     def get_layer(self, name: str) -> WeightLayer:
-        entry = self.entry(name)
-        if not entry.is_layer:
-            raise InvariantViolation(f"{name!r} is not a weight-layer entry")
-        weights = entry.array
-        if weights.ndim != 2:
-            raise ShapeMismatch(f"layer {name!r}: weights must be 2-D, got shape "
-                                f"{weights.shape}")
-        bias = None
-        if entry.has_bias:
-            bias_name = f"{name}.bias"
-            if bias_name not in self._entries:
-                raise InvariantViolation(f"layer {name!r}: has_bias set but "
-                                         f"{bias_name!r} is missing")
-            bias = self.get(bias_name)
-            if bias.shape != (weights.shape[1],):
-                raise ShapeMismatch(f"layer {name!r}: bias shape {bias.shape} "
-                                    f"!= ({weights.shape[1]},)")
-        return WeightLayer(weights=weights, bias=bias, centered=bool(entry.centered))
+        entry, bias = self.entry(name), self._entries.get(f"{name}.bias")
+        return WeightLayer(entry.array, bias.array if bias else None, bool(entry.centered))
 
     # -- masks ----------------------------------------------------------
 
@@ -193,10 +199,6 @@ class TensorContainer:
 
     def get_mask(self, layer_name: str) -> np.ndarray:
         return self.get(f"{layer_name}.mask").astype(bool)
-
-
-def _entry_nbytes(entry: TensorEntry) -> int:
-    return entry.array.size * _DISK_DTYPES[entry.dtype].itemsize
 
 
 def save_container(container: TensorContainer, path: str) -> None:
@@ -212,9 +214,9 @@ def save_container(container: TensorContainer, path: str) -> None:
         }
         if entry.is_layer:
             record["centered"] = bool(entry.centered)
-            record["has_bias"] = bool(entry.has_bias)
+            record["has_bias"] = f"{entry.name}.bias" in container
         manifest.append(record)
-        offset += _entry_nbytes(entry)
+        offset += entry.array.size * _DISK_DTYPES[entry.dtype].itemsize
     manifest_bytes = json.dumps({"tensors": manifest}, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
     try:
@@ -297,10 +299,16 @@ def load_container(path: str) -> TensorContainer:
         if dtype == "u8":
             buf = buf.copy()
         try:
-            container.add(name, buf, dtype=dtype, **flags)
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"{path!r}: {exc}") from exc
+            container.add(name, buf, dtype=dtype, centered=flags["centered"])
+        except PruneKitError as exc:
+            raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:
         raise InvariantViolation(f"{path!r}: {payload_len - end} trailing payload "
                                  f"bytes after the last tensor")
+    for record in records:
+        name, has_bias = record["name"], record.get("has_bias")
+        derived = f"{name}.bias" in container if container.entry(name).is_layer else None
+        if has_bias != derived:
+            raise InvariantViolation(f"{path!r}: tensor {name!r}: has_bias is {has_bias} "
+                                     f"in the manifest but {derived} from its tensors")
     return container

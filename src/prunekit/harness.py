@@ -13,7 +13,7 @@ Feature offsets span (-3, 3) and feature scales are log-uniform over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,16 +127,7 @@ class ComparisonTable:
         return float(np.mean(a <= b))
 
     def to_dict(self) -> dict:
-        return {
-            "criteria": self.criteria,
-            "layers": self.layers,
-            "seeds": self.seeds,
-            "sparsity": self.sparsity,
-            "norm": self.norm,
-            "layer_mse": self.layer_mse,
-            "e2e_mse": self.e2e_mse,
-            "resolved": self.resolved,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         """Aligned table of mean held-out MSE per criterion."""

@@ -27,7 +27,7 @@ from .criteria import (
     compute_scores,
     select_criterion,
 )
-from .errors import InsufficientSamples, MissingCalibration, ShapeMismatch
+from .errors import InsufficientSamples, MissingCalibration, PruneKitError, ShapeMismatch
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
 from .stats import ColumnStats, _matrix, stats_init, stats_update
@@ -105,7 +105,7 @@ def prune_layer(
     holdout_fraction: float = 0.2,
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
     """Run the stats -> score -> mask -> compensate pipeline on one layer."""
-    calib_rows = _matrix(calib_rows, f"layer {name!r}: calibration rows", layer.m)
+    calib_rows = _matrix(calib_rows, "calibration rows", layer.m)
     train, holdout = split_holdout(calib_rows, holdout_fraction)
     stats = stats_update(stats_init(layer.m), train)
     resolved = select_criterion(criterion, layer)
@@ -184,8 +184,11 @@ def prune_container(
             raise MissingCalibration(f"no calibration rows for layer {name!r}")
 
     def run(name: str):
-        return prune_layer(name, model.get_layer(name), calib.get(f"{name}.calib"),
-                           criterion, spec, bias_update_enabled, holdout_fraction)
+        try:
+            return prune_layer(name, model.get_layer(name), calib.get(f"{name}.calib"),
+                               criterion, spec, bias_update_enabled, holdout_fraction)
+        except PruneKitError as exc:
+            raise type(exc)(f"layer {name!r}: {exc}") from exc
 
     results = dict(zip(layer_names, parallel_map(run, layer_names, threads)))
 

@@ -103,30 +103,31 @@ def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
 
     Returns a new ColumnStats; the input is not mutated. An empty batch is
     an identity. Finite rows whose moments overflow float64 (|x| above
-    about 1.3e154 squares to inf) raise ``NonFiniteInput``.
+    about 1.3e154 squares to inf) raise ``NonFiniteInput`` from the merge.
     """
     rows = _matrix(rows, "batch", stats.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = stats_merge(stats, _summarize(rows))
-    if not np.isfinite(np.concatenate((out.mean, out.m2, out.sumsq))).all():
-        raise NonFiniteInput("batch moments overflow float64")
-    return out
+        batch = _summarize(rows)
+    return stats_merge(stats, batch)
 
 
 def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:
-    """Combine two accumulators built on disjoint shards of one stream."""
+    """Combine two accumulators built on disjoint shards of one stream; a
+    merged moment that overflows float64 raises ``NonFiniteInput``."""
     if a.m != b.m:
         raise DimensionMismatch(f"accumulator widths differ: {a.m} != {b.m}")
     n = a.n + b.n
-    # max(n, 1) only matters when both sides are empty; the result stays zero.
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.n / max(n, 1))
-    m2 = a.m2 + b.m2
-    # With one side empty the cross term is zero, but delta**2 * 0 would be
-    # inf * 0 = NaN once |delta| exceeds sqrt(float64 max).
-    if a.n and b.n:
-        m2 = m2 + delta**2 * (a.n * b.n / n)
-    return ColumnStats(n=n, mean=mean, m2=m2, sumsq=a.sumsq + b.sumsq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max(n, 1) only matters when both sides are empty; the result stays zero.
+        delta = b.mean - a.mean
+        mean = a.mean + delta * (b.n / max(n, 1))
+        m2 = a.m2 + b.m2
+        if a.n and b.n:  # an empty side adds no cross term
+            m2 += delta**2 * (a.n * b.n / n)
+        out = ColumnStats(n=n, mean=mean, m2=m2, sumsq=a.sumsq + b.sumsq)
+    if not np.isfinite(np.concatenate((out.mean, out.m2, out.sumsq))).all():
+        raise NonFiniteInput("merged moments overflow float64")
+    return out
 
 
 def stats_l2(stats: ColumnStats) -> np.ndarray:

@@ -160,6 +160,36 @@ def test_unwritable_output_fails_cleanly(workspace, command):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_prune_error_names_the_layer(workspace):
+    model, calib = workspace / "m6.pkt", workspace / "c6.pkt"
+    proc = run_cli("gen", "--dims", "4,6,2", "--samples", "32",
+                   "--out", str(model), "--calib-out", str(calib))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("prune", "--model", str(model), "--calib", str(calib),
+                   "--criterion", "wanda", "--sparsity", "2:4",
+                   "--out", str(workspace / "o6.pkt"))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: layer 'fc2': input dimension 6 not divisible "
+                           "by group size 4\n")
+
+
+def test_prune_rejects_a_bias_the_manifest_denies(workspace):
+    # A layer whose manifest says has_bias false, followed by its bias.
+    manifest = json.dumps({"tensors": [
+        {"name": "fc1", "shape": [8, 16], "dtype": "f32", "offset": 0,
+         "centered": False, "has_bias": False},
+        {"name": "fc1.bias", "shape": [16], "dtype": "f32", "offset": 512},
+    ]}).encode()
+    model, out = workspace / "stray.pkt", workspace / "stray-out.pkt"
+    model.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest
+                      + np.ones(8 * 16 + 16, dtype="<f4").tobytes())
+    proc = run_cli("prune", "--model", str(model), "--calib", str(workspace / "calib.pkt"),
+                   "--criterion", "wanda", "--sparsity", "0.5", "--out", str(out))
+    assert proc.returncode == 1
+    assert "'fc1'" in proc.stderr and "has_bias" in proc.stderr
+    assert not out.exists()
+
+
 def test_reprune_a_pruned_container(workspace):
     args = ("--calib", str(workspace / "calib.pkt"), "--criterion", "stade")
     first, second = workspace / "re1.pkt", workspace / "re2.pkt"
@@ -187,7 +217,7 @@ def _removed_flag_argv(workspace, command):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("prune", "--seed"), ("gen", "--threads"), ("verify", "--out"),
+    ("prune", "--seed"), ("gen", "--threads"), ("gen", "--report"), ("verify", "--out"),
     ("bench", "--report"),
 ])
 def test_removed_flags_are_usage_errors(workspace, command, flag):
@@ -326,4 +356,4 @@ def test_readme_cli_table_matches_parser():
                         if opt not in ("-h", "--help")}
               for command, sub in subparsers.choices.items()}
     assert _readme_cli_table() == parsed
-    assert sum(len(flags) for flags in parsed.values()) == 34
+    assert sum(len(flags) for flags in parsed.values()) == 33

@@ -31,6 +31,27 @@ def make_layer_container(weights, bias=None, centered=False, name="layer0"):
     return c
 
 
+def _entry(name="t", shape=(1,), offset=0):
+    return {"name": name, "shape": list(shape), "dtype": "f32", "offset": offset}
+
+
+def _file(manifest, payload):
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps({"tensors": manifest}).encode()
+    return MAGIC + struct.pack("<I", len(manifest)) + manifest + payload
+
+
+_ONE = np.float32(1.0).tobytes()
+
+
+def _layer(name, shape, has_bias=False, dtype="f32", offset=0):
+    return {**_entry(name, shape, offset), "dtype": dtype, "centered": False,
+            "has_bias": has_bias}
+
+
+_U8 = b"\x01"
+
+
 def test_single_layer_round_trip(tmp_path):
     w = np.arange(6, dtype=np.float64).reshape(2, 3)
     c = make_layer_container(w, bias=[0.5, -1.0, 2.0], centered=True)
@@ -100,6 +121,12 @@ def test_nan_weight_rejected_on_add():
         make_layer_container(w)
 
 
+def test_scalar_is_stored_as_one_element():
+    c = TensorContainer()
+    c.add("s", 2.5)
+    assert c.get("s").shape == (1,) and c.get("s")[0] == 2.5
+
+
 def test_duplicate_name_rejected():
     c = TensorContainer()
     c.add("t", np.ones(3))
@@ -144,19 +171,72 @@ def test_malformed_manifest_is_invariant_violation(tmp_path, manifest):
         load_container(str(path))
 
 
-def test_missing_bias_entry():
-    c = TensorContainer()
-    c.add("l", np.ones((2, 2)), centered=False, has_bias=True)
-    with pytest.raises(InvariantViolation, match="bias"):
-        c.get_layer("l")
+def test_missing_bias_entry(tmp_path):
+    path = tmp_path / "m.pkt"
+    path.write_bytes(_file([_layer("l", (2, 2), has_bias=True)], _ONE * 4))
+    with pytest.raises(InvariantViolation, match="'l': has_bias is True in the manifest"):
+        load_container(str(path))
 
 
 def test_bias_length_mismatch():
     c = TensorContainer()
-    c.add("l", np.ones((2, 3)), centered=False, has_bias=True)
-    c.add("l.bias", np.ones(2))
-    with pytest.raises(ShapeMismatch):
-        c.get_layer("l")
+    c.add("l", np.ones((2, 3)), centered=False)
+    with pytest.raises(ShapeMismatch, match="'l.bias' shape"):
+        c.add("l.bias", np.ones(2))
+    assert c.names() == ["l"]
+
+
+def test_bias_presence_is_has_bias():
+    c = TensorContainer()
+    c.add("l", np.ones((2, 3)), centered=True)
+    assert c.get_layer("l").bias is None
+    c.add("l.bias", np.ones(3))
+    assert np.array_equal(c.get_layer("l").bias, np.ones(3))
+
+
+@pytest.mark.parametrize("first, second", [
+    (("l", np.ones((2, 3)), "f32", False), ("l.bias", np.ones(2), "f32", None)),
+    (("l.bias", np.ones(2), "f32", None), ("l", np.ones((2, 3)), "f32", False)),
+    (("l.mask", np.ones((3, 2)), "u8", None), ("l", np.ones((2, 3)), "f32", False)),
+    (("l", np.ones((2, 3)), "f32", False), ("l.mask", np.ones((2, 3)), "f32", None)),
+    (("l", np.ones((2, 3)), "f32", False), ("l.bias", np.ones((2, 3)), "f32", False)),
+    (("l.bias", np.ones((1, 3)), "f32", False), ("l", np.ones((1, 3)), "f32", False)),
+    ((), ("l", np.ones(3), "f32", False)),
+    ((), ("l", np.ones((2, 3)), "u8", False)),
+], ids=["short-bias", "short-bias-first", "transposed-mask-first", "f32-mask",
+        "layer-as-bias", "layer-as-bias-first", "1-d-layer", "u8-layer"])
+def test_rejected_layer_part_leaves_container_unchanged(first, second):
+    c = TensorContainer()
+    if first:
+        name, array, dtype, centered = first
+        c.add(name, array, dtype=dtype, centered=centered)
+    before = c.names()
+    name, array, dtype, centered = second
+    with pytest.raises(PruneKitError, match="layer 'l'"):
+        c.add(name, array, dtype=dtype, centered=centered)
+    assert c.names() == before
+
+
+# Each file is what the writer before the layer rule produced for a
+# container whose layer "fc" (2x4) disagrees with its bias or mask.
+@pytest.mark.parametrize("blob, error", [
+    (_file([_layer("fc", (2, 4)), _entry("fc.bias", (4,), 32)], _ONE * 12),
+     InvariantViolation),
+    (_file([_layer("fc", (2, 4), has_bias=True)], _ONE * 8), InvariantViolation),
+    (_file([_layer("fc", (2, 4), has_bias=True), _entry("fc.bias", (3,), 32)],
+           _ONE * 11), ShapeMismatch),
+    (_file([_layer("fc", (2, 4), dtype="u8")], _U8 * 8), InvariantViolation),
+    (_file([_layer("fc", (2, 4), has_bias=True),
+            {**_entry("fc.bias", (4,), 32), "dtype": "u8"}], _ONE * 8 + _U8 * 4),
+     InvariantViolation),
+    (_file([_layer("fc", (2, 4)), _entry("fc.mask", (2, 4), 32)], _ONE * 16),
+     InvariantViolation),
+], ids=["stray-bias", "missing-bias", "short-bias", "u8-layer", "u8-bias", "f32-mask"])
+def test_layer_rule_fails_at_load(tmp_path, blob, error):
+    path = tmp_path / "m.pkt"
+    path.write_bytes(blob)
+    with pytest.raises(error, match=f"{str(path)!r}.*'fc'"):
+        load_container(str(path))
 
 
 def test_mask_round_trip(tmp_path):
@@ -235,29 +315,19 @@ def test_value_rounding_to_float32_max_round_trips(tmp_path):
     assert np.array_equal(load_container(str(path)).get("t"), [fmax, -fmax])
 
 
+def _manifest(path):
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    return json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + mlen])["tensors"]
+
+
 def test_non_layer_entry_has_no_flags(tmp_path):
     c = make_layer_container(np.ones((2, 2)), bias=[1.0, 2.0])
     path = tmp_path / "m.pkt"
     save_container(c, str(path))
-    blob = path.read_bytes()
-    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
-    manifest = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + mlen])
-    by_name = {e["name"]: e for e in manifest["tensors"]}
+    by_name = {e["name"]: e for e in _manifest(path)}
     assert "centered" in by_name["layer0"] and "has_bias" in by_name["layer0"]
     assert "centered" not in by_name["layer0.bias"]
-
-
-def _entry(name="t", shape=(1,), offset=0):
-    return {"name": name, "shape": list(shape), "dtype": "f32", "offset": offset}
-
-
-def _file(manifest, payload):
-    if not isinstance(manifest, bytes):
-        manifest = json.dumps({"tensors": manifest}).encode()
-    return MAGIC + struct.pack("<I", len(manifest)) + manifest + payload
-
-
-_ONE = np.float32(1.0).tobytes()
 
 
 @pytest.mark.parametrize("blob, error", [
@@ -362,7 +432,9 @@ def test_round_trip_preserves_every_buffer(tmp_path_factory, c):
         assert got.dtype == entry.dtype
         assert np.array_equal(got.array, entry.array)
         assert got.centered == entry.centered
-        assert got.has_bias == entry.has_bias
+    for record in _manifest(path):
+        assert record.get("has_bias") == (f"{record['name']}.bias" in c
+                                          if c.entry(record["name"]).is_layer else None)
     again = tmp_path_factory.mktemp("rt") / "c2.pkt"
     save_container(loaded, str(again))
     assert path.read_bytes() == again.read_bytes()

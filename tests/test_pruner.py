@@ -17,7 +17,13 @@ from prunekit import (
     stats_update,
     validate_mask,
 )
-from prunekit.errors import InsufficientSamples, MissingCalibration, NonFiniteInput
+from prunekit.errors import (
+    IndivisibleGroup,
+    InsufficientSamples,
+    MissingCalibration,
+    NonFiniteInput,
+    SingularGram,
+)
 from prunekit.pruner import split_holdout
 
 
@@ -310,3 +316,15 @@ def test_overflowing_calibration_rows_are_typed_error(tag):
     layer = WeightLayer(np.ones((4, 2)), np.zeros(2), centered=False)
     with pytest.raises(NonFiniteInput, match="overflow"):
         prune_layer("fc", layer, rows, Criterion(tag), SparsitySpec.unstructured(0.5))
+
+
+@pytest.mark.parametrize("criterion, spec, error", [
+    (Criterion("wanda"), SparsitySpec.parse("2:4"), IndivisibleGroup),
+    (Criterion("sparsegpt-score", damping=0.0), SparsitySpec.unstructured(0.5),
+     SingularGram),
+], ids=["indivisible", "singular"])
+def test_prune_container_error_names_the_layer(criterion, spec, error):
+    model, calib = single_layer_containers(np.ones((6, 2)), None, np.ones((20, 6)))
+    with pytest.raises(error, match="^layer 'l': ") as info:
+        prune_container(model, calib, criterion, spec)
+    assert type(info.value) is error and "'l'" not in str(info.value.__cause__)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -18,3 +19,17 @@ def test_compare_criteria_smoke(tmp_path):
     assert set(results) == {"ordering", "centered", "misranking"}
     assert set(results["ordering"]) == {"0.5", "2:4"}
     assert results["misranking"]["stade"] == 0.0
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these attributes by name; a rename in
+    # prunekit must fail here, not in the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert targets
+    for owner, attr, count in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        assert count is None or callable(count)

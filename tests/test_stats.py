@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,23 +171,32 @@ def test_merge_with_empty_accumulator():
 
 
 def test_merge_with_empty_side_at_huge_offset():
-    # |mean| above sqrt(float64 max) = 1.34e154: the zero cross term of an
-    # empty side must not become delta**2 * 0 = inf * 0 = NaN.
+    # |mean| above sqrt(float64 max) = 1.34e154: the batch's centered m2 is
+    # exact, but its raw sum of squares overflows, so stats_update refuses
+    # these rows and a merge with an empty side raises instead of returning
+    # an accumulator with an infinite moment.
     rows = np.array([[1e160, 1.0], [1e160 + 1e145, 2.0], [1e160, 3.0]])
     mean = rows.mean(axis=0)
     m2 = ((rows - mean) ** 2).sum(axis=0)
-    # The raw sum of squares overflows, so stats_update refuses these rows;
-    # the batch summary it would merge still reaches stats_merge directly.
     with pytest.raises(NonFiniteInput):
         stats_update(stats_init(2), rows)
     with np.errstate(over="ignore"):
         batch = _summarize(rows)
-    merged = (stats_merge(batch, stats_init(2)), stats_merge(stats_init(2), batch))
-    scores = compute_scores("stade", np.ones((2, 1)), stats=batch)
-    for s in (batch, *merged):
-        assert s.n == 3
-        np.testing.assert_allclose(s.m2, m2, rtol=1e-12)
-    assert np.isfinite(scores).all()
+    np.testing.assert_allclose(batch.m2, m2, rtol=1e-12)
+    assert np.isfinite(compute_scores("stade", np.ones((2, 1)), stats=batch)).all()
+    for a, b in ((batch, stats_init(2)), (stats_init(2), batch)):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            stats_merge(a, b)
+
+
+def test_merge_overflow_is_typed_error_without_warning():
+    # Each side is finite; the cross term and the raw sum of squares are not.
+    a = stats_update(stats_init(1), [[1.3e154]])
+    b = stats_update(stats_init(1), [[-1.3e154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            stats_merge(a, b)
 
 
 @pytest.mark.parametrize("mu, sigma", [(3e4, 1e-3), (1e4, 1e-2)])
