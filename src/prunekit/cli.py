@@ -2,9 +2,9 @@
 
 Subcommands: ``gen`` (write a toy model + calibration pair), ``prune``
 (prune a model container layer-wise, computing each layer's statistics from
-its calibration rows), ``verify`` (check a criterion against the exhaustive
-single-prune enumerator), and ``bench`` (criterion comparison over seeded
-toy models).
+its calibration rows) and ``verify`` (check a criterion against the
+exhaustive single-prune enumerator). Criterion comparisons over seeded toy
+models are ``scripts/compare_criteria.py``, over ``harness.run_comparison``.
 
 Exit codes: 0 success, 1 validation failure (including a verify
 counterexample), 2 usage error. Every successful run, and every verify run,
@@ -23,10 +23,10 @@ import numpy as np
 from .container import load_container, save_container
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
 from .errors import InvalidRatio, IoFailure, PruneKitError
-from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp, run_comparison
+from .harness import NORM_KINDS, gen_toy_mlp
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
-from .pruner import prune_container
+from .pruner import HOLDOUT_FRACTION, prune_container
 
 
 def _dims(text: str) -> tuple[int, int, int]:
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto = per-criterion default")
     p.add_argument("--damping", type=_damping,
                    help="sparsegpt-score only: a float or 'auto' (the default)")
-    p.add_argument("--holdout", type=float, default=0.2,
+    p.add_argument("--holdout", type=float, default=HOLDOUT_FRACTION,
                    help="fraction of calibration rows held out for the error report")
     p.set_defaults(func=_cmd_prune)
 
@@ -116,19 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", choices=("auto", *DATA_REGIMES), default="auto")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="compare criteria on seeded toy models")
-    _add_common(p, "seed", "threads")
-    p.add_argument("--out", help="write the comparison table JSON here")
-    p.add_argument("--criteria", required=True,
-                   help="comma-separated criterion tags (at least two)")
-    p.add_argument("--sparsity", required=True, type=_sparsity)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--dims", type=_dims, default=(16, 32, 8))
-    p.add_argument("--norm", choices=NORM_KINDS, default="none")
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--holdout", type=float, default=0.2)
-    p.add_argument("--bias-update", choices=("on", "off", "auto"), default="auto")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -199,31 +186,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
     _write_report(args.report, payload)
     summary = {"command": "verify", **payload}
     return (0 if result.passed else 1), summary
-
-
-def _cmd_bench(args) -> tuple[int, dict]:
-    tags = [t.strip() for t in args.criteria.split(",") if t.strip()]
-    config = ToyMlpConfig(dims=args.dims, norm=args.norm, samples=args.samples)
-    table = run_comparison(tags, args.sparsity, args.seeds, config,
-                           base_seed=args.seed,
-                           holdout_fraction=args.holdout,
-                           bias_update_enabled=_bias_flag(args.bias_update),
-                           threads=args.threads)
-    print(table.to_text())
-    _write_report(args.out, table.to_dict())
-    summary = {
-        "command": "bench",
-        "criteria": table.criteria,
-        "sparsity": table.sparsity,
-        "norm": table.norm,
-        "seeds": len(table.seeds),
-        "mean_layer_mse": {tag: {layer: table.mean_layer_mse(tag, layer)
-                                 for layer in table.layers}
-                           for tag in table.criteria},
-        "mean_e2e_mse": {tag: table.mean_e2e_mse(tag) for tag in table.criteria},
-        "out": args.out,
-    }
-    return 0, summary
 
 
 def main(argv: list[str] | None = None) -> int:

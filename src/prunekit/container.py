@@ -46,9 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvariantViolation,
     IoFailure,
     MagicMismatch,
+    NonFiniteInput,
     PruneKitError,
     ShapeMismatch,
     TruncatedPayload,
@@ -66,7 +68,7 @@ _F32_LIMIT = np.float64(2.0**128 - 2.0**103)
 _PARTS = ("bias", "mask")  # the suffixes of the tensors a weight layer owns
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightLayer:
     """One linear layer: ``weights[j, m]`` maps input feature j to output m.
 
@@ -74,11 +76,29 @@ class WeightLayer:
     is a length-H vector or None (compensation treats a missing bias as
     zeros). ``centered`` declares the layer's input distribution zero-mean
     per feature.
+
+    Construction holds the in-memory half of the layer rule: 2-D weights
+    and a bias that is None or a finite length-H vector, else
+    ``DimensionMismatch`` or ``NonFiniteInput``. It is O(H); the weights'
+    values are checked by whoever computes on them. The layer is frozen, so
+    no field can be swapped past that check.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None
     centered: bool
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.weights) != 2:
+            raise DimensionMismatch(f"layer weights must be 2-D, got "
+                                    f"{np.ndim(self.weights)}-D")
+        if self.bias is None:
+            return
+        if np.shape(self.bias) != (self.h,):
+            raise DimensionMismatch(f"layer bias shape {np.shape(self.bias)} != "
+                                    f"({self.h},)")
+        if not np.isfinite(self.bias).all():
+            raise NonFiniteInput("layer bias contains NaN/Inf")
 
     @property
     def m(self) -> int:

@@ -20,8 +20,7 @@ import numpy as np
 from .container import TensorContainer, WeightLayer
 from .criteria import Criterion
 from .masks import SparsitySpec
-from .parallel import parallel_map
-from .pruner import prune_container, split_holdout
+from .pruner import HOLDOUT_FRACTION, prune_container, split_holdout
 
 NORM_KINDS = ("layernorm-like", "rmsnorm-like", "none")
 LAYER_NAMES = ("fc1", "fc2")
@@ -149,18 +148,14 @@ def run_comparison(
     spec: SparsitySpec,
     seeds: int,
     config: ToyMlpConfig = ToyMlpConfig(),
-    base_seed: int = 0,
-    holdout_fraction: float = 0.2,
-    bias_update_enabled: bool | None = None,
-    threads: int = 1,
 ) -> ComparisonTable:
-    """Prune freshly generated toy models with every criterion over several seeds.
+    """Prune freshly generated toy models, seeds ``0..seeds-1``, with every criterion.
 
-    Each criterion uses its default bias-update behavior unless overridden.
-    The end-to-end error is measured on the same held-out samples as each
-    layer's own error.
-    Every requested (criterion, layer, seed) cell is filled; identical seeds
-    give identical tables.
+    Each criterion uses its own bias-update default, and every layer holds
+    out the default ``HOLDOUT_FRACTION`` of its rows. The end-to-end error is
+    measured on the same held-out samples as each layer's own error.
+    Every requested (criterion, layer, seed) cell is filled; identical
+    arguments give identical tables.
     """
     crits = [c if isinstance(c, Criterion) else Criterion(c) for c in criteria]
     tags = [c.tag for c in crits]
@@ -170,44 +165,27 @@ def run_comparison(
         raise ValueError(f"comparison repeats a criterion tag: {tags}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    seed_values = [base_seed + i for i in range(seeds)]
-
-    def run_seed(seed: int):
-        model, calib = gen_toy_mlp(seed, config.dims, config.norm, config.samples)
-        _, holdout = split_holdout(calib.get("fc1.calib"), holdout_fraction)
-        dense_out = forward_toy(model, holdout)
-        per_criterion = {}
-        for crit in crits:
-            pruned, report = prune_container(
-                model, calib, crit, spec,
-                bias_update_enabled=bias_update_enabled,
-                holdout_fraction=holdout_fraction)
-            e2e = float(np.mean((dense_out - forward_toy(pruned, holdout)) ** 2))
-            per_criterion[crit.tag] = (
-                {rec.layer: rec.reconstruction_mse for rec in report.layers},
-                e2e,
-                [rec.criterion for rec in report.layers],
-            )
-        return per_criterion
-
-    seed_results = parallel_map(run_seed, seed_values, threads)
 
     layers = list(LAYER_NAMES)
     table = ComparisonTable(
         criteria=tags,
         layers=layers,
-        seeds=seed_values,
+        seeds=list(range(seeds)),
         sparsity=str(spec),
         norm=config.norm,
         layer_mse={tag: {layer: [] for layer in layers} for tag in tags},
         e2e_mse={tag: [] for tag in tags},
         resolved={tag: [] for tag in tags},
     )
-    for result in seed_results:
-        for tag, (by_layer, e2e, resolved) in result.items():
-            for layer in layers:
-                table.layer_mse[tag][layer].append(by_layer[layer])
-            table.e2e_mse[tag].append(e2e)
-            if not table.resolved[tag]:
-                table.resolved[tag] = resolved
+    for seed in table.seeds:
+        model, calib = gen_toy_mlp(seed, config.dims, config.norm, config.samples)
+        _, holdout = split_holdout(calib.get("fc1.calib"), HOLDOUT_FRACTION)
+        dense_out = forward_toy(model, holdout)
+        for crit in crits:
+            pruned, report = prune_container(model, calib, crit, spec)
+            for rec in report.layers:
+                table.layer_mse[crit.tag][rec.layer].append(rec.reconstruction_mse)
+            table.e2e_mse[crit.tag].append(
+                float(np.mean((dense_out - forward_toy(pruned, holdout)) ** 2)))
+            table.resolved[crit.tag] = [rec.criterion for rec in report.layers]
     return table

@@ -33,6 +33,7 @@ from .parallel import parallel_map
 from .stats import ColumnStats, _matrix, stats_init, stats_update
 
 CENTERED_RATIO_THRESHOLD = 0.1
+HOLDOUT_FRACTION = 0.2  # default share of calibration rows held out for the error report
 
 
 @dataclass
@@ -87,9 +88,12 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
 def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Split rows into (statistics rows, held-out tail of floor(fraction * n) rows).
 
-    With an empty tail every row is held out, so the error report never
-    averages over nothing.
+    ``fraction`` must lie in [0, 0.5], else ``ValueError`` (NaN included),
+    so the tail never overlaps the statistics rows. With an empty tail every
+    row is held out, so the error report never averages over nothing.
     """
+    if not 0.0 <= fraction <= 0.5:
+        raise ValueError(f"holdout_fraction must lie in [0, 0.5], got {fraction}")
     n_holdout = int(math.floor(fraction * rows.shape[0]))
     train = rows[: rows.shape[0] - n_holdout]
     return train, (rows[-n_holdout:] if n_holdout else train)
@@ -102,7 +106,7 @@ def prune_layer(
     criterion: Criterion,
     spec: SparsitySpec,
     bias_update_enabled: bool | None = None,
-    holdout_fraction: float = 0.2,
+    holdout_fraction: float = HOLDOUT_FRACTION,
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
     """Run the stats -> score -> mask -> compensate pipeline on one layer."""
     calib_rows = _matrix(calib_rows, "calibration rows", layer.m)
@@ -165,7 +169,7 @@ def prune_container(
     criterion: Criterion,
     spec: SparsitySpec,
     bias_update_enabled: bool | None = None,
-    holdout_fraction: float = 0.2,
+    holdout_fraction: float = HOLDOUT_FRACTION,
     threads: int = 1,
 ) -> tuple[TensorContainer, PruneReport]:
     """Prune every weight layer of ``model``; returns the pruned container
@@ -175,9 +179,7 @@ def prune_container(
     ``CRITERION_RULES``. A model that is itself a pruning output can be
     pruned again: its old biases and masks are replaced by the new ones.
     """
-    if not 0.0 <= holdout_fraction <= 0.5:
-        raise ValueError(f"holdout_fraction must lie in [0, 0.5], "
-                         f"got {holdout_fraction}")
+    split_holdout(np.empty((0, 0)), holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
     for name in layer_names:
         if f"{name}.calib" not in calib:

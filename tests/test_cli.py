@@ -123,39 +123,10 @@ def test_verify_threads_invariant():
     assert last_json_line(a.stdout) == last_json_line(b.stdout)
 
 
-def test_bench_table_and_json(workspace):
-    out = workspace / "table.json"
-    proc = run_cli("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
-                   "--seeds", "2", "--dims", "8,16,4", "--samples", "96",
-                   "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0].startswith("criterion")
-    summary = json.loads(lines[-1])
-    assert summary["command"] == "bench"
-    table = json.loads(out.read_text())
-    assert set(table["layer_mse"]) == {"wanda", "stade"}
-
-
-def test_bench_rejects_single_criterion():
-    proc = run_cli("bench", "--criteria", "wanda", "--sparsity", "0.5",
-                   "--seeds", "2")
-    assert proc.returncode == 1
-    assert "two criteria" in proc.stderr
-
-
-@pytest.mark.parametrize("command", ["prune", "bench"])
+@pytest.mark.parametrize("command", ["prune", "verify"])
 def test_unwritable_output_fails_cleanly(workspace, command):
     target = str(workspace / "no-such-dir" / "out.json")
-    if command == "prune":
-        args = ("prune", "--model", str(workspace / "model.pkt"),
-                "--calib", str(workspace / "calib.pkt"), "--criterion", "wanda",
-                "--sparsity", "0.5", "--out", str(workspace / "p3.pkt"),
-                "--report", target)
-    else:
-        args = ("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
-                "--seeds", "1", "--dims", "4,8,2", "--samples", "32", "--out", target)
-    proc = run_cli(*args)
+    proc = run_cli(*_removed_flag_argv(workspace, command), "--report", target)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -211,14 +182,11 @@ def _removed_flag_argv(workspace, command):
         "prune": ("prune", "--model", f"{ws}/model.pkt", "--calib", f"{ws}/calib.pkt",
                   "--criterion", "wanda", "--sparsity", "0.5", "--out", f"{ws}/r.pkt"),
         "verify": ("verify", "--criterion", "stade", "--trials", "5"),
-        "bench": ("bench", "--criteria", "wanda,stade", "--sparsity", "0.5",
-                  "--seeds", "1", "--dims", "4,8,2", "--samples", "32"),
     }[command]
 
 
 @pytest.mark.parametrize("command, flag", [
     ("prune", "--seed"), ("gen", "--threads"), ("gen", "--report"), ("verify", "--out"),
-    ("bench", "--report"),
 ])
 def test_removed_flags_are_usage_errors(workspace, command, flag):
     argv = _removed_flag_argv(workspace, command)
@@ -260,7 +228,9 @@ def test_hostile_container_fails_cleanly(workspace, manifest):
 
 def test_unknown_subcommand_is_usage_error(workspace):
     # ``stats`` was a subcommand; it was removed because nothing read its output.
-    for command in ("shrink", "stats"):
+    # ``bench`` was a second front end over ``run_comparison``, which
+    # scripts/compare_criteria.py drives.
+    for command in ("shrink", "stats", "bench"):
         proc = run_cli(command, "--calib", str(workspace / "calib.pkt"),
                        "--out", str(workspace / "s.pkt"))
         assert proc.returncode == 2
@@ -301,7 +271,7 @@ def test_empty_outputs_give_strict_json(tmp_path, layers):
 
 
 @pytest.mark.parametrize("value", ["abc", "1:0", "2:x", "1.5"])
-@pytest.mark.parametrize("command", ["prune", "bench"])
+@pytest.mark.parametrize("command", ["prune"])
 def test_bad_sparsity_is_usage_error(workspace, command, value):
     argv = list(_removed_flag_argv(workspace, command))
     argv[argv.index("--sparsity") + 1] = value
@@ -315,7 +285,7 @@ def test_bad_sparsity_is_usage_error(workspace, command, value):
     ("prune", None, ("--threads", "abc")),
     ("prune", None, ("--threads", "-3")),
     ("verify", None, ("--threads", "0")),
-    ("bench", None, ("--threads", "1.5")),
+    ("prune", None, ("--threads", "1.5")),
     ("gen", "--out", ()),
     ("prune", "--out", ()),
 ], ids=["damping-abc", "threads-abc", "threads-negative", "threads-zero",
@@ -328,14 +298,6 @@ def test_flag_syntax_errors_are_usage_errors(workspace, command, missing, extra)
     proc = run_cli(*argv, *extra)
     assert proc.returncode == 2
     assert (missing or extra[0]) in proc.stderr and "Traceback" not in proc.stderr
-
-
-def test_bench_repeated_criterion_fails(workspace):
-    argv = list(_removed_flag_argv(workspace, "bench"))
-    argv[argv.index("--criteria") + 1] = "wanda,wanda"
-    proc = run_cli(*argv)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "wanda" in proc.stderr
 
 
 def _readme_cli_table():
@@ -356,4 +318,4 @@ def test_readme_cli_table_matches_parser():
                         if opt not in ("-h", "--help")}
               for command, sub in subparsers.choices.items()}
     assert _readme_cli_table() == parsed
-    assert sum(len(flags) for flags in parsed.values()) == 33
+    assert sum(len(flags) for flags in parsed.values()) == 22

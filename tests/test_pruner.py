@@ -18,6 +18,7 @@ from prunekit import (
     validate_mask,
 )
 from prunekit.errors import (
+    DimensionMismatch,
     IndivisibleGroup,
     InsufficientSamples,
     MissingCalibration,
@@ -116,6 +117,35 @@ def test_holdout_fraction_bounds():
     with pytest.raises(ValueError):
         prune_container(model, calib, Criterion("wanda"),
                         SparsitySpec.unstructured(0.5), holdout_fraction=0.6)
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 0.6, float("nan")])
+def test_holdout_fraction_outside_range_is_value_error(fraction):
+    # A negative tail would overlap the statistics rows; NaN cannot be floored.
+    rows = np.random.default_rng(5).standard_normal((20, 4))
+    with pytest.raises(ValueError, match=r"\[0, 0.5\]"):
+        split_holdout(rows, fraction)
+    layer = WeightLayer(np.ones((4, 3)), np.zeros(3), centered=False)
+    with pytest.raises(ValueError, match=r"\[0, 0.5\]"):
+        prune_layer("fc", layer, rows, Criterion("stade"),
+                    SparsitySpec.unstructured(0.5), holdout_fraction=fraction)
+
+
+@pytest.mark.parametrize("weights, bias, error", [
+    (np.ones((4, 3)), np.zeros(1), DimensionMismatch),
+    (np.ones((4, 3)), np.zeros((1, 3)), DimensionMismatch),
+    (np.ones((4, 3)), np.zeros(5), DimensionMismatch),
+    (np.ones((4, 3)), np.array([0.0, np.nan, 0.0]), NonFiniteInput),
+    (np.ones((4, 3)), np.array([0.0, 0.0, -np.inf]), NonFiniteInput),
+    (np.ones(4), None, DimensionMismatch),
+], ids=["bias-1", "bias-1x3", "bias-5", "bias-nan", "bias-inf", "weights-1d"])
+def test_weight_layer_holds_the_layer_rule(weights, bias, error):
+    # A bias that would broadcast to another shape, or is not finite, must
+    # fail as a typed error, never reach a pruned layer or its report.
+    rows = np.random.default_rng(6).standard_normal((20, 4))
+    with pytest.raises(error):
+        prune_layer("fc", WeightLayer(weights, bias, centered=False), rows,
+                    Criterion("stade"), SparsitySpec.unstructured(0.5))
 
 
 def test_split_holdout_tail_or_every_row():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from prunekit import cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -33,3 +35,22 @@ def test_perfbench_trace_targets_resolve():
     for owner, attr, count in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
         assert count is None or callable(count)
+
+
+def test_perfbench_commands_parse():
+    # perfbench/run.py times these CLI calls; a flag they pass that the
+    # parser no longer takes must fail here, not in the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    parser = cli.build_parser()
+    argvs = [command.argv for workload in workloads.WORKLOADS.values()
+             for command in workload.commands("work", seed=0)]
+    assert argvs
+    for argv in argvs:
+        assert parser.parse_args(argv).func in (cli._cmd_prune, cli._cmd_verify), argv
