@@ -22,9 +22,6 @@ from .criteria import (
     compute_scores,
     score_magnitude,
     score_sparsegpt,
-    score_stade,
-    score_stade_star,
-    score_wanda,
     select_criterion,
 )
 from .harness import (
@@ -39,7 +36,6 @@ from .masks import (
     apply_mask,
     build_mask,
     mask_violation,
-    validate_mask,
 )
 from .oracle import (
     CheckResult,
@@ -57,9 +53,7 @@ from .pruner import (
 )
 from .stats import (
     ColumnStats,
-    stats_centered_l2,
     stats_init,
-    stats_l2,
     stats_merge,
     stats_update,
 )
@@ -99,14 +93,8 @@ __all__ = [
     "save_container",
     "score_magnitude",
     "score_sparsegpt",
-    "score_stade",
-    "score_stade_star",
-    "score_wanda",
     "select_criterion",
-    "stats_centered_l2",
     "stats_init",
-    "stats_l2",
     "stats_merge",
     "stats_update",
-    "validate_mask",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from .container import load_container, save_container
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
 from .errors import InvalidRatio, IoFailure, PruneKitError
-from .harness import NORM_KINDS, gen_toy_mlp
+from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
 from .pruner import HOLDOUT_FRACTION, prune_container
@@ -134,7 +134,7 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
-    model, calib = gen_toy_mlp(args.seed, args.dims, args.norm, args.samples)
+    model, calib = gen_toy_mlp(args.seed, ToyMlpConfig(args.dims, args.norm, args.samples))
     save_container(model, args.out)
     save_container(calib, args.calib_out)
     summary = {

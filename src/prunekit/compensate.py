@@ -16,10 +16,12 @@ mismatch raises ``DimensionMismatch`` here as it does in the scorers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .container import WeightLayer
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .masks import _layer_mask
 from .stats import ColumnStats, _check_stats
 
@@ -44,9 +46,16 @@ def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> Wei
 
 
 def bias_delta_norm(before: WeightLayer, after: WeightLayer) -> float:
-    """Sum of absolute per-output bias changes; missing biases count as zero."""
+    """Sum of absolute per-output bias changes; missing biases count as zero.
+
+    Finite biases whose change sums past float64 raise ``NonFiniteInput``.
+    """
     if before.h != after.h:
         raise ShapeMismatch(f"output dims differ: {before.h} != {after.h}")
     b0 = before.bias if before.bias is not None else np.zeros(before.h)
     b1 = after.bias if after.bias is not None else np.zeros(after.h)
-    return float(np.abs(b1 - b0).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(b1 - b0).sum())
+    if not math.isfinite(norm):
+        raise NonFiniteInput("bias change overflows float64")
+    return norm

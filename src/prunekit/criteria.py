@@ -15,10 +15,12 @@ Available criteria:
 
 wanda, stade and stade-star differ only in their per-feature factor, read
 from the accumulated statistics (``sumsq``: raw sum of squares, ``m2``:
-centered sum of squares). The stade-star factor is the root of the
-plug-in second moment mean(x_j^2), which makes the score an exact monotone
-transform of the empirical no-bias-update reconstruction error, so its
-argmin matches exhaustive enumeration on the same sample.
+centered sum of squares); each factor is the ``factor`` field of its row
+of ``CRITERION_RULES``, and ``compute_scores`` is the one scorer over
+them. The stade-star factor is the root of the plug-in second moment
+mean(x_j^2), which makes the score an exact monotone transform of the
+empirical no-bias-update reconstruction error, so its argmin matches
+exhaustive enumeration on the same sample.
 
 Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
 the pruner, the oracle and the CLI read. Every scorer applies the engine's
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,7 +39,7 @@ import scipy.linalg
 
 from .container import WeightLayer
 from .errors import DimensionMismatch, NonFiniteInput, SingularGram
-from .stats import ColumnStats, _check_stats, _matrix, stats_centered_l2, stats_l2
+from .stats import ColumnStats, _check_stats, _matrix
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,12 @@ class CriterionRule:
 # every ranking would be arbitrary.
 CRITERION_RULES = {
     "magnitude": CriterionRule(None, 0, False, False, None),
-    "wanda": CriterionRule(stats_l2, 1, False, False, ("centered", True)),
-    "stade": CriterionRule(stats_centered_l2, 2, False, True, ("uncentered", True)),
-    "stade-star": CriterionRule(lambda stats: np.sqrt(stats.sumsq / stats.n), 2,
-                                False, False, ("uncentered", False)),
+    "wanda": CriterionRule(lambda s: np.sqrt(s.sumsq), 1, False, False,
+                           ("centered", True)),
+    "stade": CriterionRule(lambda s: np.sqrt(s.m2), 2, False, True,
+                           ("uncentered", True)),
+    "stade-star": CriterionRule(lambda s: np.sqrt(s.sumsq / s.n), 2, False, False,
+                                ("uncentered", False)),
     "sparsegpt-score": CriterionRule(None, 0, True, False, None),
 }
 # stade-w is not a row: select_criterion resolves it to wanda or stade per layer.
@@ -126,19 +129,6 @@ def score_magnitude(weights: np.ndarray) -> np.ndarray:
     return np.abs(_matrix(weights, "weights"))
 
 
-def _score_activation(tag: str, weights: np.ndarray, stats: ColumnStats) -> np.ndarray:
-    """Per-feature statistics factor of criterion ``tag`` times |W|."""
-    rule = CRITERION_RULES[tag]
-    weights = _matrix(weights, "weights")
-    _check_stats(stats, weights.shape[0], rule.min_rows)
-    return rule.factor(stats)[:, None] * np.abs(weights)
-
-
-score_wanda = partial(_score_activation, "wanda")
-score_stade = partial(_score_activation, "stade")
-score_stade_star = partial(_score_activation, "stade-star")
-
-
 def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
                     damping: float | str = "auto") -> np.ndarray:
     """W^2 over the diagonal of the damped inverse Gram.
@@ -178,12 +168,15 @@ def compute_scores(tag: str, weights: np.ndarray,
                    stats: ColumnStats | None = None,
                    gram: GramAccumulator | None = None,
                    damping: float | str = "auto") -> np.ndarray:
-    """Dispatch to the scorer for a resolved criterion tag."""
+    """Score ``weights`` by a resolved criterion tag: the rule's per-feature
+    statistics factor times |W|, or the tag's own scorer."""
     rule = CRITERION_RULES.get(tag)
     if rule is None:
         raise ValueError(f"cannot score unresolved criterion {tag!r}")
     if rule.factor is not None:
-        return _score_activation(tag, weights, stats)
+        weights = _matrix(weights, "weights")
+        _check_stats(stats, weights.shape[0], rule.min_rows)
+        return rule.factor(stats)[:, None] * np.abs(weights)
     if rule.needs_gram:
         return score_sparsegpt(weights, gram, damping)
     return score_magnitude(weights)

@@ -47,27 +47,28 @@ def _f32(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float32).astype(np.float64)
 
 
-def gen_toy_mlp(seed: int, dims=(16, 32, 8), norm: str = "none",
-                samples: int = 256) -> tuple[TensorContainer, TensorContainer]:
+def gen_toy_mlp(
+    seed: int, config: ToyMlpConfig = ToyMlpConfig()
+) -> tuple[TensorContainer, TensorContainer]:
     """Build a two-linear-layer toy model and its captured calibration data.
 
     Returns ``(model, calib)`` containers; calib holds "fc1.calib" and
-    "fc2.calib". With norm "layernorm-like" the first layer's input is
-    exactly column-centered and flagged centered; "rmsnorm-like" divides by
-    the per-feature root mean square without centering; "none" keeps the raw
-    offset input. The rectified second-layer input is never centered.
+    "fc2.calib". With ``config.norm`` "layernorm-like" the first layer's
+    input is exactly column-centered and flagged centered; "rmsnorm-like"
+    divides by the per-feature root mean square without centering; "none"
+    keeps the raw offset input. The rectified second-layer input is never
+    centered.
     """
-    cfg = ToyMlpConfig(tuple(dims), norm, samples)
-    d_in, d_hidden, d_out = cfg.dims
+    d_in, d_hidden, d_out = config.dims
     rng = np.random.default_rng(seed)
 
     mu = rng.uniform(-3.0, 3.0, size=d_in)
     scale = 10.0 ** rng.uniform(-1.0, 1.0, size=d_in)
-    x0 = mu + scale * rng.standard_normal((cfg.samples, d_in))
-    if norm == "layernorm-like":
+    x0 = mu + scale * rng.standard_normal((config.samples, d_in))
+    if config.norm == "layernorm-like":
         x1 = x0 - x0.mean(axis=0)
         fc1_centered = True
-    elif norm == "rmsnorm-like":
+    elif config.norm == "rmsnorm-like":
         x1 = x0 / np.sqrt(np.mean(x0**2, axis=0))
         fc1_centered = False
     else:
@@ -178,7 +179,7 @@ def run_comparison(
         resolved={tag: [] for tag in tags},
     )
     for seed in table.seeds:
-        model, calib = gen_toy_mlp(seed, config.dims, config.norm, config.samples)
+        model, calib = gen_toy_mlp(seed, config)
         _, holdout = split_holdout(calib.get("fc1.calib"), HOLDOUT_FRACTION)
         dense_out = forward_toy(model, holdout)
         for crit in crits:

@@ -169,11 +169,6 @@ def mask_violation(mask: np.ndarray, spec: SparsitySpec) -> str | None:
     return None
 
 
-def validate_mask(mask: np.ndarray, spec: SparsitySpec) -> bool:
-    """True iff every comparison group holds exactly the specified prune count."""
-    return mask_violation(mask, spec) is None
-
-
 def _layer_mask(layer: WeightLayer, mask: np.ndarray) -> np.ndarray:
     """``mask`` as a bool array, which must have the layer's weight shape."""
     mask = np.asarray(mask, dtype=bool)

@@ -27,7 +27,13 @@ from .criteria import (
     compute_scores,
     select_criterion,
 )
-from .errors import InsufficientSamples, MissingCalibration, PruneKitError, ShapeMismatch
+from .errors import (
+    InsufficientSamples,
+    MissingCalibration,
+    NonFiniteInput,
+    PruneKitError,
+    ShapeMismatch,
+)
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
 from .stats import ColumnStats, _matrix, stats_init, stats_update
@@ -71,18 +77,23 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
                        rows: np.ndarray) -> float:
     """Mean squared output difference between the two layers over ``rows``.
 
-    An empty output (no rows or no output columns) averages to 0.0.
+    An empty output (no rows or no output columns) averages to 0.0. Finite
+    inputs whose outputs or error overflow float64 raise ``NonFiniteInput``.
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
     rows = _matrix(rows, "rows", original.m)
-    y0 = rows @ original.weights
-    if original.bias is not None:
-        y0 = y0 + original.bias
-    y1 = rows @ pruned.weights
-    if pruned.bias is not None:
-        y1 = y1 + pruned.bias
-    return float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = rows @ original.weights
+        if original.bias is not None:
+            y0 = y0 + original.bias
+        y1 = rows @ pruned.weights
+        if pruned.bias is not None:
+            y1 = y1 + pruned.bias
+        mse = float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
+    if not math.isfinite(mse):
+        raise NonFiniteInput("reconstruction error overflows float64")
+    return mse
 
 
 def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +167,7 @@ def prune_layer(
         bias_delta_norm=bias_delta_norm(layer, pruned),
         reconstruction_mse=reconstruction_mse(layer, pruned, holdout),
         centered=layer.centered,
-        max_abs_mean=float(np.abs(stats.mean).max()) if stats.m else 0.0,
+        max_abs_mean=float(np.abs(stats.mean).max()),
         bias_added=layer.bias is None and pruned.bias is not None,
         warnings=warnings,
     )

@@ -11,9 +11,10 @@ combine with the pairwise rule of Chan, Golub & LeVeque (1979):
 
 Nothing subtracts two large raw moments, so features whose offset dwarfs
 their spread keep their variance. The raw sum of squares is tracked
-because the activation-norm scores need ||X[:,j]||_2. For any partition of
-a stream into batches the result matches a two-pass computation over the
-concatenated rows to ~1e-9 relative.
+because the activation-norm scores need ||X[:,j]||_2; the norms themselves
+are the per-feature factors in ``criteria.CRITERION_RULES``. For any
+partition of a stream into batches the result matches a two-pass
+computation over the concatenated rows to ~1e-9 relative.
 
 This module also states the engine's two input rules, which every public
 function of the engine applies to its own arguments: ``_matrix`` (an array
@@ -128,15 +129,3 @@ def stats_merge(a: ColumnStats, b: ColumnStats) -> ColumnStats:
     if not np.isfinite(np.concatenate((out.mean, out.m2, out.sumsq))).all():
         raise NonFiniteInput("merged moments overflow float64")
     return out
-
-
-def stats_l2(stats: ColumnStats) -> np.ndarray:
-    """Per-feature raw activation norm sqrt(sum_i x_ij^2)."""
-    return np.sqrt(stats.sumsq)
-
-
-def stats_centered_l2(stats: ColumnStats) -> np.ndarray:
-    """Per-feature centered norm ||x_j - mean_j||_2 = sqrt(m2_j)."""
-    if stats.n == 0:
-        raise EmptyStats("no calibration rows accumulated")
-    return np.sqrt(stats.m2)

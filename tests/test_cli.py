@@ -15,8 +15,8 @@ from prunekit import (
     TensorContainer,
     WeightLayer,
     load_container,
+    mask_violation,
     save_container,
-    validate_mask,
 )
 from prunekit.cli import build_parser
 from prunekit.container import MAGIC
@@ -80,7 +80,7 @@ def test_prune_produces_valid_artifacts(workspace):
     pruned = load_container(str(out))
     spec = SparsitySpec.parse("2:4")
     for name in pruned.layer_names():
-        assert validate_mask(pruned.get_mask(name), spec)
+        assert mask_violation(pruned.get_mask(name), spec) is None
     payload = json.loads(report.read_text())
     assert [rec["criterion"] for rec in payload["layers"]] == ["wanda", "stade"]
 
@@ -172,7 +172,8 @@ def test_reprune_a_pruned_container(workspace):
     assert proc.returncode == 0, proc.stderr
     pruned = load_container(str(second))
     for name in pruned.layer_names():
-        assert validate_mask(pruned.get_mask(name), SparsitySpec.unstructured(0.75))
+        assert mask_violation(pruned.get_mask(name),
+                              SparsitySpec.unstructured(0.75)) is None
 
 
 def _removed_flag_argv(workspace, command):

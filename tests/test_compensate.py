@@ -11,7 +11,7 @@ from prunekit import (
     stats_init,
     stats_update,
 )
-from prunekit.errors import EmptyStats, ShapeMismatch
+from prunekit.errors import EmptyStats, NonFiniteInput, ShapeMismatch
 
 
 def stats_of(rows):
@@ -115,6 +115,15 @@ def test_bias_delta_norm_handles_missing_bias():
     before = WeightLayer(w, None, centered=False)
     after = WeightLayer(w, np.array([0.5, -0.5]), centered=False)
     assert bias_delta_norm(before, after) == pytest.approx(1.0)
+
+
+def test_bias_delta_norm_overflow_is_typed_error():
+    # Each bias is finite; their difference and its sum are not.
+    w = np.ones((1, 2))
+    before = WeightLayer(w, np.full(2, -1e308), centered=False)
+    after = WeightLayer(w, np.full(2, 1e308), centered=False)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        bias_delta_norm(before, after)
 
 
 def test_bias_delta_norm_shape_mismatch():

@@ -5,11 +5,9 @@ from prunekit import (
     Criterion,
     GramAccumulator,
     WeightLayer,
+    compute_scores,
     score_magnitude,
     score_sparsegpt,
-    score_stade,
-    score_stade_star,
-    score_wanda,
     select_criterion,
     stats_init,
     stats_update,
@@ -49,45 +47,45 @@ def test_magnitude_rejects_nan():
 
 def test_wanda_norm_times_weight():
     s = stats_of([[3.0], [4.0]])
-    scores = score_wanda(np.array([[2.0]]), s)
+    scores = compute_scores("wanda", np.array([[2.0]]), stats=s)
     assert scores[0, 0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_wanda_zero_weight_scores_zero():
     s = stats_of([[3.0], [4.0]])
-    assert score_wanda(np.array([[0.0]]), s)[0, 0] == 0.0
+    assert compute_scores("wanda", np.array([[0.0]]), stats=s)[0, 0] == 0.0
 
 
 def test_wanda_constant_feature():
     s = stats_of([[10.0], [10.0]])
-    scores = score_wanda(np.array([[0.5]]), s)
+    scores = compute_scores("wanda", np.array([[0.5]]), stats=s)
     assert scores[0, 0] == pytest.approx(np.sqrt(200.0) * 0.5, rel=1e-12)
 
 
 def test_wanda_requires_rows():
     with pytest.raises(EmptyStats):
-        score_wanda(np.ones((1, 1)), stats_init(1))
+        compute_scores("wanda", np.ones((1, 1)), stats=stats_init(1))
 
 
 def test_wanda_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        score_wanda(np.ones((2, 1)), stats_of([[1.0]]))
+        compute_scores("wanda", np.ones((2, 1)), stats=stats_of([[1.0]]))
 
 
 def test_stade_centered_norm_times_weight():
     s = stats_of([[1.0], [-1.0]])
-    scores = score_stade(np.array([[3.0]]), s)
+    scores = compute_scores("stade", np.array([[3.0]]), stats=s)
     assert scores[0, 0] == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_stade_constant_feature_scores_zero():
     s = stats_of([[10.0], [10.0]])
-    assert score_stade(np.array([[0.5]]), s)[0, 0] == 0.0
+    assert compute_scores("stade", np.array([[0.5]]), stats=s)[0, 0] == 0.0
 
 
 def test_stade_rejects_single_row():
     with pytest.raises(InsufficientSamples):
-        score_stade(np.ones((1, 1)), stats_of([[1.0]]))
+        compute_scores("stade", np.ones((1, 1)), stats=stats_of([[1.0]]))
 
 
 def test_stade_equals_wanda_after_exact_centering():
@@ -96,7 +94,7 @@ def test_stade_equals_wanda_after_exact_centering():
     rows = rows - rows.mean(axis=0)
     w = rng.standard_normal((8, 6))
     s = stats_of(rows)
-    np.testing.assert_allclose(score_stade(w, s), score_wanda(w, s),
+    np.testing.assert_allclose(compute_scores("stade", w, stats=s), compute_scores("wanda", w, stats=s),
                                rtol=1e-9, atol=1e-9)
 
 
@@ -106,14 +104,14 @@ def test_stade_star_second_moment_oracle():
     rows = np.array([[1.0], [4.0], [7.0]])
     w = np.array([[2.0]])
     expected = np.sqrt(np.mean(rows**2)) * 2.0
-    got = score_stade_star(w, stats_of(rows))[0, 0]
+    got = compute_scores("stade-star", w, stats=stats_of(rows))[0, 0]
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(2.0 * np.sqrt(22.0), rel=1e-12)
 
 
 def test_stade_star_constant_feature_keeps_mean_term():
     s = stats_of([[10.0], [10.0]])
-    scores = score_stade_star(np.array([[0.5]]), s)
+    scores = compute_scores("stade-star", np.array([[0.5]]), stats=s)
     assert scores[0, 0] == pytest.approx(5.0, rel=1e-12)
 
 
@@ -123,14 +121,14 @@ def test_stade_star_ranks_like_stade_on_centered_data():
     rows = rows - rows.mean(axis=0)
     w = rng.standard_normal((10, 4))
     s = stats_of(rows)
-    a = np.argsort(score_stade_star(w, s), axis=0, kind="stable")
-    b = np.argsort(score_stade(w, s), axis=0, kind="stable")
+    a = np.argsort(compute_scores("stade-star", w, stats=s), axis=0, kind="stable")
+    b = np.argsort(compute_scores("stade", w, stats=s), axis=0, kind="stable")
     assert np.array_equal(a, b)
 
 
 def test_stade_star_rejects_single_row():
     with pytest.raises(InsufficientSamples):
-        score_stade_star(np.ones((1, 1)), stats_of([[3.0]]))
+        compute_scores("stade-star", np.ones((1, 1)), stats=stats_of([[3.0]]))
 
 
 def test_sparsegpt_identity_gram():
@@ -217,8 +215,8 @@ def test_scores_non_negative():
     rows = rng.uniform(-5, 5, size=(30, 6))
     w = rng.standard_normal((6, 5))
     s = stats_of(rows)
-    for scores in (score_magnitude(w), score_wanda(w, s), score_stade(w, s),
-                   score_stade_star(w, s)):
+    for scores in (score_magnitude(w), compute_scores("wanda", w, stats=s), compute_scores("stade", w, stats=s),
+                   compute_scores("stade-star", w, stats=s)):
         assert (scores >= 0).all() and np.isfinite(scores).all()
 
 
@@ -230,8 +228,9 @@ def test_column_scaling_covariance():
     scaled = rows.copy()
     scaled[:, 2] *= alpha
     s0, s1 = stats_of(rows), stats_of(scaled)
-    for scorer in (score_wanda, score_stade):
-        base, scaled_scores = scorer(w, s0), scorer(w, s1)
+    for tag in ("wanda", "stade"):
+        base = compute_scores(tag, w, stats=s0)
+        scaled_scores = compute_scores(tag, w, stats=s1)
         np.testing.assert_allclose(scaled_scores[2], alpha * base[2],
                                    rtol=1e-9, atol=1e-12)
         others = [j for j in range(5) if j != 2]
@@ -247,7 +246,7 @@ def test_stade_argmin_matches_empirical_objective():
         rows = rng.uniform(-5, 5, size=(30, 7)) * rng.uniform(0.1, 2.0, size=7)
         w = rng.uniform(-1, 1, size=(7, 3))
         s = stats_of(rows)
-        scores = score_stade(w, s)
+        scores = compute_scores("stade", w, stats=s)
         objective = rows.var(axis=0, ddof=1)[:, None] * w**2
         assert np.array_equal(np.argmin(scores, axis=0),
                               np.argmin(objective, axis=0))

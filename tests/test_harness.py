@@ -22,7 +22,7 @@ def full_stats(rows):
 
 
 def test_layernorm_like_input_is_exactly_centered():
-    model, calib = gen_toy_mlp(0, (8, 16, 4), "layernorm-like", 128)
+    model, calib = gen_toy_mlp(0, ToyMlpConfig((8, 16, 4), "layernorm-like", 128))
     rows = calib.get("fc1.calib")
     assert np.abs(rows.mean(axis=0)).max() <= 1e-7
     assert classify_centered(full_stats(rows), threshold=0.01)
@@ -31,7 +31,7 @@ def test_layernorm_like_input_is_exactly_centered():
 
 
 def test_rmsnorm_like_scales_without_centering():
-    model, calib = gen_toy_mlp(1, (8, 16, 4), "rmsnorm-like", 128)
+    model, calib = gen_toy_mlp(1, ToyMlpConfig((8, 16, 4), "rmsnorm-like", 128))
     rows = calib.get("fc1.calib")
     rms = np.sqrt(np.mean(rows**2, axis=0))
     np.testing.assert_allclose(rms, 1.0, rtol=1e-3)
@@ -40,14 +40,14 @@ def test_rmsnorm_like_scales_without_centering():
 
 
 def test_rectified_hidden_activations_are_uncentered():
-    _, calib = gen_toy_mlp(2, (8, 16, 4), "rmsnorm-like", 256)
+    _, calib = gen_toy_mlp(2, ToyMlpConfig((8, 16, 4), "rmsnorm-like", 256))
     hidden = calib.get("fc2.calib")
     assert (hidden >= 0).all()
     assert not classify_centered(full_stats(hidden), threshold=0.1)
 
 
 def test_raw_input_keeps_offsets():
-    model, calib = gen_toy_mlp(3, (8, 16, 4), "none", 128)
+    model, calib = gen_toy_mlp(3, ToyMlpConfig((8, 16, 4), "none", 128))
     assert model.get_layer("fc1").centered is False
     rows = calib.get("fc1.calib")
     assert np.abs(rows.mean(axis=0)).max() > 0.1
@@ -56,7 +56,7 @@ def test_raw_input_keeps_offsets():
 def test_generation_deterministic(tmp_path):
     paths = []
     for i in range(2):
-        model, calib = gen_toy_mlp(7, (6, 12, 3), "layernorm-like", 64)
+        model, calib = gen_toy_mlp(7, ToyMlpConfig((6, 12, 3), "layernorm-like", 64))
         mp, cp = tmp_path / f"m{i}.pkt", tmp_path / f"c{i}.pkt"
         save_container(model, str(mp))
         save_container(calib, str(cp))
@@ -66,13 +66,13 @@ def test_generation_deterministic(tmp_path):
 
 
 def test_calib_values_survive_f32_storage():
-    _, calib = gen_toy_mlp(4, (6, 12, 3), "none", 64)
+    _, calib = gen_toy_mlp(4, ToyMlpConfig((6, 12, 3), "none", 64))
     rows = calib.get("fc1.calib")
     assert np.array_equal(rows, rows.astype(np.float32).astype(np.float64))
 
 
 def test_forward_matches_captured_activations():
-    model, calib = gen_toy_mlp(5, (6, 12, 3), "none", 64)
+    model, calib = gen_toy_mlp(5, ToyMlpConfig((6, 12, 3), "none", 64))
     x = calib.get("fc1.calib")
     fc1 = model.get_layer("fc1")
     hidden = np.maximum(x @ fc1.weights + fc1.bias, 0.0)
@@ -135,7 +135,7 @@ def test_e2e_error_uses_the_layer_holdout_rows(samples):
     config = ToyMlpConfig(dims=(6, 12, 3), norm="none", samples=samples)
     spec = SparsitySpec.unstructured(0.5)
     table = run_comparison(["wanda", "stade"], spec, seeds=1, config=config)
-    model, calib = gen_toy_mlp(0, config.dims, config.norm, samples)
+    model, calib = gen_toy_mlp(0, config)
     _, rows = split_holdout(calib.get("fc1.calib"), HOLDOUT_FRACTION)
     assert len(rows) == (samples if samples == 4 else 12)
     for tag in table.criteria:

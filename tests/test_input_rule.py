@@ -18,13 +18,11 @@ from prunekit import (
     bias_update,
     brute_force_single_prune,
     build_mask,
+    compute_scores,
     prune_layer,
     reconstruction_mse,
     score_magnitude,
     score_sparsegpt,
-    score_stade,
-    score_stade_star,
-    score_wanda,
     stats_init,
     stats_update,
 )
@@ -58,10 +56,13 @@ ENTRY_POINTS = {
     "GramAccumulator.update": (lambda x: GramAccumulator(M).update(x), ROWS,
                                _widen(ROWS)),
     "score_magnitude": (score_magnitude, WEIGHTS, None),
-    "score_wanda": (lambda x: score_wanda(x, STATS), WEIGHTS, _lengthen(WEIGHTS)),
-    "score_stade": (lambda x: score_stade(x, STATS), WEIGHTS, _lengthen(WEIGHTS)),
-    "score_stade_star": (lambda x: score_stade_star(x, STATS), WEIGHTS,
-                         _lengthen(WEIGHTS)),
+    # The activation criteria share compute_scores; these keys keep their test IDs stable.
+    "score_wanda": (lambda x: compute_scores("wanda", x, stats=STATS), WEIGHTS,
+                    _lengthen(WEIGHTS)),
+    "score_stade": (lambda x: compute_scores("stade", x, stats=STATS), WEIGHTS,
+                    _lengthen(WEIGHTS)),
+    "score_stade_star": (lambda x: compute_scores("stade-star", x, stats=STATS),
+                         WEIGHTS, _lengthen(WEIGHTS)),
     "score_sparsegpt": (lambda x: score_sparsegpt(x, GRAM), WEIGHTS,
                         _lengthen(WEIGHTS)),
     "build_mask": (lambda x: build_mask(x, SPEC), WEIGHTS, None),
@@ -117,7 +118,7 @@ def test_stats_width_mismatch_is_one_type():
     wide = stats_update(stats_init(M + 1), _widen(ROWS))
     raised = set()
     for call in (lambda: bias_update(LAYER, MASK, wide),
-                 lambda: score_stade(WEIGHTS, wide)):
+                 lambda: compute_scores("stade", WEIGHTS, stats=wide)):
         with pytest.raises(ShapeMismatch) as info:
             call()
         raised.add(type(info.value))

@@ -10,7 +10,6 @@ from prunekit import (
     apply_mask,
     build_mask,
     mask_violation,
-    validate_mask,
 )
 from prunekit.errors import IndivisibleGroup, InvalidRatio, ShapeMismatch
 
@@ -98,14 +97,14 @@ def test_validate_built_masks():
     scores = rng.random((8, 4))
     for spec in (SparsitySpec.unstructured(0.25), SparsitySpec.structured(2, 4),
                  SparsitySpec.structured(4, 8)):
-        assert validate_mask(build_mask(scores, spec), spec)
+        assert mask_violation(build_mask(scores, spec), spec) is None
 
 
 def test_validate_detects_overfull_group():
     mask = np.zeros((4, 1), dtype=bool)
     mask[:3, 0] = True
     spec = SparsitySpec.structured(2, 4)
-    assert not validate_mask(mask, spec)
+    assert mask_violation(mask, spec) is not None
     assert "group 0" in mask_violation(mask, spec)
 
 
@@ -113,7 +112,7 @@ def test_validate_detects_count_mismatch():
     mask = np.zeros((4, 2), dtype=bool)
     mask[0, 1] = True
     spec = SparsitySpec.unstructured(0.5)
-    assert not validate_mask(mask, spec)
+    assert mask_violation(mask, spec) is not None
     assert "column 0" in mask_violation(mask, spec)
 
 
@@ -181,7 +180,7 @@ score_elems = st.floats(min_value=0.0, max_value=1e6,
        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
 def test_unstructured_masks_always_valid(scores, ratio):
     spec = SparsitySpec.unstructured(ratio)
-    assert validate_mask(build_mask(scores, spec), spec)
+    assert mask_violation(build_mask(scores, spec), spec) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,7 +189,7 @@ def test_unstructured_masks_always_valid(scores, ratio):
        st.sampled_from([(1, 2), (2, 4), (4, 8)]))
 def test_structured_masks_always_valid(scores, pattern):
     spec = SparsitySpec.structured(*pattern)
-    assert validate_mask(build_mask(scores, spec), spec)
+    assert mask_violation(build_mask(scores, spec), spec) is None
 
 
 # Scores on a coarse grid so the transforms below cannot collapse distinct

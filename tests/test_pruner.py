@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from prunekit import (
     Criterion,
     SparsitySpec,
     TensorContainer,
+    ToyMlpConfig,
     WeightLayer,
     classify_centered,
+    compute_scores,
     gen_toy_mlp,
+    mask_violation,
     prune_container,
     prune_layer,
     reconstruction_mse,
     stats_init,
     stats_update,
-    validate_mask,
 )
 from prunekit.errors import (
     DimensionMismatch,
@@ -34,7 +37,7 @@ def stats_of(rows):
 
 
 def toy_pair(seed=0, dims=(8, 16, 4), norm="none", samples=128):
-    return gen_toy_mlp(seed, dims, norm, samples)
+    return gen_toy_mlp(seed, ToyMlpConfig(dims, norm, samples))
 
 
 def single_layer_containers(weights, bias, rows, centered=False):
@@ -88,7 +91,7 @@ def test_output_masks_validate():
     spec = SparsitySpec.structured(2, 4)
     out, _ = prune_container(model, calib, Criterion("wanda"), spec)
     for name in ("fc1", "fc2"):
-        assert validate_mask(out.get_mask(name), spec)
+        assert mask_violation(out.get_mask(name), spec) is None
 
 
 def test_every_criterion_runs_end_to_end():
@@ -168,7 +171,7 @@ def test_repruning_a_pruned_container():
     for name, rec in zip(second.layer_names(), report.layers):
         layer = second.get_layer(name)
         mask = second.get_mask(name)
-        assert validate_mask(mask, spec)
+        assert mask_violation(mask, spec) is None
         assert rec.achieved_sparsity == np.floor(0.75 * layer.m) / layer.m
         earlier = first.get_mask(name)
         assert np.all(layer.weights[earlier] == 0.0) and np.all(mask[earlier])
@@ -320,8 +323,7 @@ def test_stade_choice_dominates_any_single_prune():
             return reconstruction_mse(col_layer,
                                       WeightLayer(pruned_w, bias, False), rows)
 
-        from prunekit import score_stade
-        scores = score_stade(w, stats)
+        scores = compute_scores("stade", w, stats=stats)
         for col in range(3):
             pick = int(np.argmin(scores[:, col]))
             errors = [single_prune_error(j, col) for j in range(5)]
@@ -346,6 +348,32 @@ def test_overflowing_calibration_rows_are_typed_error(tag):
     layer = WeightLayer(np.ones((4, 2)), np.zeros(2), centered=False)
     with pytest.raises(NonFiniteInput, match="overflow"):
         prune_layer("fc", layer, rows, Criterion(tag), SparsitySpec.unstructured(0.5))
+
+
+@pytest.mark.parametrize("bias_update_enabled", [False, True], ids=["mse", "bias"])
+def test_overflowing_error_report_is_typed_error(bias_update_enabled):
+    # Finite f64 weights and rows whose outputs (bias off) or summed bias
+    # change (bias on) overflow float64 stop with a typed error, not a
+    # RuntimeWarning from inside the report.
+    layer = WeightLayer(np.full((2, 2), 1e300), None, centered=False)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        prune_layer("fc", layer, np.full((10, 2), 1e8), Criterion("magnitude"),
+                    SparsitySpec.unstructured(0.5),
+                    bias_update_enabled=bias_update_enabled)
+
+
+def test_infinite_reconstruction_error_is_typed_error():
+    # With warnings ignored, an infinite error would reach the report, and
+    # json.dump writes it as the non-JSON token Infinity.
+    layer = WeightLayer(np.full((4, 3), 1e200), None, centered=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            prune_layer("fc", layer, np.ones((10, 4)), Criterion("magnitude"),
+                        SparsitySpec.unstructured(0.5))
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            reconstruction_mse(layer, WeightLayer(np.zeros((4, 3)), None, False),
+                               np.ones((10, 4)))
 
 
 @pytest.mark.parametrize("criterion, spec, error", [

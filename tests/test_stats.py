@@ -8,9 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from prunekit import (
     compute_scores,
-    stats_centered_l2,
     stats_init,
-    stats_l2,
     stats_merge,
     stats_update,
 )
@@ -104,34 +102,39 @@ def test_overflowing_moments_are_typed_error(rows):
         stats_update(stats_init(2), rows)
 
 
+def factor(tag, s):
+    """Criterion ``tag``'s per-feature factor: its score of unit weights."""
+    return compute_scores(tag, np.ones((s.m, 1)), stats=s)[:, 0]
+
+
 def test_l2_three_four_five():
     s = accumulate([np.array([[3.0], [4.0]])], 1)
-    assert stats_l2(s)[0] == pytest.approx(5.0, rel=1e-12)
+    assert factor("wanda", s)[0] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_l2_zero_feature():
     s = accumulate([np.zeros((4, 1))], 1)
-    assert stats_l2(s)[0] == 0.0
+    assert factor("wanda", s)[0] == 0.0
 
 
 def test_l2_single_row_abs():
     s = accumulate([np.array([[-2.5]])], 1)
-    assert stats_l2(s)[0] == pytest.approx(2.5)
+    assert factor("wanda", s)[0] == pytest.approx(2.5)
 
 
 def test_centered_l2_symmetric_pair():
     s = accumulate([np.array([[1.0], [-1.0]])], 1)
-    assert stats_centered_l2(s)[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert factor("stade", s)[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_centered_l2_constant_feature():
     s = accumulate([np.array([[10.0], [10.0]])], 1)
-    assert stats_centered_l2(s)[0] == 0.0
+    assert factor("stade", s)[0] == 0.0
 
 
 def test_centered_l2_requires_rows():
     with pytest.raises(EmptyStats):
-        stats_centered_l2(stats_init(2))
+        compute_scores("stade", np.ones((2, 1)), stats=stats_init(2))
 
 
 def test_centered_l2_equals_l2_on_centered_data():
@@ -139,7 +142,7 @@ def test_centered_l2_equals_l2_on_centered_data():
     rows = rng.standard_normal((50, 6)) * rng.uniform(0.5, 3.0, size=6)
     rows = rows - rows.mean(axis=0)
     s = accumulate([rows], 6)
-    np.testing.assert_allclose(stats_centered_l2(s), stats_l2(s),
+    np.testing.assert_allclose(factor("stade", s), factor("wanda", s),
                                rtol=1e-9, atol=1e-9)
 
 
