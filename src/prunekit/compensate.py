@@ -32,16 +32,19 @@ def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> Wei
     Uses the pre-prune weight values; weights are not modified here. When the
     layer has no bias and some compensation is non-zero, a bias vector is
     materialized (callers should surface that a parameter vector was added).
+    Finite inputs whose bias overflows float64 raise ``NonFiniteInput``.
     """
     mask = _layer_mask(layer, mask)
     _check_stats(stats, layer.m, min_rows=1)
-    delta = (mask * (stats.mean[:, None] * layer.weights)).sum(axis=0)
-    if layer.bias is None:
-        if not np.any(delta):
-            return layer
-        return WeightLayer(layer.weights, delta, layer.centered)
-    # Leave untouched columns bit-identical (avoids -0.0 + 0.0 flips).
-    bias = np.where(delta != 0.0, layer.bias + delta, layer.bias)
+    # An overflow leaves a non-finite bias, which WeightLayer rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = (mask * (stats.mean[:, None] * layer.weights)).sum(axis=0)
+        if layer.bias is None:
+            if not np.any(delta):
+                return layer
+            return WeightLayer(layer.weights, delta, layer.centered)
+        # Leave untouched columns bit-identical (avoids -0.0 + 0.0 flips).
+        bias = np.where(delta != 0.0, layer.bias + delta, layer.bias)
     return WeightLayer(layer.weights, bias, layer.centered)
 
 

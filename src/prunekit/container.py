@@ -13,7 +13,7 @@ order: each starts where the previous one ends, and the payload ends where
 the last one does. Entries that represent weight layers additionally carry
 ``centered`` (the layer's input distribution is zero-mean per feature, e.g.
 after a mean-subtracting normalization) and ``has_bias``. Buffers are "f32"
-except prune masks, which are "u8" holding 0/1.
+except boolean tensors such as prune masks, which are "u8" holding 0/1.
 
 The layer rule: a weight layer "<name>" is 2-D f32, (M, H); its parts
 "<name>.bias" (f32, length H) and "<name>.mask" (u8, (M, H)) are not layers.
@@ -22,18 +22,18 @@ written from that, and a file whose flag disagrees fails to load.
 
 Values and the layer rule are checked once, when a tensor (a layer or a
 part, in either order) enters a container through ``TensorContainer.add``;
-every tensor the loader reads enters that way. An
-"f32" tensor is accepted exactly when its float32 cast is finite, and a "u8"
-tensor named "<layer>.mask" must hold only 0/1, so a bad value fails at
-load and nothing later scans the values again. Float tensors surface in
-memory as float64 (the widening is exact) and are cast back to float32 on
-save; values that originated as float32 therefore round-trip bit-exactly.
-Every loaded tensor owns its memory (f32 by the widening, u8 by a copy), so
-nothing keeps the file's bytes alive after ``load_container`` returns.
-Stored arrays are read-only views, so a container's own arrays cannot
-change after their check; ``add`` does not copy a float64 array, whose
-owner must not write to it afterwards. Any number of readers may share one
-container, saving is single-writer.
+every tensor the loader reads enters that way. ``add`` takes the storage
+type from the array: a bool or uint8 array is "u8" and must hold only 0/1,
+every other array is "f32" and is accepted exactly when its float32 cast is
+finite, so a bad value fails at load and nothing later scans the values
+again. "u8" tensors surface in memory as bool arrays and float tensors as
+float64 (the widening is exact); both are cast back on save, so values
+that originated as float32 round-trip bit-exactly. Every loaded tensor is
+cast into its own array, so nothing keeps the file's bytes alive after
+``load_container`` returns. Stored arrays are read-only views, so a
+container's own arrays cannot change after their check; ``add`` does not
+copy a bool or float64 array, whose owner must not write to it afterwards.
+Any number of readers may share one container, saving is single-writer.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .errors import (
 MAGIC = b"PRUNEKT1"
 
 _DISK_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
-_MEMORY_DTYPES = {"f32": np.float64, "u8": np.uint8}
 # Halfway between FLT_MAX and 2**128: a magnitude below it rounds to a finite
 # float32, the tie itself rounds to even, which is infinity. A numpy float64,
 # so a float32 min/max is compared in float64 instead of the limit being cast
@@ -113,8 +112,11 @@ class WeightLayer:
 class TensorEntry:
     name: str
     array: np.ndarray
-    dtype: str
     centered: bool | None = None
+
+    @property
+    def dtype(self) -> str:
+        return "u8" if self.array.dtype == bool else "f32"
 
     @property
     def is_layer(self) -> bool:
@@ -147,31 +149,25 @@ class TensorContainer:
     def get(self, name: str) -> np.ndarray:
         return self.entry(name).array
 
-    def add(
-        self,
-        name: str,
-        array: np.ndarray,
-        dtype: str = "f32",
-        centered: bool | None = None,
-    ) -> None:
-        """Check ``array`` against the value and layer rules, then store it read-only."""
+    def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
+        """Check ``array`` against the value and layer rules, then store it
+        read-only: a bool or uint8 array as "u8", any other as "f32"."""
         if not name:
             raise InvariantViolation("tensor name must be non-empty")
         if name in self._entries:
             raise InvariantViolation(f"duplicate tensor name {name!r}")
-        if dtype not in _DISK_DTYPES:
-            raise InvariantViolation(f"unsupported dtype {dtype!r} for {name!r}")
         array = np.asarray(array)
+        boolean = array.dtype in (bool, np.uint8)
+        if boolean and array.size and array.max() > 1:
+            raise InvariantViolation(f"tensor {name!r}: u8 values must be 0 or 1")
         # min/max of the input itself: no temporary, no cast that could
         # overflow, and NaN fails both comparisons.
-        if dtype == "f32" and array.size and not (
+        if not boolean and array.size and not (
                 -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
             raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
-        arr = np.ascontiguousarray(array, dtype=_MEMORY_DTYPES[dtype]).view()
-        if dtype == "u8" and name.endswith(".mask") and arr.size and arr.max() > 1:
-            raise InvariantViolation(f"tensor {name!r}: mask values must be 0 or 1")
+        arr = np.ascontiguousarray(array, dtype=bool if boolean else np.float64).view()
         arr.flags.writeable = False
-        entry = TensorEntry(name, arr, dtype, centered)
+        entry = TensorEntry(name, arr, centered)
         self._check_layer_rule(entry)
         self._entries[name] = entry
 
@@ -215,10 +211,10 @@ class TensorContainer:
     # -- masks ----------------------------------------------------------
 
     def add_mask(self, layer_name: str, mask: np.ndarray) -> None:
-        self.add(f"{layer_name}.mask", mask.astype(np.uint8), dtype="u8")
+        self.add(f"{layer_name}.mask", np.asarray(mask, dtype=bool))
 
     def get_mask(self, layer_name: str) -> np.ndarray:
-        return self.get(f"{layer_name}.mask").astype(bool)
+        return self.get(f"{layer_name}.mask")
 
 
 def save_container(container: TensorContainer, path: str) -> None:
@@ -314,12 +310,10 @@ def load_container(path: str) -> TensorContainer:
                 f"but payload holds {payload_len}")
         buf = np.frombuffer(blob, dtype=_DISK_DTYPES[dtype], count=count,
                             offset=header_end + offset).reshape(shape)
-        # add widens an f32 buffer into its own float64 array; a u8 buffer
-        # is copied, so no loaded tensor keeps the whole file alive.
-        if dtype == "u8":
-            buf = buf.copy()
+        # add casts the buffer into its own bool or float64 array, so no
+        # loaded tensor keeps the whole file alive.
         try:
-            container.add(name, buf, dtype=dtype, centered=flags["centered"])
+            container.add(name, buf, centered=flags["centered"])
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -25,7 +25,8 @@ exhaustive enumeration on the same sample.
 Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
 the pruner, the oracle and the CLI read. Every scorer applies the engine's
 input rules (``stats._matrix`` to the weights, ``stats._check_stats`` to
-the statistics) before it computes anything.
+the statistics) before it computes anything, and finite inputs whose
+scores overflow float64 raise ``NonFiniteInput``.
 """
 
 from __future__ import annotations
@@ -141,9 +142,12 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     m = weights.shape[0]
     if gram.m != m:
         raise DimensionMismatch(f"gram width {gram.m} != weight rows {m}")
-    lam = (0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto"
-           else float(damping))
-    damped = gram.gram + lam * np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = (0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto"
+               else float(damping))
+        damped = gram.gram + lam * np.eye(m)
+    if not math.isfinite(lam):
+        raise NonFiniteInput("auto damping overflows float64")
     try:
         factor = scipy.linalg.cho_factor(damped, lower=True, check_finite=False)
         inverse = scipy.linalg.cho_solve(factor, np.eye(m), check_finite=False)
@@ -154,7 +158,11 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     if not (np.isfinite(diag).all() and (diag > 0).all()):
         raise SingularGram(f"inverse diagonal is not strictly positive "
                            f"(damping={lam:g})")
-    return weights**2 / diag[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = weights**2 / diag[:, None]
+    if not np.isfinite(scores).all():
+        raise NonFiniteInput("scores overflow float64")
+    return scores
 
 
 def select_criterion(criterion: Criterion, layer: WeightLayer) -> str:
@@ -176,7 +184,11 @@ def compute_scores(tag: str, weights: np.ndarray,
     if rule.factor is not None:
         weights = _matrix(weights, "weights")
         _check_stats(stats, weights.shape[0], rule.min_rows)
-        return rule.factor(stats)[:, None] * np.abs(weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = rule.factor(stats)[:, None] * np.abs(weights)
+        if not np.isfinite(scores).all():
+            raise NonFiniteInput("scores overflow float64")
+        return scores
     if rule.needs_gram:
         return score_sparsegpt(weights, gram, damping)
     return score_magnitude(weights)

@@ -64,13 +64,18 @@ class PruneReport:
         return {"layers": [asdict(rec) for rec in self.layers]}
 
 
-def classify_centered(stats: ColumnStats,
-                      threshold: float = CENTERED_RATIO_THRESHOLD) -> bool:
-    """Empirical centering check: every |mean_j| small relative to std_j."""
+def classify_centered(stats: ColumnStats) -> bool:
+    """Empirical centering check: every |mean_j| small relative to std_j.
+
+    The ratio threshold is ``CENTERED_RATIO_THRESHOLD`` widened by the
+    sampling noise of the empirical means (~1/sqrt(n), max over the M
+    features), so exactly centered layers are not flagged spuriously.
+    """
     if stats.n < 2:
         raise InsufficientSamples("centering check needs at least two rows")
+    noise = (2.5 + math.sqrt(2.0 * math.log(max(stats.m, 2)))) / math.sqrt(stats.n)
     ratio = np.abs(stats.mean) / (np.sqrt(stats.variance()) + 1e-12)
-    return bool(ratio.max() <= threshold)
+    return bool(ratio.max() <= max(CENTERED_RATIO_THRESHOLD, noise))
 
 
 def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
@@ -145,13 +150,7 @@ def prune_layer(
 
     warnings = []
     try:
-        # Widen the ratio threshold by the sampling noise of the split's
-        # empirical means (~1/sqrt(n), max over M features) so exactly
-        # centered layers are not flagged spuriously.
-        noise = (2.5 + math.sqrt(2.0 * math.log(max(layer.m, 2)))) / math.sqrt(
-            max(stats.n, 2))
-        empirically_centered = classify_centered(
-            stats, max(CENTERED_RATIO_THRESHOLD, noise))
+        empirically_centered = classify_centered(stats)
         if empirically_centered != layer.centered:
             warnings.append(
                 f"empirical centering check ({empirically_centered}) disagrees "
@@ -213,5 +212,5 @@ def prune_container(
             out.add_layer(entry.name, pruned)
             out.add_mask(entry.name, mask)
         elif not (suffix in ("bias", "mask") and stem in results):
-            out.add(entry.name, entry.array, dtype=entry.dtype)
+            out.add(entry.name, entry.array)
     return out, PruneReport([results[name][2] for name in layer_names])

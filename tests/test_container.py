@@ -194,26 +194,27 @@ def test_bias_presence_is_has_bias():
     assert np.array_equal(c.get_layer("l").bias, np.ones(3))
 
 
+# The storage type follows the array: bool and uint8 are u8, floats are f32.
 @pytest.mark.parametrize("first, second", [
-    (("l", np.ones((2, 3)), "f32", False), ("l.bias", np.ones(2), "f32", None)),
-    (("l.bias", np.ones(2), "f32", None), ("l", np.ones((2, 3)), "f32", False)),
-    (("l.mask", np.ones((3, 2)), "u8", None), ("l", np.ones((2, 3)), "f32", False)),
-    (("l", np.ones((2, 3)), "f32", False), ("l.mask", np.ones((2, 3)), "f32", None)),
-    (("l", np.ones((2, 3)), "f32", False), ("l.bias", np.ones((2, 3)), "f32", False)),
-    (("l.bias", np.ones((1, 3)), "f32", False), ("l", np.ones((1, 3)), "f32", False)),
-    ((), ("l", np.ones(3), "f32", False)),
-    ((), ("l", np.ones((2, 3)), "u8", False)),
+    (("l", np.ones((2, 3)), False), ("l.bias", np.ones(2), None)),
+    (("l.bias", np.ones(2), None), ("l", np.ones((2, 3)), False)),
+    (("l.mask", np.ones((3, 2), dtype=bool), None), ("l", np.ones((2, 3)), False)),
+    (("l", np.ones((2, 3)), False), ("l.mask", np.ones((2, 3)), None)),
+    (("l", np.ones((2, 3)), False), ("l.bias", np.ones((2, 3)), False)),
+    (("l.bias", np.ones((1, 3)), False), ("l", np.ones((1, 3)), False)),
+    ((), ("l", np.ones(3), False)),
+    ((), ("l", np.ones((2, 3), dtype=np.uint8), False)),
 ], ids=["short-bias", "short-bias-first", "transposed-mask-first", "f32-mask",
         "layer-as-bias", "layer-as-bias-first", "1-d-layer", "u8-layer"])
 def test_rejected_layer_part_leaves_container_unchanged(first, second):
     c = TensorContainer()
     if first:
-        name, array, dtype, centered = first
-        c.add(name, array, dtype=dtype, centered=centered)
+        name, array, centered = first
+        c.add(name, array, centered=centered)
     before = c.names()
-    name, array, dtype, centered = second
+    name, array, centered = second
     with pytest.raises(PruneKitError, match="layer 'l'"):
-        c.add(name, array, dtype=dtype, centered=centered)
+        c.add(name, array, centered=centered)
     assert c.names() == before
 
 
@@ -253,7 +254,31 @@ def test_mask_round_trip(tmp_path):
 def test_mask_values_validated():
     c = TensorContainer()
     with pytest.raises(InvariantViolation, match="mask"):
-        c.add("l.mask", np.array([0, 1, 7], dtype=np.uint8), dtype="u8")
+        c.add("l.mask", np.array([0, 1, 7], dtype=np.uint8))
+
+
+def test_any_u8_value_other_than_0_1_rejected():
+    c = TensorContainer()
+    with pytest.raises(InvariantViolation, match="'flags'"):
+        c.add("flags", np.array([0, 2], dtype=np.uint8))
+    assert "flags" not in c
+
+
+def test_storage_type_follows_the_array():
+    c = TensorContainer()
+    c.add("b", np.array([True, False]))
+    c.add("u", np.array([1, 0], dtype=np.uint8))
+    c.add("f", np.array([1, 0], dtype=np.float32))
+    assert [c.entry(name).dtype for name in ("b", "u", "f")] == ["u8", "u8", "f32"]
+    assert c.get("u").dtype == bool and c.get("f").dtype == np.float64
+
+
+def test_add_mask_stores_the_bool_cast_of_any_mask():
+    mask = np.array([[0.7, 1.0], [0.0, 1.0]])
+    c = make_layer_container(np.ones((2, 2)))
+    c.add_mask("layer0", mask)
+    assert np.array_equal(c.get_mask("layer0"), np.asarray(mask, dtype=bool))
+    assert c.get_mask("layer0").dtype == bool
 
 
 def test_loaded_mask_byte_other_than_0_1_fails(tmp_path):
@@ -340,8 +365,9 @@ def test_non_layer_entry_has_no_flags(tmp_path):
     (_file([_entry()], _ONE * 2), InvariantViolation),
     (_file([_entry()], np.float32(np.nan).tobytes()), InvariantViolation),
     (_file([_entry()], np.float32(-np.inf).tobytes()), InvariantViolation),
+    (_file([{**_entry(), "dtype": "u8"}], b"\x07"), InvariantViolation),
 ], ids=["deep-nesting", "bool-dim", "bool-offset", "huge-shape", "overlapping-offsets",
-        "out-of-order-offsets", "trailing-bytes", "nan", "inf"])
+        "out-of-order-offsets", "trailing-bytes", "nan", "inf", "u8-byte-7"])
 def test_hostile_file_is_typed_error(tmp_path, blob, error):
     path = tmp_path / "bad.pkt"
     path.write_bytes(blob)

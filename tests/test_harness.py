@@ -25,7 +25,7 @@ def test_layernorm_like_input_is_exactly_centered():
     model, calib = gen_toy_mlp(0, ToyMlpConfig((8, 16, 4), "layernorm-like", 128))
     rows = calib.get("fc1.calib")
     assert np.abs(rows.mean(axis=0)).max() <= 1e-7
-    assert classify_centered(full_stats(rows), threshold=0.01)
+    assert classify_centered(full_stats(rows))
     assert model.get_layer("fc1").centered is True
     assert model.get_layer("fc2").centered is False
 
@@ -35,7 +35,7 @@ def test_rmsnorm_like_scales_without_centering():
     rows = calib.get("fc1.calib")
     rms = np.sqrt(np.mean(rows**2, axis=0))
     np.testing.assert_allclose(rms, 1.0, rtol=1e-3)
-    assert not classify_centered(full_stats(rows), threshold=0.1)
+    assert not classify_centered(full_stats(rows))
     assert model.get_layer("fc1").centered is False
 
 
@@ -43,7 +43,7 @@ def test_rectified_hidden_activations_are_uncentered():
     _, calib = gen_toy_mlp(2, ToyMlpConfig((8, 16, 4), "rmsnorm-like", 256))
     hidden = calib.get("fc2.calib")
     assert (hidden >= 0).all()
-    assert not classify_centered(full_stats(hidden), threshold=0.1)
+    assert not classify_centered(full_stats(hidden))
 
 
 def test_raw_input_keeps_offsets():

@@ -3,7 +3,9 @@
 Every engine array must be a finite 2-D float64 matrix of the expected
 width: a NaN or an infinity raises NonFiniteInput, a wrong number of
 dimensions or a wrong width raises ShapeMismatch (DimensionMismatch is a
-subclass). Masks are boolean, so only their shape is under test.
+subclass). Masks are boolean, so only their shape is under test. Finite
+input whose result overflows float64 raises NonFiniteInput too, never a
+numpy RuntimeWarning.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from prunekit import (
     SparsitySpec,
     WeightLayer,
     apply_mask,
+    bias_delta_norm,
     bias_update,
     brute_force_single_prune,
     build_mask,
@@ -123,3 +126,51 @@ def test_stats_width_mismatch_is_one_type():
             call()
         raised.add(type(info.value))
     assert raised == {DimensionMismatch}
+
+
+# Rows of 1e10 with a mean and a spread of 1e10 keep every moment finite, but
+# any factor or mean of theirs times weights of 1e300 overflows; so do sums
+# and squares past 1e154.
+BIG_ROWS = np.array([[3e10, 1.0], [1e10, 2.0]])
+BIG_STATS = stats_update(stats_init(2), BIG_ROWS)
+BIG_WEIGHTS = np.full((2, 2), 1e300)
+BIG_LAYER = WeightLayer(BIG_WEIGHTS, np.zeros(2), centered=False)
+
+
+def _gram(rows):
+    gram = GramAccumulator(rows.shape[1])
+    gram.update(rows)
+    return gram
+
+
+# name: the call on one finite input whose result overflows float64
+OVERFLOWS = {
+    "stats_update": lambda: stats_update(stats_init(2), [[1e160, 1.0], [-1e160, 2.0]]),
+    "GramAccumulator.update": lambda: GramAccumulator(2).update([[1e200, 1.0]]),
+    "score_wanda": lambda: compute_scores("wanda", BIG_WEIGHTS, stats=BIG_STATS),
+    "score_stade": lambda: compute_scores("stade", BIG_WEIGHTS, stats=BIG_STATS),
+    "score_stade_star": lambda: compute_scores("stade-star", BIG_WEIGHTS,
+                                               stats=BIG_STATS),
+    "score_sparsegpt": lambda: score_sparsegpt(BIG_WEIGHTS, _gram(np.eye(2) * 1e-3),
+                                               damping=0.0),
+    "score_sparsegpt(auto damping)": lambda: score_sparsegpt(
+        np.ones((3, 1)), _gram(np.eye(3) * 9.4e153)),
+    "bias_update": lambda: bias_update(BIG_LAYER, np.ones((2, 2), dtype=bool),
+                                       BIG_STATS),
+    "reconstruction_mse": lambda: reconstruction_mse(
+        BIG_LAYER, WeightLayer(np.zeros((2, 2)), None, False), BIG_ROWS),
+    "bias_delta_norm": lambda: bias_delta_norm(
+        WeightLayer(np.zeros((1, 1)), np.array([-1e308]), False),
+        WeightLayer(np.zeros((1, 1)), np.array([1e308]), False)),
+    "brute_force_single_prune": lambda: brute_force_single_prune(
+        np.array([1e300, 1.0]), 0.0, BIG_ROWS, True),
+    "prune_layer": lambda: prune_layer("fc", BIG_LAYER, BIG_ROWS, Criterion("wanda"),
+                                       SPEC, holdout_fraction=0.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_finite_input_that_overflows_is_typed_error(name):
+    with pytest.raises(NonFiniteInput):
+        OVERFLOWS[name]()

@@ -246,13 +246,13 @@ def test_thread_count_invariance():
 
 def test_classify_centered_exact_zero_mean():
     stats = stats_of([[1.0, -2.0], [-1.0, 2.0]])
-    assert classify_centered(stats, threshold=1e-6)
+    assert classify_centered(stats)
 
 
 def test_classify_centered_offset_feature():
     rows = np.array([[10.0 + 1.0], [10.0 - 1.0], [10.0 + 0.5], [10.0 - 0.5]])
     stats = stats_of(rows)
-    assert not classify_centered(stats, threshold=0.1)
+    assert not classify_centered(stats)
 
 
 def test_classify_centered_needs_two_rows():
