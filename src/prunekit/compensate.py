@@ -38,7 +38,9 @@ def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> Wei
     _check_stats(stats, layer.m, min_rows=1)
     # An overflow leaves a non-finite bias, which WeightLayer rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = (mask * (stats.mean[:, None] * layer.weights)).sum(axis=0)
+        # Mask the means, not the products: a kept weight's overflowing
+        # product would be 0 * inf = NaN, while 0 * mean * w is a signed zero.
+        delta = ((mask * stats.mean[:, None]) * layer.weights).sum(axis=0)
         if layer.bias is None:
             if not np.any(delta):
                 return layer

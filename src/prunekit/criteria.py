@@ -22,6 +22,12 @@ mean(x_j^2), which makes the score an exact monotone transform of the
 empirical no-bias-update reconstruction error, so its argmin matches
 exhaustive enumeration on the same sample.
 
+sparsegpt-score needs only the diagonal of the damped inverse Gram. With
+G + damping*I = L L^T, that inverse is L^-T L^-1, so the diagonal is the
+column sums of squares of L^-1: one damped copy of G is factored (LAPACK
+``dpotrf``), inverted (``dtrtri``) and squared in place, and no identity
+matrix or full inverse is formed.
+
 Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
 the pruner, the oracle and the CLI read. Every scorer applies the engine's
 input rules (``stats._matrix`` to the weights, ``stats._check_stats`` to
@@ -115,9 +121,11 @@ class GramAccumulator:
         """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64."""
         rows = _matrix(rows, "batch", self.m)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self.gram + rows.T @ rows
+            g = rows.T @ rows
+            np.add(self.gram, g, out=g)
             # BLAS need not return an exactly symmetric product; re-symmetrize.
-            g = (g + g.T) / 2.0
+            g = np.add(g, g.T)
+            g /= 2.0
         # Cauchy-Schwarz bounds every entry by the diagonal's largest.
         if not np.isfinite(np.diagonal(g)).all():
             raise NonFiniteInput("Gram matrix overflows float64")
@@ -134,9 +142,10 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
                     damping: float | str = "auto") -> np.ndarray:
     """W^2 over the diagonal of the damped inverse Gram.
 
-    The diagonal comes from a Cholesky factorization of G + damping*I.
-    ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means undamped. The
-    raw ratio is kept (no square root): only the ranking matters.
+    The diagonal is the column sums of squares of L^-1, where
+    G + damping*I = L L^T; one m x m temporary holds G + damping*I, then L,
+    then L^-1. ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means
+    undamped. The raw ratio is kept (no square root): only the ranking matters.
     """
     weights = _matrix(weights, "weights")
     m = weights.shape[0]
@@ -145,21 +154,32 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     with np.errstate(over="ignore", invalid="ignore"):
         lam = (0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto"
                else float(damping))
-        damped = gram.gram + lam * np.eye(m)
+        damped = gram.gram.copy()
+        damped.flat[::m + 1] += lam
     if not math.isfinite(lam):
         raise NonFiniteInput("auto damping overflows float64")
-    try:
-        factor = scipy.linalg.cho_factor(damped, lower=True, check_finite=False)
-        inverse = scipy.linalg.cho_solve(factor, np.eye(m), check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"damped Gram is not positive definite "
-                           f"(damping={lam:g}): {exc}") from exc
-    diag = np.diag(inverse)
+    if not np.isfinite(np.diagonal(damped)).all():
+        raise NonFiniteInput("damped Gram overflows float64")
+    # damped is symmetric, so its transpose is the same matrix in Fortran order
+    # and LAPACK works on it in place.
+    factor, info = scipy.linalg.lapack.dpotrf(damped.T, lower=True, overwrite_a=True,
+                                              clean=True)
+    if info == 0:
+        factor, info = scipy.linalg.lapack.dtrtri(factor, lower=True, overwrite_c=True)
+    if info != 0:
+        raise SingularGram(f"damped Gram is not positive definite (damping={lam:g}): "
+                           f"{info}-th leading minor of the array is not positive "
+                           f"definite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor *= factor
+        diag = factor.sum(axis=0)
+    del damped, factor  # freed before the scores are allocated
     if not (np.isfinite(diag).all() and (diag > 0).all()):
         raise SingularGram(f"inverse diagonal is not strictly positive "
                            f"(damping={lam:g})")
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = weights**2 / diag[:, None]
+        scores = np.square(weights)
+        scores /= diag[:, None]
     if not np.isfinite(scores).all():
         raise NonFiniteInput("scores overflow float64")
     return scores

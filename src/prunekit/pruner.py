@@ -91,11 +91,12 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = rows @ original.weights
         if original.bias is not None:
-            y0 = y0 + original.bias
+            y0 += original.bias
         y1 = rows @ pruned.weights
         if pruned.bias is not None:
-            y1 = y1 + pruned.bias
-        mse = float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
+            y1 += pruned.bias
+        y0 -= y1
+        mse = float(np.mean(np.square(y0, out=y0))) if y0.size else 0.0
     if not math.isfinite(mse):
         raise NonFiniteInput("reconstruction error overflows float64")
     return mse
@@ -141,6 +142,7 @@ def prune_layer(
                             damping=criterion.damping)
 
     mask = build_mask(scores, spec)
+    del gram, scores  # neither is held through compensation and eval
     violation = mask_violation(mask, spec)
     if violation is not None:
         raise AssertionError(f"layer {name!r}: built an invalid mask: {violation}")

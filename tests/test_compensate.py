@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from prunekit import (
@@ -96,6 +98,47 @@ def test_constant_feature_prune_reconstructs_exactly():
     pruned = WeightLayer(apply_mask(layer, mask).weights,
                          bias_update(layer, mask, stats).bias, layer.centered)
     assert reconstruction_mse(layer, pruned, rows) == 0.0
+
+
+def test_kept_weight_whose_shift_overflows_does_not_poison_the_bias():
+    # mean_0 * w_0 = 1e10 * 1e300 overflows, but weight 0 is kept: only
+    # feature 1 (mean 1.5, weight 1) is pruned, so the bias shifts by 1.5.
+    stats = stats_of([[1e10, 1.0], [1e10, 2.0]])
+    weights = np.array([[1e300], [1.0]])
+    for bias in (np.array([0.0]), None):
+        out = bias_update(WeightLayer(weights, bias, False), single_prune_mask(2, 1, 1),
+                          stats)
+        assert out.bias.tolist() == [1.5]
+    with pytest.raises(NonFiniteInput):
+        bias_update(WeightLayer(weights, None, False), single_prune_mask(2, 1, 0), stats)
+
+
+def _reconstruction_mse_reference(original, pruned, rows):
+    """reconstruction_mse's expression before it reused its output buffers."""
+    y0 = rows @ original.weights
+    if original.bias is not None:
+        y0 = y0 + original.bias
+    y1 = rows @ pruned.weights
+    if pruned.bias is not None:
+        y1 = y1 + pruned.bias
+    return float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30), m=st.integers(1, 12),
+       h=st.integers(0, 6), biases=st.tuples(st.booleans(), st.booleans()),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_reconstruction_mse_is_bit_identical_to_the_reference(seed, n, m, h, biases,
+                                                               dtype):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, m)) + rng.uniform(-3, 3, m)
+    w = rng.standard_normal((m, h)).astype(dtype)
+    original = WeightLayer(w, rng.standard_normal(h).astype(dtype) if biases[0] else None,
+                           False)
+    pruned = WeightLayer(np.where(rng.random((m, h)) < 0.5, 0, w),
+                         rng.standard_normal(h).astype(dtype) if biases[1] else None, False)
+    mse = reconstruction_mse(original, pruned, rows)
+    assert mse == _reconstruction_mse_reference(original, pruned, rows)
 
 
 def test_bias_delta_norm_zero_for_noop():

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunekit import (
     Criterion,
     GramAccumulator,
+    SparsitySpec,
     WeightLayer,
+    build_mask,
     compute_scores,
     score_magnitude,
     score_sparsegpt,
@@ -165,6 +170,56 @@ def test_sparsegpt_auto_damping_rescues_rank_deficiency():
         score_sparsegpt(np.ones((3, 1)), g, damping=0.0)
     scores = score_sparsegpt(np.ones((3, 1)), g, damping="auto")
     assert np.isfinite(scores).all() and (scores > 0).all()
+
+
+def _score_sparsegpt_reference(weights, gram, damping):
+    """The diagonal by solving against eye(m), as score_sparsegpt computed it
+    before it took the column norms of the inverse Cholesky factor."""
+    m = gram.shape[0]
+    lam = 0.01 * float(np.mean(np.diag(gram))) if damping == "auto" else damping
+    factor = scipy.linalg.cho_factor(gram + lam * np.eye(m), lower=True,
+                                     check_finite=False)
+    inverse = scipy.linalg.cho_solve(factor, np.eye(m), check_finite=False)
+    return weights**2 / np.diag(inverse)[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 32),
+       h=st.integers(1, 8), damping=st.one_of(st.just("auto"), st.floats(0.0, 10.0)))
+def test_sparsegpt_matches_the_eye_solve_reference(seed, groups, h, damping):
+    rng = np.random.default_rng(seed)
+    m = 4 * groups  # so that 2:4 groups tile the inputs
+    rows = rng.standard_normal((int(rng.integers(2 * m, 4 * m + 1)), m))
+    rows *= rng.uniform(0.5, 2.0, m)
+    g = GramAccumulator(m)
+    g.update(rows)
+    w = rng.standard_normal((m, h))
+    scores = score_sparsegpt(w, g, damping=damping)
+    reference = _score_sparsegpt_reference(w, g.gram, damping)
+    np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=0.0)
+    for spec in (SparsitySpec.structured(2, 4), SparsitySpec.unstructured(0.5)):
+        assert np.array_equal(build_mask(scores, spec), build_mask(reference, spec))
+
+
+def _gram_update_reference(gram, rows):
+    """GramAccumulator.update's sum before it reused its product's buffer."""
+    g = gram + rows.T @ rows
+    return (g + g.T) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+       batches=st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_gram_update_is_bit_identical_to_the_reference(seed, m, batches):
+    rng = np.random.default_rng(seed)
+    g = GramAccumulator(m)
+    reference = np.zeros((m, m))
+    for n in batches:
+        rows = rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, m) + rng.uniform(-3, 3, m)
+        g.update(rows)
+        reference = _gram_update_reference(reference, rows)
+        assert g.gram.tobytes() == reference.tobytes()
+    assert g.n == sum(batches)
 
 
 def test_gram_accumulator_symmetric():

@@ -29,7 +29,7 @@ from prunekit import (
     stats_init,
     stats_update,
 )
-from prunekit.errors import DimensionMismatch, NonFiniteInput, ShapeMismatch
+from prunekit.errors import DimensionMismatch, NonFiniteInput, ShapeMismatch, SingularGram
 
 M, H, N = 4, 3, 10
 _rng = np.random.default_rng(0)
@@ -155,6 +155,9 @@ OVERFLOWS = {
                                                damping=0.0),
     "score_sparsegpt(auto damping)": lambda: score_sparsegpt(
         np.ones((3, 1)), _gram(np.eye(3) * 9.4e153)),
+    # Diagonal 8.1e307 plus the damping overflows: the damped Gram, not a singular one.
+    "score_sparsegpt(explicit damping)": lambda: score_sparsegpt(
+        np.ones((2, 1)), _gram(np.eye(2) * 9e153), damping=1e308),
     "bias_update": lambda: bias_update(BIG_LAYER, np.ones((2, 2), dtype=bool),
                                        BIG_STATS),
     "reconstruction_mse": lambda: reconstruction_mse(
@@ -174,3 +177,10 @@ OVERFLOWS = {
 def test_finite_input_that_overflows_is_typed_error(name):
     with pytest.raises(NonFiniteInput):
         OVERFLOWS[name]()
+
+
+def test_sparsegpt_failed_factorization_is_singular_gram():
+    # A rank-one Gram, undamped: the factorization stops at the second minor.
+    with pytest.raises(SingularGram, match=r"not positive definite \(damping=0\): "
+                                           r"2-th leading minor"):
+        score_sparsegpt(np.ones((3, 1)), _gram(np.ones((5, 3))), damping=0.0)
