@@ -18,6 +18,7 @@ Usage: python scripts/compare_criteria.py [--seeds 20] [--samples 256]
 
 import argparse
 import json
+from dataclasses import asdict
 
 from prunekit import (
     SparsitySpec,
@@ -45,7 +46,7 @@ def ordering_study(seeds, samples):
                 "wanda", "magnitude", layer)
         print("win fractions:",
               "  ".join(f"{k}={v:.2f}" for k, v in wins.items()))
-        results[sparsity] = {"table": table.to_dict(), "win_fractions": wins}
+        results[sparsity] = {"table": asdict(table), "win_fractions": wins}
     return results
 
 
@@ -59,7 +60,7 @@ def centered_study(seeds, samples):
     print("stade-w resolved per layer:", table.resolved["stade-w"])
     same_fc1 = table.layer_mse["stade-w"]["fc1"] == table.layer_mse["wanda"]["fc1"]
     print(f"stade-w reproduces wanda on the centered layer: {same_fc1}")
-    return {"table": table.to_dict(), "stade_w_matches_wanda_fc1": same_fc1}
+    return {"table": asdict(table), "stade_w_matches_wanda_fc1": same_fc1}
 
 
 def misranking_study(trials, seed):

@@ -20,7 +20,6 @@ from .criteria import (
     Criterion,
     GramAccumulator,
     compute_scores,
-    score_magnitude,
     score_sparsegpt,
     select_criterion,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "reconstruction_mse",
     "run_comparison",
     "save_container",
-    "score_magnitude",
     "score_sparsegpt",
     "select_criterion",
     "stats_init",

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,14 +30,12 @@ from .oracle import DATA_REGIMES, check_criterion_optimality
 from .pruner import HOLDOUT_FRACTION, prune_container
 
 
-def _dims(text: str) -> tuple[int, int, int]:
+def _dims(text: str) -> tuple[int, ...]:
+    """A --dims value: comma-separated integers; ToyMlpConfig checks count and signs."""
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected d_in,d_hidden,d_out")
-    if len(parts) != 3 or any(d < 1 for d in parts):
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected three positive sizes")
-    return parts
 
 
 def _sparsity(text: str) -> SparsitySpec:
@@ -163,7 +162,7 @@ def _cmd_prune(args) -> tuple[int, dict]:
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
               f"mse={rec.reconstruction_mse:.6e} bias_delta={rec.bias_delta_norm:.3e}")
-    _write_report(args.report, report.to_dict())
+    _write_report(args.report, asdict(report))
     summary = {
         "command": "prune",
         "model": args.model,
@@ -182,7 +181,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     result = check_criterion_optimality(
         args.criterion, args.trials, args.seed, data=args.data,
         threads=args.threads)
-    payload = result.to_dict()
+    payload = asdict(result)
     _write_report(args.report, payload)
     summary = {"command": "verify", **payload}
     return (0 if result.passed else 1), summary

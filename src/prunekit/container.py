@@ -19,6 +19,8 @@ The layer rule: a weight layer "<name>" is 2-D f32, (M, H); its parts
 "<name>.bias" (f32, length H) and "<name>.mask" (u8, (M, H)) are not layers.
 A layer has a bias exactly when "<name>.bias" is present; ``has_bias`` is
 written from that, and a file whose flag disagrees fails to load.
+``TensorContainer.layer_of`` names the layer, if any, that owns a tensor,
+and ``WeightLayer.output`` is a layer's one forward pass.
 
 Values and the layer rule are checked once, when a tensor (a layer or a
 part, in either order) enters a container through ``TensorContainer.add``;
@@ -72,8 +74,8 @@ class WeightLayer:
     """One linear layer: ``weights[j, m]`` maps input feature j to output m.
 
     ``weights`` has shape (M, H) with input features along rows; ``bias``
-    is a length-H vector or None (compensation treats a missing bias as
-    zeros). ``centered`` declares the layer's input distribution zero-mean
+    is a length-H vector or None, which ``output`` and compensation treat as
+    zeros. ``centered`` declares the layer's input distribution zero-mean
     per feature.
 
     Construction holds the in-memory half of the layer rule: 2-D weights
@@ -106,6 +108,13 @@ class WeightLayer:
     @property
     def h(self) -> int:
         return self.weights.shape[1]
+
+    def output(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ weights`` in a new array, plus the bias when there is one."""
+        out = rows @ self.weights
+        if self.bias is not None:
+            out += self.bias
+        return out
 
 
 @dataclass
@@ -177,9 +186,8 @@ class TensorContainer:
         if new.is_layer and (new.dtype != "f32" or new.array.ndim != 2):
             raise InvariantViolation(f"layer {new.name!r}: weights must be 2-D f32, got "
                                      f"{new.dtype} of shape {new.array.shape}")
-        stem, _, suffix = new.name.rpartition(".")
-        owner = self._entries.get(stem) if suffix in _PARTS else None
-        pairs = [(owner, new)] if owner and owner.is_layer else []
+        owner = self.layer_of(new.name)
+        pairs = [(self._entries[owner], new)] if owner is not None else []
         if new.is_layer:
             parts = (self._entries.get(f"{new.name}.{s}") for s in _PARTS)
             pairs += [(new, part) for part in parts if part]
@@ -198,6 +206,12 @@ class TensorContainer:
 
     def layer_names(self) -> list[str]:
         return [e.name for e in self._entries.values() if e.is_layer]
+
+    def layer_of(self, name: str) -> str | None:
+        """The layer whose "<layer>.bias" or "<layer>.mask" ``name`` is, else None."""
+        stem, _, suffix = name.rpartition(".")
+        owner = self._entries.get(stem)
+        return stem if suffix in _PARTS and owner is not None and owner.is_layer else None
 
     def add_layer(self, name: str, layer: WeightLayer) -> None:
         self.add(name, layer.weights, centered=layer.centered)
@@ -241,7 +255,7 @@ def save_container(container: TensorContainer, path: str) -> None:
             fh.write(struct.pack("<I", len(manifest_bytes)))
             fh.write(manifest_bytes)
             for entry in container.entries():
-                fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype]).tobytes())
+                fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype]))
     except OSError as exc:
         raise IoFailure(f"cannot write container to {path!r}: {exc}") from exc
 

@@ -111,7 +111,6 @@ class GramAccumulator:
 
     def __init__(self, m: int):
         self.gram = np.zeros((m, m), dtype=np.float64)
-        self.n = 0
 
     @property
     def m(self) -> int:
@@ -130,12 +129,6 @@ class GramAccumulator:
         if not np.isfinite(np.diagonal(g)).all():
             raise NonFiniteInput("Gram matrix overflows float64")
         self.gram = g
-        self.n += rows.shape[0]
-
-
-def score_magnitude(weights: np.ndarray) -> np.ndarray:
-    """|W|."""
-    return np.abs(_matrix(weights, "weights"))
 
 
 def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
@@ -211,4 +204,4 @@ def compute_scores(tag: str, weights: np.ndarray,
         return scores
     if rule.needs_gram:
         return score_sparsegpt(weights, gram, damping)
-    return score_magnitude(weights)
+    return np.abs(_matrix(weights, "weights"))

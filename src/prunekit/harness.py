@@ -13,7 +13,7 @@ Feature offsets span (-3, 3) and feature scales are log-uniform over
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,11 +94,8 @@ def gen_toy_mlp(
 
 def forward_toy(model: TensorContainer, rows: np.ndarray) -> np.ndarray:
     """Dense forward pass of a generated toy model on raw first-layer input."""
-    fc1 = model.get_layer("fc1")
-    fc2 = model.get_layer("fc2")
-    hidden = np.maximum(rows @ fc1.weights + (fc1.bias if fc1.bias is not None else 0.0),
-                        0.0)
-    return hidden @ fc2.weights + (fc2.bias if fc2.bias is not None else 0.0)
+    hidden = np.maximum(model.get_layer("fc1").output(rows), 0.0)
+    return model.get_layer("fc2").output(hidden)
 
 
 @dataclass
@@ -125,9 +122,6 @@ class ComparisonTable:
         a = np.asarray(self.layer_mse[better][layer])
         b = np.asarray(self.layer_mse[worse][layer])
         return float(np.mean(a <= b))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def to_text(self) -> str:
         """Aligned table of mean held-out MSE per criterion."""

@@ -7,16 +7,17 @@ and returns the global minimizer.
 It is the ground truth the ranking criteria are checked against: on any
 sample, the stade argmin must match enumeration with bias refitting, wanda
 must match it on exactly mean-centered data, and stade-star must match it
-with the bias frozen. Its inputs obey the engine's input rule
-(``stats._matrix``), so a NaN or infinity raises ``NonFiniteInput``, as does
-a finite instance whose objective overflows float64; an instance without
-features raises ``InvalidDimension``. It always returns a minimizer or
-raises.
+with the bias frozen. ``random_instance`` draws every check instance, in
+each of the ``DATA_REGIMES``. The enumerator's inputs obey the engine's
+input rule (``stats._matrix``), so a NaN or infinity raises
+``NonFiniteInput``, as does a finite instance whose objective overflows
+float64; an instance without features raises ``InvalidDimension``. It
+always returns a minimizer or raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,26 +77,31 @@ def brute_force_single_prune(
     return j, float(b[j]), float(objective[j])
 
 
-def random_instance(rng: np.random.Generator, offset_feature: bool = False):
-    """Draw one (calib, w_col, bias) check instance.
+def random_instance(rng: np.random.Generator, data: str = "uncentered"):
+    """Draw one (calib, w_col, bias) check instance in the ``data`` regime.
 
-    Features are mean-plus-scaled-noise with means in (-5, 5) and scales in
-    (0.1, 2), so both mean-dominated and variance-dominated features occur.
-    With ``offset_feature`` one feature is forced near-constant (scale <=
+    "uncentered" features are mean-plus-scaled-noise with means in (-5, 5)
+    and scales in (0.1, 2), so both mean-dominated and variance-dominated
+    features occur. "offset" forces one feature near-constant (scale <=
     0.05) with a large offset (|mean| >= 3), the regime where a raw-norm
-    ranking misranks.
+    ranking misranks. "centered" is the uncentered draw minus its exact
+    column means. Any other regime raises ``ValueError``.
     """
+    if data not in DATA_REGIMES:
+        raise ValueError(f"unknown data regime {data!r}")
     n = int(rng.integers(8, 65))
     m = int(rng.integers(2, 17))
     mu = rng.uniform(-5.0, 5.0, size=m)
     sigma = rng.uniform(0.1, 2.0, size=m)
-    if offset_feature:
+    if data == "offset":
         k = int(rng.integers(0, m))
         sigma[k] = rng.uniform(0.01, 0.05)
         mu[k] = float(rng.choice([-1.0, 1.0])) * rng.uniform(3.0, 5.0)
     calib = mu + sigma * rng.standard_normal((n, m))
     w_col = rng.uniform(-1.0, 1.0, size=m)
     bias = float(rng.uniform(-1.0, 1.0))
+    if data == "centered":
+        calib -= calib.mean(axis=0)
     return calib, w_col, bias
 
 
@@ -114,9 +120,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.mismatches == 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_criterion_optimality(
     tag: str,
@@ -127,12 +130,10 @@ def check_criterion_optimality(
 ) -> CheckResult:
     """Compare a criterion's argmin against enumeration over random instances.
 
-    ``data`` picks the input regime: "centered" subtracts empirical column
-    means exactly, "offset" plants a near-constant offset feature,
-    "uncentered" is the plain draw, and "auto" uses the regime the criterion
-    is claimed optimal for in ``CRITERION_RULES``. ``max_bias_shift``
-    records the largest |refit bias - original bias| seen, which must vanish
-    on centered data.
+    ``data`` is the regime ``random_instance`` draws in, or "auto" for the
+    one the criterion is claimed optimal for in ``CRITERION_RULES``.
+    ``max_bias_shift`` records the largest |refit bias - original bias|
+    seen, which must vanish on centered data.
     """
     if tag not in CHECKABLE_TAGS:
         raise ValueError(f"no optimality check for criterion {tag!r}; "
@@ -142,17 +143,11 @@ def check_criterion_optimality(
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
     if data == "auto":
         data = default_data
-    if data not in DATA_REGIMES:
-        raise ValueError(f"unknown data regime {data!r}")
 
     children = np.random.SeedSequence(seed).spawn(trials)
 
     def instance(idx: int):
-        rng = np.random.default_rng(children[idx])
-        calib, w_col, bias = random_instance(rng, offset_feature=data == "offset")
-        if data == "centered":
-            calib = calib - calib.mean(axis=0)
-        return calib, w_col, bias
+        return random_instance(np.random.default_rng(children[idx]), data)
 
     def run_trial(idx: int):
         calib, w_col, bias = instance(idx)

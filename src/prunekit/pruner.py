@@ -3,7 +3,9 @@
 Each weight layer is pruned independently: calibration rows are split into a
 statistics part and a held-out tail, the criterion is resolved against the
 layer's centered flag (stade-w protocol), scores are ranked into a mask, the
-bias is compensated, and the held-out rows score the reconstruction error.
+bias is compensated, and the held-out rows score the reconstruction error
+between the two layers' ``WeightLayer.output``. Every tensor that is not a
+layer or a part of one (``TensorContainer.layer_of``) is copied unchanged.
 Calibration activations arrive precomputed in a companion container as
 "<layer>.calib" tensors, so the engine never needs to execute a model.
 Every calibration row, held-out tail included, obeys the engine's input
@@ -14,7 +16,7 @@ rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +62,6 @@ class LayerReport:
 class PruneReport:
     layers: list[LayerReport]
 
-    def to_dict(self) -> dict:
-        return {"layers": [asdict(rec) for rec in self.layers]}
-
 
 def classify_centered(stats: ColumnStats) -> bool:
     """Empirical centering check: every |mean_j| small relative to std_j.
@@ -89,13 +88,8 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
         raise ShapeMismatch("layer shapes differ")
     rows = _matrix(rows, "rows", original.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        y0 = rows @ original.weights
-        if original.bias is not None:
-            y0 += original.bias
-        y1 = rows @ pruned.weights
-        if pruned.bias is not None:
-            y1 += pruned.bias
-        y0 -= y1
+        y0 = original.output(rows)
+        y0 -= pruned.output(rows)
         mse = float(np.mean(np.square(y0, out=y0))) if y0.size else 0.0
     if not math.isfinite(mse):
         raise NonFiniteInput("reconstruction error overflows float64")
@@ -208,11 +202,10 @@ def prune_container(
 
     out = TensorContainer()
     for entry in model.entries():
-        stem, _, suffix = entry.name.rpartition(".")
         if entry.is_layer:
             pruned, mask, _ = results[entry.name]
             out.add_layer(entry.name, pruned)
             out.add_mask(entry.name, mask)
-        elif not (suffix in ("bias", "mask") and stem in results):
+        elif model.layer_of(entry.name) is None:
             out.add(entry.name, entry.array)
     return out, PruneReport([results[name][2] for name in layer_names])

@@ -320,3 +320,15 @@ def test_readme_cli_table_matches_parser():
               for command, sub in subparsers.choices.items()}
     assert _readme_cli_table() == parsed
     assert sum(len(flags) for flags in parsed.values()) == 22
+
+
+@pytest.mark.parametrize("dims, code", [("a,b,c", 2), ("0,4,2", 1), ("4,2", 1)],
+                         ids=["not-integers", "zero-size", "two-sizes"])
+def test_gen_dims_parse_is_usage_error_and_range_is_validation(tmp_path, dims, code):
+    # --dims only parses integers; ToyMlpConfig owns the count and sign rule.
+    proc = run_cli("gen", "--dims", dims, "--out", str(tmp_path / "m.pkt"),
+                   "--calib-out", str(tmp_path / "c.pkt"))
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    expected = "--dims" if code == 2 else "dims must be three positive sizes"
+    assert expected in proc.stderr
+    assert not (tmp_path / "m.pkt").exists()

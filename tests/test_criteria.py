@@ -11,7 +11,6 @@ from prunekit import (
     WeightLayer,
     build_mask,
     compute_scores,
-    score_magnitude,
     score_sparsegpt,
     select_criterion,
     stats_init,
@@ -32,22 +31,22 @@ def stats_of(rows):
 
 
 def test_magnitude_absolute_value():
-    scores = score_magnitude(np.array([[-3.0], [2.0]]))
+    scores = compute_scores("magnitude", np.array([[-3.0], [2.0]]))
     assert np.array_equal(scores, [[3.0], [2.0]])
 
 
 def test_magnitude_zero_weights():
-    assert np.array_equal(score_magnitude(np.zeros((3, 2))), np.zeros((3, 2)))
+    assert np.array_equal(compute_scores("magnitude", np.zeros((3, 2))), np.zeros((3, 2)))
 
 
 def test_magnitude_sign_flip_invariant():
     w = np.random.default_rng(0).standard_normal((4, 3))
-    assert np.array_equal(score_magnitude(w), score_magnitude(-w))
+    assert np.array_equal(compute_scores("magnitude", w), compute_scores("magnitude", -w))
 
 
 def test_magnitude_rejects_nan():
     with pytest.raises(NonFiniteInput):
-        score_magnitude(np.array([[np.nan]]))
+        compute_scores("magnitude", np.array([[np.nan]]))
 
 
 def test_wanda_norm_times_weight():
@@ -219,13 +218,11 @@ def test_gram_update_is_bit_identical_to_the_reference(seed, m, batches):
         g.update(rows)
         reference = _gram_update_reference(reference, rows)
         assert g.gram.tobytes() == reference.tobytes()
-    assert g.n == sum(batches)
 
 
 def test_gram_accumulator_symmetric():
     g = GramAccumulator(4)
     g.update(np.random.default_rng(2).standard_normal((30, 4)))
-    assert g.n == 30
     assert np.abs(g.gram - g.gram.T).max() <= 1e-9
     assert (np.diag(g.gram) >= 0).all()
 
@@ -240,7 +237,6 @@ def test_gram_overflow_is_typed_error_and_keeps_the_sum():
     g.update([[1.0, 2.0]])
     with pytest.raises(NonFiniteInput, match="overflow"):
         g.update([[1e160, 1.0], [-1e160, 2.0]])
-    assert g.n == 1
     np.testing.assert_array_equal(g.gram, [[1.0, 2.0], [2.0, 4.0]])
 
 
@@ -270,8 +266,8 @@ def test_scores_non_negative():
     rows = rng.uniform(-5, 5, size=(30, 6))
     w = rng.standard_normal((6, 5))
     s = stats_of(rows)
-    for scores in (score_magnitude(w), compute_scores("wanda", w, stats=s), compute_scores("stade", w, stats=s),
-                   compute_scores("stade-star", w, stats=s)):
+    for scores in (compute_scores("magnitude", w), compute_scores("wanda", w, stats=s),
+                   compute_scores("stade", w, stats=s), compute_scores("stade-star", w, stats=s)):
         assert (scores >= 0).all() and np.isfinite(scores).all()
 
 

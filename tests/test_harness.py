@@ -100,7 +100,7 @@ def test_comparison_table_complete_and_reproducible():
             assert len(table.layer_mse[tag][layer]) == 3
         assert len(table.e2e_mse[tag]) == 3
     again = run_comparison(["wanda", "stade"], spec, seeds=3, config=config)
-    assert table.to_dict() == again.to_dict()
+    assert table == again
 
 
 def test_comparison_requires_two_criteria():

@@ -24,7 +24,6 @@ from prunekit import (
     compute_scores,
     prune_layer,
     reconstruction_mse,
-    score_magnitude,
     score_sparsegpt,
     stats_init,
     stats_update,
@@ -58,7 +57,7 @@ ENTRY_POINTS = {
     "stats_update": (lambda x: stats_update(stats_init(M), x), ROWS, _widen(ROWS)),
     "GramAccumulator.update": (lambda x: GramAccumulator(M).update(x), ROWS,
                                _widen(ROWS)),
-    "score_magnitude": (score_magnitude, WEIGHTS, None),
+    "score_magnitude": (lambda x: compute_scores("magnitude", x), WEIGHTS, None),
     # The activation criteria share compute_scores; these keys keep their test IDs stable.
     "score_wanda": (lambda x: compute_scores("wanda", x, stats=STATS), WEIGHTS,
                     _lengthen(WEIGHTS)),

@@ -231,7 +231,7 @@ def test_stade_matches_enumeration_on_large_offset_f32_features(mean, std):
 def test_check_result_deterministic_across_threads():
     a = check_criterion_optimality("stade", trials=64, seed=3, threads=1)
     b = check_criterion_optimality("stade", trials=64, seed=3, threads=4)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_counterexample_deterministic_across_threads():
@@ -239,7 +239,7 @@ def test_counterexample_deterministic_across_threads():
     # mismatching trial of this seed so that building it cannot shift it.
     a = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=1)
     b = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=2)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     detail = a.first_counterexample
     assert (detail["trial"], detail["criterion_choice"], detail["enumeration_choice"]) \
         == (2, 3, 4)
@@ -263,7 +263,20 @@ def test_random_instance_bounds():
         n, m = calib.shape
         assert 8 <= n <= 64 and 2 <= m <= 16
         assert np.abs(w).max() <= 1.0 and abs(b) <= 1.0
-    calib, _, _ = random_instance(rng, offset_feature=True)
+    calib, _, _ = random_instance(rng, "offset")
     mean = calib.mean(axis=0)
     std = calib.std(axis=0, ddof=1)
     assert ((np.abs(mean) >= 2.5) & (std <= 0.1)).any()
+
+
+def test_random_instance_centered_is_the_uncentered_draw_minus_its_means():
+    for seed in range(20):
+        calib, w, b = random_instance(np.random.default_rng(seed), "uncentered")
+        centered, w_c, b_c = random_instance(np.random.default_rng(seed), "centered")
+        assert centered.tobytes() == (calib - calib.mean(axis=0)).tobytes()
+        assert w_c.tobytes() == w.tobytes() and b_c == b
+
+
+def test_random_instance_rejects_an_unknown_regime():
+    with pytest.raises(ValueError, match="unknown data regime"):
+        random_instance(np.random.default_rng(0), "decorrelated")

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -177,6 +178,28 @@ def test_repruning_a_pruned_container():
         assert np.all(layer.weights[earlier] == 0.0) and np.all(mask[earlier])
 
 
+def test_prune_container_replaces_only_a_layers_own_parts():
+    rng = np.random.default_rng(8)
+    w, rows = rng.standard_normal((6, 3)), rng.uniform(-2, 2, size=(40, 6))
+    model, calib = single_layer_containers(w, rng.standard_normal(3), rows)
+    model.add_mask("l", np.ones((6, 3), dtype=bool))
+    # Not parts of a layer: "emb" is no layer, and "calib" is no part suffix.
+    kept = {"emb": rng.standard_normal((2, 5)), "emb.bias": rng.standard_normal(5),
+            "emb.mask": rng.integers(0, 2, (2, 5)).astype(np.uint8),
+            "l.calib": rng.standard_normal((4, 6))}
+    for name, array in kept.items():
+        model.add(name, array)
+    crit, spec = Criterion("stade"), SparsitySpec.unstructured(0.5)
+    out, _ = prune_container(model, calib, crit, spec)
+    assert out.names() == ["l", "l.bias", "l.mask", *kept]
+    for name in kept:
+        assert out.entry(name).dtype == model.entry(name).dtype
+        assert out.get(name).tobytes() == model.get(name).tobytes()
+    pruned, mask, _ = prune_layer("l", model.get_layer("l"), rows, crit, spec)
+    assert out.get("l.bias").tobytes() == pruned.bias.tobytes()
+    assert np.array_equal(out.get_mask("l"), mask) and not mask.all()
+
+
 def test_bias_flag_behavior_per_criterion():
     rng = np.random.default_rng(4)
     rows = 5.0 + rng.standard_normal((60, 6))  # strongly offset features
@@ -334,7 +357,7 @@ def test_report_serializes():
     model, calib = toy_pair()
     _, report = prune_container(model, calib, Criterion("wanda"),
                                 SparsitySpec.unstructured(0.5))
-    payload = report.to_dict()
+    payload = asdict(report)
     assert len(payload["layers"]) == 2
     assert {"layer", "criterion", "achieved_sparsity",
             "reconstruction_mse"} <= payload["layers"][0].keys()
