@@ -28,14 +28,17 @@ every tensor the loader reads enters that way. ``add`` takes the storage
 type from the array: a bool or uint8 array is "u8" and must hold only 0/1,
 every other array is "f32" and is accepted exactly when its float32 cast is
 finite, so a bad value fails at load and nothing later scans the values
-again. "u8" tensors surface in memory as bool arrays and float tensors as
-float64 (the widening is exact); both are cast back on save, so values
-that originated as float32 round-trip bit-exactly. Every loaded tensor is
-cast into its own array, so nothing keeps the file's bytes alive after
-``load_container`` returns. Stored arrays are read-only views, so a
-container's own arrays cannot change after their check; ``add`` does not
-copy a bool or float64 array, whose owner must not write to it afterwards.
-Any number of readers may share one container, saving is single-writer.
+again. In memory a "u8" tensor is a bool array, a float32 array stays
+float32 and any other array is float64, so a loaded container holds its
+payload at the file's size and an in-memory float64 tensor (a toy model, a
+compensated bias) keeps its values until save. Save casts each tensor to
+its disk type, so values that originated as float32 round-trip
+bit-exactly. The loader copies every tensor out of the file's bytes, so
+nothing keeps them alive after ``load_container`` returns. Stored arrays
+are read-only views, so a container's own arrays cannot change after their
+check; ``add`` does not copy a bool, float32 or float64 array, whose owner
+must not write to it afterwards. Any number of readers may share one
+container, saving is single-writer.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ class TensorContainer:
 
     def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
         """Check ``array`` against the value and layer rules, then store it
-        read-only: a bool or uint8 array as "u8", any other as "f32"."""
+        read-only: a bool or uint8 array as "u8" (bool in memory), any other
+        as "f32" (float32 in memory if it is float32, else float64)."""
         if not name:
             raise InvariantViolation("tensor name must be non-empty")
         if name in self._entries:
@@ -174,7 +178,8 @@ class TensorContainer:
         if not boolean and array.size and not (
                 -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
             raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
-        arr = np.ascontiguousarray(array, dtype=bool if boolean else np.float64).view()
+        dtype = bool if boolean else np.float32 if array.dtype == np.float32 else np.float64
+        arr = np.ascontiguousarray(array, dtype=dtype).view()
         arr.flags.writeable = False
         entry = TensorEntry(name, arr, centered)
         self._check_layer_rule(entry)
@@ -255,7 +260,7 @@ def save_container(container: TensorContainer, path: str) -> None:
             fh.write(struct.pack("<I", len(manifest_bytes)))
             fh.write(manifest_bytes)
             for entry in container.entries():
-                fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype]))
+                fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype], copy=False))
     except OSError as exc:
         raise IoFailure(f"cannot write container to {path!r}: {exc}") from exc
 
@@ -324,10 +329,10 @@ def load_container(path: str) -> TensorContainer:
                 f"but payload holds {payload_len}")
         buf = np.frombuffer(blob, dtype=_DISK_DTYPES[dtype], count=count,
                             offset=header_end + offset).reshape(shape)
-        # add casts the buffer into its own bool or float64 array, so no
-        # loaded tensor keeps the whole file alive.
+        # A copy, so no loaded tensor keeps the whole file alive: add would
+        # keep a float32 view of the file's bytes as it is.
         try:
-            container.add(name, buf, centered=flags["centered"])
+            container.add(name, buf.copy(), centered=flags["centered"])
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -117,10 +117,17 @@ class GramAccumulator:
         return self.gram.shape[0]
 
     def update(self, rows: np.ndarray) -> None:
-        """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64."""
+        """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64.
+
+        Float32 rows are widened whole, not a block at a time as the
+        statistics widen them: a Gram summed block by block does not
+        reproduce the bits of the one product ``x.T @ x``. The widened copy
+        is dropped before the product is symmetrized.
+        """
         rows = _matrix(rows, "batch", self.m)
         with np.errstate(over="ignore", invalid="ignore"):
             g = rows.T @ rows
+            del rows  # float32 rows were widened whole for this product alone
             np.add(self.gram, g, out=g)
             # BLAS need not return an exactly symmetric product; re-symmetrize.
             g = np.add(g, g.T)
@@ -198,7 +205,8 @@ def compute_scores(tag: str, weights: np.ndarray,
         weights = _matrix(weights, "weights")
         _check_stats(stats, weights.shape[0], rule.min_rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = rule.factor(stats)[:, None] * np.abs(weights)
+            scores = np.abs(weights)  # scaled in place: no third weight-sized array
+            scores *= rule.factor(stats)[:, None]
         if not np.isfinite(scores).all():
             raise NonFiniteInput("scores overflow float64")
         return scores

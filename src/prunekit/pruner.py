@@ -11,6 +11,14 @@ Calibration activations arrive precomputed in a companion container as
 Every calibration row, held-out tail included, obeys the engine's input
 rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
 ``NonFiniteInput`` instead of reaching the error report.
+
+Loaded layers and rows are float32, and no stage widens them all at once
+up front: each consumer widens what it computes on and checks it there.
+``stats_update`` widens and checks the statistics rows a block at a time,
+``GramAccumulator.update`` widens them whole for the one product and drops
+the copy, ``reconstruction_mse`` widens the held-out tail, and the scorers
+widen the weights. Widening is exact, so results keep the bits of float64
+input.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .errors import (
 )
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
-from .stats import ColumnStats, _matrix, stats_init, stats_update
+from .stats import ColumnStats, _matrix, _rows, stats_init, stats_update
 
 CENTERED_RATIO_THRESHOLD = 0.1
 HOLDOUT_FRACTION = 0.2  # default share of calibration rows held out for the error report
@@ -120,7 +128,7 @@ def prune_layer(
     holdout_fraction: float = HOLDOUT_FRACTION,
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
     """Run the stats -> score -> mask -> compensate pipeline on one layer."""
-    calib_rows = _matrix(calib_rows, "calibration rows", layer.m)
+    calib_rows = _rows(calib_rows, "calibration rows", layer.m)
     train, holdout = split_holdout(calib_rows, holdout_fraction)
     stats = stats_update(stats_init(layer.m), train)
     resolved = select_criterion(criterion, layer)

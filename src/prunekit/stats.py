@@ -16,11 +16,24 @@ are the per-feature factors in ``criteria.CRITERION_RULES``. For any
 partition of a stream into batches the result matches a two-pass
 computation over the concatenated rows to ~1e-9 relative.
 
+A batch is widened to float64 and checked ``_BLOCK_ROWS`` rows at a time,
+so float32 rows never exist as a whole float64 copy. Both passes (sum and
+sum of squares, then m2 about the mean) run block by block. The first
+block is summed as a whole batch is; each later block is summed below the
+running sums in one (block + 1)-row buffer, which continues numpy's
+row-by-row axis-0 reduction. So the result has the bits of summarizing the
+widened batch at once whenever the batch is one block (any memory layout)
+or C-contiguous with at least two columns. A one-column or non-C-contiguous
+batch of several blocks may differ in its last bits, because numpy sums an
+axis that is contiguous in memory pairwise.
+
 This module also states the engine's two input rules, which every public
 function of the engine applies to its own arguments: ``_matrix`` (an array
 is a finite 2-D float64 matrix of the expected width, else
 ``DimensionMismatch`` or ``NonFiniteInput``) and ``_check_stats`` (an
-accumulator has the expected width and enough rows).
+accumulator has the expected width and enough rows). ``_rows`` is the shape
+half of ``_matrix``: it keeps float32 rows as they are, for callers that
+widen and check them a part at a time.
 """
 
 from __future__ import annotations
@@ -64,14 +77,28 @@ def stats_init(m: int) -> ColumnStats:
     return ColumnStats(n=0, mean=zeros.copy(), m2=zeros.copy(), sumsq=zeros.copy())
 
 
-def _matrix(x, what: str, width: int | None = None) -> np.ndarray:
-    """The engine's input rule: ``x`` as a finite 2-D float64 array, with
-    ``width`` columns when given. ``what`` names the array in errors."""
-    x = np.asarray(x, dtype=np.float64)
+def _shaped(x: np.ndarray, what: str, width: int | None) -> np.ndarray:
+    """``x`` if it is 2-D with ``width`` columns when given, else ``DimensionMismatch``."""
     if x.ndim != 2:
         raise DimensionMismatch(f"{what} must be 2-D, got {x.ndim}-D")
     if width is not None and x.shape[1] != width:
         raise DimensionMismatch(f"{what} width {x.shape[1]} != expected {width}")
+    return x
+
+
+def _rows(x, what: str, width: int | None = None) -> np.ndarray:
+    """The shape half of ``_matrix``: ``x`` as a 2-D array with ``width``
+    columns when given, float32 kept and anything else as float64; the
+    values are not checked. ``what`` names the array in errors."""
+    x = np.asarray(x)
+    return _shaped(x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64),
+                   what, width)
+
+
+def _matrix(x, what: str, width: int | None = None) -> np.ndarray:
+    """The engine's input rule: ``x`` as a finite 2-D float64 array, with
+    ``width`` columns when given. ``what`` names the array in errors."""
+    x = _shaped(np.asarray(x, dtype=np.float64), what, width)
     if not np.isfinite(x).all():
         raise NonFiniteInput(f"{what} contains NaN/Inf")
     return x
@@ -88,15 +115,46 @@ def _check_stats(stats: ColumnStats, m: int, min_rows: int) -> None:
             f"criterion needs >= {min_rows} calibration rows, got {stats.n}")
 
 
+_BLOCK_ROWS = 256  # rows of a batch widened to float64 at a time
+
+
+def _continued(buf: np.ndarray, acc: np.ndarray, k: int) -> np.ndarray:
+    """Column sums of ``acc`` followed by the ``k`` rows below it in ``buf``:
+    numpy's axis-0 reduction adds rows in order, so this continues it."""
+    buf[0] = acc
+    return buf[: k + 1].sum(axis=0)
+
+
 def _summarize(rows: np.ndarray) -> ColumnStats:
-    """Two-pass statistics of one batch, reusing a single row-sized temporary."""
-    n = rows.shape[0]
-    mean = rows.sum(axis=0) / max(n, 1)
-    tmp = np.multiply(rows, rows)
+    """Two-pass statistics of a batch from ``_rows``, widened and checked by
+    ``_matrix`` one block at a time (module docstring)."""
+    n, m = rows.shape
+    head = _matrix(rows[:_BLOCK_ROWS], "batch")
+    later = range(_BLOCK_ROWS, n, _BLOCK_ROWS)
+    total = head.sum(axis=0)
+    tmp = np.multiply(head, head)
     sumsq = tmp.sum(axis=0)
-    np.subtract(rows, mean, out=tmp)
+    if later:
+        buf = np.empty((_BLOCK_ROWS + 1, m))
+    for i in later:
+        k = min(_BLOCK_ROWS, n - i)
+        block = buf[1 : k + 1]
+        block[...] = rows[i : i + k]  # widened into the buffer and checked there
+        _matrix(block, "batch")
+        total = _continued(buf, total, k)
+        block *= block
+        sumsq = _continued(buf, sumsq, k)
+    mean = total / max(n, 1)
+    np.subtract(head, mean, out=tmp)
     tmp *= tmp
-    return ColumnStats(n=n, mean=mean, m2=tmp.sum(axis=0), sumsq=sumsq)
+    m2 = tmp.sum(axis=0)
+    for i in later:
+        k = min(_BLOCK_ROWS, n - i)
+        dev = buf[1 : k + 1]
+        np.subtract(rows[i : i + k], mean, out=dev)  # float32 is widened first
+        dev *= dev
+        m2 = _continued(buf, m2, k)
+    return ColumnStats(n=n, mean=mean, m2=m2, sumsq=sumsq)
 
 
 def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
@@ -106,7 +164,7 @@ def stats_update(stats: ColumnStats, rows: np.ndarray) -> ColumnStats:
     an identity. Finite rows whose moments overflow float64 (|x| above
     about 1.3e154 squares to inf) raise ``NonFiniteInput`` from the merge.
     """
-    rows = _matrix(rows, "batch", stats.m)
+    rows = _rows(rows, "batch", stats.m)
     with np.errstate(over="ignore", invalid="ignore"):
         batch = _summarize(rows)
     return stats_merge(stats, batch)

@@ -269,8 +269,12 @@ def test_storage_type_follows_the_array():
     c.add("b", np.array([True, False]))
     c.add("u", np.array([1, 0], dtype=np.uint8))
     c.add("f", np.array([1, 0], dtype=np.float32))
-    assert [c.entry(name).dtype for name in ("b", "u", "f")] == ["u8", "u8", "f32"]
-    assert c.get("u").dtype == bool and c.get("f").dtype == np.float64
+    c.add("d", np.array([1, 0], dtype=np.float64))
+    c.add("i", np.array([1, 0], dtype=np.int64))
+    names = ("b", "u", "f", "d", "i")
+    assert [c.entry(name).dtype for name in names] == ["u8", "u8", "f32", "f32", "f32"]
+    assert [c.get(name).dtype for name in names] == [bool, bool, np.float32, np.float64,
+                                                     np.float64]
 
 
 def test_add_mask_stores_the_bool_cast_of_any_mask():

@@ -4,16 +4,29 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates beyond its inputs, its result included. The sparsegpt
 score holds one m x m temporary, the damped Gram factored and inverted in
 place, and frees it before it allocates the scores; the error report holds
-two output-sized buffers. A solve against ``eye(m)``, a LAPACK copy that
-is not overwritten, or a new temporary per arithmetic step breaks these
-bounds.
+two output-sized buffers; the statistics widen a few blocks of rows, never
+the whole batch. A solve against ``eye(m)``, a LAPACK copy that is not
+overwritten, a new temporary per arithmetic step, or a batch widened at
+once breaks these bounds. A loaded float32 payload is held as float32, in
+arrays of its own.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from prunekit import GramAccumulator, WeightLayer, reconstruction_mse, score_sparsegpt
+from prunekit import (
+    GramAccumulator,
+    TensorContainer,
+    WeightLayer,
+    load_container,
+    reconstruction_mse,
+    save_container,
+    score_sparsegpt,
+    stats_init,
+    stats_update,
+)
+from prunekit.stats import _BLOCK_ROWS
 
 M = 512
 
@@ -46,3 +59,30 @@ def test_reconstruction_error_holds_two_output_buffers():
                          rng.standard_normal(M), False)
     peak = _traced_peak(lambda: reconstruction_mse(original, pruned, rows))
     assert peak <= 2.5 * M * M * 8  # y0 and y1, each rows x outputs
+
+
+def test_statistics_widen_a_few_blocks_not_the_batch():
+    rows = np.random.default_rng(2).standard_normal((4096, M)).astype(np.float32)
+    stats = stats_init(M)
+    peak = _traced_peak(lambda: stats_update(stats, rows))
+    # The first block, its squares and the buffer later blocks are widened
+    # into; the whole batch widened is 16 blocks, its squares 16 more.
+    assert peak <= 4 * _BLOCK_ROWS * M * 8
+
+
+def test_loaded_float32_tensors_are_float32_and_own_their_memory(tmp_path):
+    rng = np.random.default_rng(3)
+    c = TensorContainer()
+    c.add_layer("fc", WeightLayer(rng.standard_normal((64, 32)).astype(np.float32),
+                                  rng.standard_normal(32).astype(np.float32), False))
+    c.add("fc.calib", rng.standard_normal((128, 64)).astype(np.float32))
+    path = tmp_path / "c.pkt"
+    save_container(c, str(path))
+    loaded = load_container(str(path))
+    for name in ("fc", "fc.bias", "fc.calib"):
+        array = root = loaded.get(name)
+        assert array.dtype == np.float32, name
+        while getattr(root, "base", None) is not None:
+            root = root.base
+        # Not the file's bytes, which are larger than any one tensor.
+        assert memoryview(root).nbytes == array.nbytes, name

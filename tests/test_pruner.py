@@ -1,12 +1,18 @@
 import json
 import warnings
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prunekit.stats as stats_module
 from prunekit import (
+    CRITERION_TAGS,
     Criterion,
+    GramAccumulator,
     SparsitySpec,
     TensorContainer,
     ToyMlpConfig,
@@ -29,6 +35,7 @@ from prunekit.errors import (
     NonFiniteInput,
     SingularGram,
 )
+from prunekit.criteria import CRITERION_RULES
 from prunekit.pruner import split_holdout
 
 
@@ -409,3 +416,66 @@ def test_prune_container_error_names_the_layer(criterion, spec, error):
     with pytest.raises(error, match="^layer 'l': ") as info:
         prune_container(model, calib, criterion, spec)
     assert type(info.value) is error and "'l'" not in str(info.value.__cause__)
+
+
+def _f32_and_widened(x):
+    x32 = np.asarray(x, dtype=np.float32)
+    return x32, x32.astype(np.float64)
+
+
+def _widened_bits(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([4, 8, 12]), h=st.integers(1, 6),
+       n=st.integers(2, 40), tag=st.sampled_from(CRITERION_TAGS), has_bias=st.booleans(),
+       centered=st.booleans(), bias_update_enabled=st.sampled_from([None, False, True]),
+       sparsity=st.sampled_from(["0.5", "2:4"]))
+def test_float32_layer_prunes_like_its_float64_widening(
+        seed, m, h, n, tag, has_bias, centered, bias_update_enabled, sparsity):
+    # Loaded layers and rows are float32; each stage widens what it computes
+    # on, so the result is the float64 widening's, bit for bit. A small block
+    # puts the statistics through the blocked path.
+    rng = np.random.default_rng(seed)
+    w32, w64 = _f32_and_widened(rng.standard_normal((m, h)))
+    b32, b64 = _f32_and_widened(rng.standard_normal(h)) if has_bias else (None, None)
+    r32, r64 = _f32_and_widened(rng.uniform(-3, 3, m) + rng.standard_normal((n, m)))
+    results = []
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", 4):
+        for w, b, rows in ((w32, b32, r32), (w64, b64, r64)):
+            results.append(prune_layer("fc", WeightLayer(w, b, centered), rows,
+                                       Criterion(tag), SparsitySpec.parse(sparsity),
+                                       bias_update_enabled))
+    (p32, mask32, rep32), (p64, mask64, rep64) = results
+    assert p32.weights.dtype == np.float32  # a pruned weight is a kept float32 value
+    assert np.array_equal(mask32, mask64)
+    assert _widened_bits(p32.weights) == _widened_bits(p64.weights)
+    assert _widened_bits(p32.bias) == _widened_bits(p64.bias)
+    assert asdict(rep32) == asdict(rep64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), h=st.integers(1, 6),
+       n=st.integers(2, 40))
+def test_float32_scores_gram_and_error_equal_their_float64_widening(seed, m, h, n):
+    rng = np.random.default_rng(seed)
+    w32, w64 = _f32_and_widened(rng.standard_normal((m, h)) * 3)
+    r32, r64 = _f32_and_widened(rng.uniform(-3, 3, m) + rng.standard_normal((n, m)))
+    grams = []
+    for rows in (r32, r64):
+        gram = GramAccumulator(m)
+        gram.update(rows)
+        grams.append(gram)
+    assert grams[0].gram.tobytes() == grams[1].gram.tobytes()
+    stats = stats_update(stats_init(m), r64)
+    for tag in CRITERION_RULES:
+        # sparsegpt-score squares the weights: a float32 square would round.
+        s32, s64 = (compute_scores(tag, w, stats=stats, gram=grams[1]) for w in (w32, w64))
+        assert s32.dtype == np.float64 and s32.tobytes() == s64.tobytes(), tag
+    b32, b64 = _f32_and_widened(rng.standard_normal(h))
+    mask = rng.random((m, h)) < 0.5
+    layers = [(WeightLayer(w, b, False), WeightLayer(np.where(mask, 0.0, w), None, False))
+              for w, b in ((w32, b32), (w64, b64))]
+    errors = [reconstruction_mse(*pair, rows) for pair, rows in zip(layers, (r32, r64))]
+    assert errors[0] == errors[1]

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from prunekit.errors import (
     InvalidDimension,
     NonFiniteInput,
 )
-from prunekit.stats import _summarize
+import prunekit.stats as stats_module
+from prunekit.stats import ColumnStats, _summarize
 
 
 def two_pass(rows):
@@ -273,3 +275,85 @@ def test_pythagorean_identity(rows):
     recombined = (n - 1) * s.variance() + n * s.mean**2
     np.testing.assert_allclose(s.sumsq, recombined,
                                rtol=1e-7, atol=1e-7 * max(1.0, s.sumsq.max()))
+
+
+def _summarize_whole(rows):
+    """Test-local copy of the whole-batch summary, widened at once, that the
+    blocked one reproduces bit for bit within its stated domain."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    mean = rows.sum(axis=0) / max(n, 1)
+    tmp = np.multiply(rows, rows)
+    sumsq = tmp.sum(axis=0)
+    np.subtract(rows, mean, out=tmp)
+    tmp *= tmp
+    return ColumnStats(n=n, mean=mean, m2=tmp.sum(axis=0), sumsq=sumsq)
+
+
+def _assert_same_bits(got, want):
+    assert got.n == want.n
+    for field in ("mean", "m2", "sumsq"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def _batch(seed, n, m, dtype):
+    # Offsets that dwarf some spreads, and exact zeros of both signs.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 2, m)
+    rows = rng.uniform(-50, 50, m) + scale * rng.standard_normal((n, m))
+    zeros = rng.random((n, m))
+    rows[zeros < 0.05] = -0.0
+    rows[zeros > 0.95] = 0.0
+    return rows.astype(dtype)
+
+
+_DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 9), blocks=st.integers(2, 6),
+       extra=st.integers(0, 8), m=st.integers(2, 40), dtype=_DTYPES)
+def test_blocked_summary_matches_whole_batch_bits(seed, block, blocks, extra, m, dtype):
+    # A C-contiguous batch of two or more columns over several blocks.
+    rows = _batch(seed, block * blocks + extra % block, m, dtype)
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", block):
+        got = stats_update(stats_init(m), rows)
+    _assert_same_bits(got, stats_merge(stats_init(m), _summarize_whole(rows)))
+
+
+_LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "every other column": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+    "every other row": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "transposed": lambda x: np.ascontiguousarray(x.T).T,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, stats_module._BLOCK_ROWS),
+       m=st.integers(1, 12), dtype=_DTYPES, layout=st.sampled_from(sorted(_LAYOUTS)))
+def test_one_block_summary_matches_whole_batch_in_any_layout(seed, n, m, dtype, layout):
+    rows = _LAYOUTS[layout](_batch(seed, n, m, dtype))
+    _assert_same_bits(stats_update(stats_init(m), rows),
+                      stats_merge(stats_init(m), _summarize_whole(rows)))
+
+
+def test_float32_blocks_are_widened_before_they_are_squared():
+    # 1 + 2**-12 squares exactly in float64 but rounds in float32, so a
+    # square taken before the widening shows in sumsq.
+    rows = np.full((9, 2), 1 + 2.0**-12, dtype=np.float32)
+    assert np.square(rows)[0, 0] != np.square(rows.astype(np.float64))[0, 0]
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", 2):
+        got = stats_update(stats_init(2), rows)
+    _assert_same_bits(got, stats_update(stats_init(2), rows.astype(np.float64)))
+    _assert_same_bits(got, stats_merge(stats_init(2), _summarize_whole(rows)))
+
+
+@pytest.mark.parametrize("row", [0, 3, 8])
+def test_non_finite_row_in_any_block_is_typed_error(row):
+    rows = np.ones((9, 2), dtype=np.float32)
+    rows[row, 1] = np.nan
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", 2):
+        with pytest.raises(NonFiniteInput):
+            stats_update(stats_init(2), rows)
