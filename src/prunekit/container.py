@@ -33,8 +33,9 @@ float32 and any other array is float64, so a loaded container holds its
 payload at the file's size and an in-memory float64 tensor (a toy model, a
 compensated bias) keeps its values until save. Save casts each tensor to
 its disk type, so values that originated as float32 round-trip
-bit-exactly. The loader copies every tensor out of the file's bytes, so
-nothing keeps them alive after ``load_container`` returns. Stored arrays
+bit-exactly. The loader reads each tensor from the file straight into an
+array of its own, after every manifest check on it, so a load holds the
+payload once and no tensor keeps another's bytes alive. Stored arrays
 are read-only views, so a container's own arrays cannot change after their
 check; ``add`` does not copy a bool, float32 or float64 array, whose owner
 must not write to it afterwards. Any number of readers may share one
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -69,6 +72,10 @@ _DISK_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 # so a float32 min/max is compared in float64 instead of the limit being cast
 # down to float32 (where it overflows).
 _F32_LIMIT = np.float64(2.0**128 - 2.0**103)
+# numpy's limits on an array: its number of dimensions (NPY_MAXDIMS) and its
+# size in bytes, which must fit its index type.
+_MAX_NDIM = 64
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 _PARTS = ("bias", "mask")  # the suffixes of the tensors a weight layer owns
 
 
@@ -270,30 +277,48 @@ def _is_count(value) -> bool:
 
 
 def load_container(path: str) -> TensorContainer:
-    """Read a container file, validating the manifest against the payload."""
+    """Read a container file, validating the manifest against the payload.
+
+    ``path`` must be a regular file: its size, not its contents, tells how
+    long the payload is before any tensor is read.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise IoFailure(f"cannot read container from {path!r}: not a regular file")
+            return _read_container(fh, info.st_size, path)
     except OSError as exc:
         raise IoFailure(f"cannot read container from {path!r}: {exc}") from exc
 
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
+
+def _read_container(fh, size: int, path: str) -> TensorContainer:
+    """The container in ``fh``, a file of ``size`` bytes open at its start.
+
+    Every manifest check of a tensor runs before its array is allocated, so
+    no allocation exceeds the bytes the file holds; each tensor is then read
+    into its own array, and a short read is a truncated payload.
+    """
+    head = fh.read(len(MAGIC) + 4)
+    if head[: len(MAGIC)] != MAGIC:
         raise MagicMismatch(f"{path!r} does not start with {MAGIC!r}")
-    if len(blob) < len(MAGIC) + 4:
+    if len(head) < len(MAGIC) + 4:
         raise TruncatedPayload(f"{path!r}: manifest length field missing")
-    (manifest_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-    header_end = len(MAGIC) + 4 + manifest_len
-    if len(blob) < header_end:
+    (manifest_len,) = struct.unpack_from("<I", head, len(MAGIC))
+    header_end = len(head) + manifest_len
+    # Nothing is read past the file's size, so a hostile length allocates nothing.
+    manifest_bytes = fh.read(manifest_len) if header_end <= size else b""
+    if len(manifest_bytes) < manifest_len:
         raise TruncatedPayload(f"{path!r}: manifest truncated")
     try:
-        manifest = json.loads(blob[len(MAGIC) + 4 : header_end].decode("utf-8"))
+        manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise InvariantViolation(f"{path!r}: manifest is not valid JSON: {exc}") from exc
     records = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
         raise InvariantViolation(f"{path!r}: manifest has no tensor list")
 
-    payload_len = len(blob) - header_end
+    payload_len = size - header_end
     container = TensorContainer()
     end = 0
     for record in records:
@@ -321,18 +346,25 @@ def load_container(path: str) -> TensorContainer:
         if offset != end:
             raise InvariantViolation(f"{path!r}: tensor {name!r} starts at byte "
                                      f"{offset}, expected {end}")
-        count = math.prod(shape)
-        end = offset + count * _DISK_DTYPES[dtype].itemsize
+        itemsize = _DISK_DTYPES[dtype].itemsize
+        end = offset + math.prod(shape) * itemsize
         if end > payload_len:
             raise TruncatedPayload(
                 f"{path!r}: tensor {name!r} needs bytes [{offset}, {end}) "
                 f"but payload holds {payload_len}")
-        buf = np.frombuffer(blob, dtype=_DISK_DTYPES[dtype], count=count,
-                            offset=header_end + offset).reshape(shape)
-        # A copy, so no loaded tensor keeps the whole file alive: add would
-        # keep a float32 view of the file's bytes as it is.
+        # A shape that fits the payload but that numpy cannot build: more
+        # dimensions than it allows, or, beside a zero dimension, nonzero ones
+        # whose byte count overflows its index type.
+        if (len(shape) > _MAX_NDIM
+                or math.prod(d for d in shape if d) * itemsize > _MAX_BYTES):
+            raise ShapeMismatch(f"{path!r}: tensor {name!r} has shape {shape!r}, "
+                                f"which numpy cannot build")
+        array = np.empty(shape, dtype=_DISK_DTYPES[dtype])
+        if fh.readinto(array) != array.nbytes:
+            raise TruncatedPayload(f"{path!r}: tensor {name!r}: file ends inside "
+                                   f"bytes [{offset}, {end})")
         try:
-            container.add(name, buf.copy(), centered=flags["centered"])
+            container.add(name, array, centered=flags["centered"])
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -26,7 +26,9 @@ sparsegpt-score needs only the diagonal of the damped inverse Gram. With
 G + damping*I = L L^T, that inverse is L^-T L^-1, so the diagonal is the
 column sums of squares of L^-1: one damped copy of G is factored (LAPACK
 ``dpotrf``), inverted (``dtrtri``) and squared in place, and no identity
-matrix or full inverse is formed.
+matrix or full inverse is formed. ``score_sparsegpt`` imports scipy itself,
+as the only code that needs it: importing scipy takes most of a process's
+start-up time, which every other criterion and subcommand then skips.
 
 Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
 the pruner, the oracle and the CLI read. Every scorer applies the engine's
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .container import WeightLayer
 from .errors import DimensionMismatch, NonFiniteInput, SingularGram
@@ -147,6 +148,8 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     then L^-1. ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means
     undamped. The raw ratio is kept (no square root): only the ranking matters.
     """
+    import scipy.linalg  # here, not at module level: see the module docstring
+
     weights = _matrix(weights, "weights")
     m = weights.shape[0]
     if gram.m != m:

@@ -101,6 +101,29 @@ def test_prune_unreadable_model_fails_cleanly(workspace):
     assert "error" in proc.stderr.lower()
 
 
+def test_only_sparsegpt_score_imports_scipy(workspace):
+    # In a fresh interpreter: this one has imported scipy for other tests.
+    def prune_argv(criterion):
+        return ["prune", "--model", str(workspace / "model.pkt"),
+                "--calib", str(workspace / "calib.pkt"), "--criterion", criterion,
+                "--sparsity", "0.5", "--out", str(workspace / f"{criterion}.pkt")]
+
+    script = (
+        "import json, sys\n"
+        "import prunekit.cli\n"
+        "from prunekit import *\n"
+        "print('scipy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert prunekit.cli.main(argv) == 0\n"
+        "    print('scipy' in sys.modules)\n")
+    argvs = [prune_argv("stade-w"), prune_argv("sparsegpt-score")]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+    assert imported == ["False", "False", "True"]
+
+
 def test_verify_pass_and_fail_exit_codes():
     ok = run_cli("verify", "--criterion", "stade", "--trials", "100", "--seed", "1")
     assert ok.returncode == 0, ok.stderr

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import warnings
 
@@ -16,6 +17,7 @@ from prunekit import (
 from prunekit.container import MAGIC
 from prunekit.errors import (
     InvariantViolation,
+    IoFailure,
     MagicMismatch,
     PruneKitError,
     ShapeMismatch,
@@ -370,13 +372,23 @@ def test_non_layer_entry_has_no_flags(tmp_path):
     (_file([_entry()], np.float32(np.nan).tobytes()), InvariantViolation),
     (_file([_entry()], np.float32(-np.inf).tobytes()), InvariantViolation),
     (_file([{**_entry(), "dtype": "u8"}], b"\x07"), InvariantViolation),
+    (_file([_entry(shape=[0, 2**63])], b""), ShapeMismatch),
+    (_file([_entry(shape=[0, 2**62, 2**62])], b""), ShapeMismatch),
+    (_file([_entry(shape=[1] * 65)], _ONE), ShapeMismatch),
 ], ids=["deep-nesting", "bool-dim", "bool-offset", "huge-shape", "overlapping-offsets",
-        "out-of-order-offsets", "trailing-bytes", "nan", "inf", "u8-byte-7"])
+        "out-of-order-offsets", "trailing-bytes", "nan", "inf", "u8-byte-7",
+        "empty-dim-past-intp", "empty-bytes-past-intp", "65-dims"])
 def test_hostile_file_is_typed_error(tmp_path, blob, error):
     path = tmp_path / "bad.pkt"
     path.write_bytes(blob)
     with pytest.raises(error):
         load_container(str(path))
+
+
+def test_non_regular_file_is_io_failure():
+    # Its size says nothing about its bytes, and the payload length comes from it.
+    with pytest.raises(IoFailure, match="not a regular file"):
+        load_container(os.devnull)
 
 
 def test_zero_width_layer_round_trips(tmp_path):

@@ -8,12 +8,15 @@ two output-sized buffers; the statistics widen a few blocks of rows, never
 the whole batch. A solve against ``eye(m)``, a LAPACK copy that is not
 overwritten, a new temporary per arithmetic step, or a batch widened at
 once breaks these bounds. A loaded float32 payload is held as float32, in
-arrays of its own.
+arrays of its own, and the load reads each tensor straight into its array,
+never holding the file's bytes beside them.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from prunekit import (
     GramAccumulator,
@@ -26,6 +29,7 @@ from prunekit import (
     stats_init,
     stats_update,
 )
+from prunekit.errors import TruncatedPayload
 from prunekit.stats import _BLOCK_ROWS
 
 M = 512
@@ -47,6 +51,7 @@ def test_sparsegpt_score_holds_one_square_temporary():
     gram = GramAccumulator(M)
     gram.update(rng.standard_normal((2 * M, M)))
     weights = rng.standard_normal((M, M))
+    score_sparsegpt(weights, gram)  # the first call imports scipy, once per process
     peak = _traced_peak(lambda: score_sparsegpt(weights, gram))
     assert peak <= 1.5 * M * M * 8  # the damped copy, then the scores
 
@@ -86,3 +91,37 @@ def test_loaded_float32_tensors_are_float32_and_own_their_memory(tmp_path):
             root = root.base
         # Not the file's bytes, which are larger than any one tensor.
         assert memoryview(root).nbytes == array.nbytes, name
+
+
+def _saved_float32_container(path) -> int:
+    """Save a two-tensor float32 container to ``path``; return its payload bytes."""
+    rng = np.random.default_rng(4)
+    c = TensorContainer()
+    c.add_layer("fc", WeightLayer(rng.standard_normal((M, M)).astype(np.float32),
+                                  None, False))
+    c.add("fc.calib", rng.standard_normal((2 * M, M)).astype(np.float32))
+    save_container(c, str(path))
+    return sum(e.array.nbytes for e in c.entries())
+
+
+def test_load_holds_the_payload_once(tmp_path):
+    path = tmp_path / "c.pkt"
+    payload = _saved_float32_container(path)
+    peak = _traced_peak(lambda: load_container(str(path)))
+    assert peak <= 1.25 * payload  # the tensors' own arrays and the manifest
+
+
+def test_file_shorter_than_its_stat_is_truncated(tmp_path, monkeypatch):
+    path = tmp_path / "c.pkt"
+    _saved_float32_container(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4])
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):  # the size the file had before its last 4 bytes went
+        info = real_fstat(fd)
+        return os.stat_result((*info[:6], info.st_size + 4, *info[7:10]))
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    with pytest.raises(TruncatedPayload, match="file ends inside"):
+        load_container(str(path))
