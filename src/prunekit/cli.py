@@ -158,6 +158,7 @@ def _cmd_prune(args) -> tuple[int, dict]:
         bias_update_enabled=_bias_flag(args.bias_update),
         holdout_fraction=args.holdout,
         threads=args.threads)
+    del model, calib  # the save holds only what it writes
     save_container(pruned, args.out)
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "

@@ -16,15 +16,31 @@ Loaded layers and rows are float32, and no stage widens them all at once
 up front: each consumer widens what it computes on and checks it there.
 ``stats_update`` widens and checks the statistics rows a block at a time,
 ``GramAccumulator.update`` widens them whole for the one product and drops
-the copy, ``reconstruction_mse`` widens the held-out tail, and the scorers
-widen the weights. Widening is exact, so results keep the bits of float64
-input.
+the copy, the scorers widen the weights, and ``reconstruction_mse`` widens
+each layer's weights once and the held-out tail a chunk at a time. Widening
+is exact, so results keep the bits of float64 input.
+
+The error report splits the held-out rows, never the columns: a column
+block of ``x @ W`` is a different BLAS product and changes the last bits.
+A chunk of rows keeps the whole product's bits only while the BLAS computes
+each of its rows as it does in the whole. Measured with OpenBLAS 0.3.31
+(SkylakeX kernels) on a 2-vCPU Xeon VM, three cases break that, and the
+chunking avoids each. A single row goes to gemv, and a product of at most
+10**6 multiply-adds to a small-matrix kernel: a layer is split only when an
+``_EVAL_ROWS``-row product has ``_EVAL_MIN_MACS`` multiply-adds, and the
+last chunk takes the remainder rather than standing alone. At an output
+width that is not a multiple of 8, the last columns' sums depend on where a
+row falls among the kernel's groups of 12 rows: ``_EVAL_ROWS`` is a
+multiple of 48, so every chunk starts on a group boundary. At such widths
+OpenBLAS also splits the rows between its threads by the row count, so with
+several BLAS threads the whole product's own bits change with the thread
+count, and chunks do not keep them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +66,8 @@ from .stats import ColumnStats, _matrix, _rows, stats_init, stats_update
 
 CENTERED_RATIO_THRESHOLD = 0.1
 HOLDOUT_FRACTION = 0.2  # default share of calibration rows held out for the error report
+_EVAL_ROWS = 528  # held-out rows widened and multiplied at a time; a multiple of 48
+_EVAL_MIN_MACS = 1 << 21  # a layer is split only if a chunk's product is this large
 
 
 @dataclass
@@ -85,20 +103,49 @@ def classify_centered(stats: ColumnStats) -> bool:
     return bool(ratio.max() <= max(CENTERED_RATIO_THRESHOLD, noise))
 
 
+def _output_error(original: WeightLayer, pruned: WeightLayer,
+                  rows: np.ndarray) -> np.ndarray:
+    """``original.output(rows) - pruned.output(rows)`` in one n x H buffer.
+
+    One pass per layer: its weights are widened to float64 once (a float64
+    layer is not copied) and ``WeightLayer.output`` takes the rows a chunk
+    at a time, each widened and checked by ``_matrix``. The dense pass
+    writes the buffer and the pruned pass subtracts from it, so the call
+    holds one widened weight matrix, the buffer and one chunk's rows and
+    output, and the buffer has the bits of the two whole outputs (module
+    docstring). Overflow is left to the caller.
+    """
+    rows = _rows(rows, "rows", original.m)
+    n = rows.shape[0]
+    step = _EVAL_ROWS if _EVAL_ROWS * original.weights.size >= _EVAL_MIN_MACS else max(n, 1)
+    cuts = [*range(step, n - step + 1, step)]  # the last chunk takes the remainder
+    chunks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    err = np.empty((n, original.h))
+    dense = replace(original, weights=np.asarray(original.weights, dtype=np.float64))
+    for part in chunks:
+        err[part] = dense.output(_matrix(rows[part], "rows"))
+    del dense  # one widened weight matrix at a time
+    sparse = replace(pruned, weights=np.asarray(pruned.weights, dtype=np.float64))
+    for part in chunks:
+        err[part] -= sparse.output(_matrix(rows[part], "rows"))
+    return err
+
+
 def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
                        rows: np.ndarray) -> float:
     """Mean squared output difference between the two layers over ``rows``.
 
     An empty output (no rows or no output columns) averages to 0.0. Finite
     inputs whose outputs or error overflow float64 raise ``NonFiniteInput``.
+    The difference comes from ``_output_error``, in row chunks, and the
+    mean is taken over the whole buffer at once, so the error keeps the bits
+    of subtracting the two whole outputs.
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
-    rows = _matrix(rows, "rows", original.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        y0 = original.output(rows)
-        y0 -= pruned.output(rows)
-        mse = float(np.mean(np.square(y0, out=y0))) if y0.size else 0.0
+        err = _output_error(original, pruned, rows)
+        mse = float(np.mean(np.square(err, out=err))) if err.size else 0.0
     if not math.isfinite(mse):
         raise NonFiniteInput("reconstruction error overflows float64")
     return mse

@@ -18,6 +18,7 @@ from prunekit import (
     mask_violation,
     save_container,
 )
+from prunekit import cli, pruner
 from prunekit.cli import build_parser
 from prunekit.container import MAGIC
 
@@ -65,6 +66,25 @@ def test_prune_artifacts_do_not_depend_on_threads(workspace):
         assert proc.returncode == 0, proc.stderr
         outs.append((pruned.read_bytes(), report.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_prune_artifacts_do_not_depend_on_the_eval_chunk(tmp_path, monkeypatch):
+    # Layers wide enough that the error report splits its 200 held-out rows
+    # at 48 and 96 rows, and not at the default.
+    model, calib = tmp_path / "model.pkt", tmp_path / "calib.pkt"
+    assert cli.main(["gen", "--seed", "4", "--dims", "256,256,200", "--samples", "1000",
+                     "--out", str(model), "--calib-out", str(calib)]) == 0
+    outs = set()
+    for rows in (pruner._EVAL_ROWS, 48, 96):
+        monkeypatch.setattr(pruner, "_EVAL_ROWS", rows)
+        for threads in ("1", "2"):
+            pruned, report = tmp_path / "pruned.pkt", tmp_path / "report.json"
+            assert cli.main(["prune", "--model", str(model), "--calib", str(calib),
+                             "--criterion", "stade-w", "--sparsity", "0.5",
+                             "--threads", threads, "--out", str(pruned),
+                             "--report", str(report)]) == 0
+            outs.add((pruned.read_bytes(), report.read_bytes()))
+    assert len(outs) == 1
 
 
 def test_prune_produces_valid_artifacts(workspace):

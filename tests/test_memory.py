@@ -4,10 +4,13 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates beyond its inputs, its result included. The sparsegpt
 score holds one m x m temporary, the damped Gram factored and inverted in
 place, and frees it before it allocates the scores; the error report holds
-two output-sized buffers; the statistics widen a few blocks of rows, never
-the whole batch. A solve against ``eye(m)``, a LAPACK copy that is not
-overwritten, a new temporary per arithmetic step, or a batch widened at
-once breaks these bounds. A loaded float32 payload is held as float32, in
+one widened weight matrix, its n x H error buffer and one chunk of rows
+and its output (a float64 layer is not copied, so with float64 weights and
+rows that is under two output-sized buffers); the statistics widen a few
+blocks of rows, never the whole batch. A solve against ``eye(m)``, a LAPACK
+copy that is not overwritten, a new temporary per arithmetic step, a batch
+widened at once, or float32 weights cast again for each output breaks these
+bounds. A loaded float32 payload is held as float32, in
 arrays of its own, and the load reads each tensor straight into its array,
 never holding the file's bytes beside them.
 """
@@ -30,6 +33,7 @@ from prunekit import (
     stats_update,
 )
 from prunekit.errors import TruncatedPayload
+from prunekit.pruner import _EVAL_ROWS
 from prunekit.stats import _BLOCK_ROWS
 
 M = 512
@@ -64,6 +68,20 @@ def test_reconstruction_error_holds_two_output_buffers():
                          rng.standard_normal(M), False)
     peak = _traced_peak(lambda: reconstruction_mse(original, pruned, rows))
     assert peak <= 2.5 * M * M * 8  # y0 and y1, each rows x outputs
+
+
+def test_float32_error_holds_one_widened_layer_its_buffer_and_a_chunk():
+    rng = np.random.default_rng(5)
+    n = 4 * _EVAL_ROWS  # four chunks, so M x M layers are split
+    rows = rng.standard_normal((n, M)).astype(np.float32)
+    weights = rng.standard_normal((M, M)).astype(np.float32)
+    original = WeightLayer(weights, rng.standard_normal(M).astype(np.float32), False)
+    pruned = WeightLayer(np.where(rng.random((M, M)) < 0.5, 0.0, weights), None, False)
+    peak = _traced_peak(lambda: reconstruction_mse(original, pruned, rows))
+    # A widened weight matrix, the n x M error buffer, and a chunk's widened
+    # rows and output; the rows widened whole are n x M more, and so is a
+    # second output.
+    assert peak <= 1.02 * (M * M + n * M + 2 * _EVAL_ROWS * M) * 8
 
 
 def test_statistics_widen_a_few_blocks_not_the_batch():

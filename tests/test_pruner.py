@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import prunekit.pruner as pruner_module
 import prunekit.stats as stats_module
 from prunekit import (
     CRITERION_TAGS,
@@ -479,3 +483,135 @@ def test_float32_scores_gram_and_error_equal_their_float64_widening(seed, m, h, 
               for w, b in ((w32, b32), (w64, b64))]
     errors = [reconstruction_mse(*pair, rows) for pair, rows in zip(layers, (r32, r64))]
     assert errors[0] == errors[1]
+
+
+def _whole_error(original, pruned, rows):
+    """Test-local copy of the error report before it split the rows: the
+    rows widened at once, both outputs whole. Returns (difference, error)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = original.output(rows)
+        y0 -= pruned.output(rows)
+        diff = y0.copy()
+        return diff, float(np.mean(np.square(y0, out=y0))) if y0.size else 0.0
+
+
+def _same_bits_as_whole(original, pruned, rows, block):
+    """Whether the chunked difference and error, with ``_EVAL_ROWS`` set to
+    ``block``, have the bits of the whole outputs'. The error alone would
+    hide a last-bit change in a few outputs."""
+    with mock.patch.object(pruner_module, "_EVAL_ROWS", block):
+        diff = pruner_module._output_error(original, pruned, rows)
+        error = reconstruction_mse(original, pruned, rows)
+    want_diff, want_error = _whole_error(original, pruned, rows)
+    return diff.tobytes() == want_diff.tobytes() and error.hex() == want_error.hex()
+
+
+def _row_counts(block):
+    return (1, block - 1, block, block + 1, 2 * block + 1)
+
+
+def _error_pair(seed, m, h, n, w_dtype, r_dtype, bias):
+    """A dense layer, its half-pruned copy (biases per ``bias``) and rows."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, h)).astype(w_dtype)
+    biases = {side: rng.standard_normal(h).astype(w_dtype) if side in bias else None
+              for side in ("dense", "pruned")}
+    original = WeightLayer(w, biases["dense"], False)
+    pruned = WeightLayer(np.where(rng.random((m, h)) < 0.5, 0.0, w), biases["pruned"], False)
+    rows = (rng.uniform(-3, 3, m) + rng.standard_normal((n, m))).astype(r_dtype)
+    return original, pruned, rows
+
+
+# (m, h): the first three split at 48 rows, the last three are too small to;
+# a 48-row product of (512, 32) would go to OpenBLAS's small-matrix kernel.
+# Every width is a multiple of 8: see the one-BLAS-thread test for others.
+_SHAPES = [(64, 1000), (300, 256), (520, 512), (512, 32), (520, 64), (3, 8)]
+_BIASES = [(), ("dense",), ("pruned",), ("dense", "pruned")]
+
+
+def test_eval_rows_is_a_multiple_of_48():
+    # Every chunk then starts on a row group of the BLAS kernels (module docstring).
+    assert pruner_module._EVAL_ROWS % 48 == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(_SHAPES),
+       block=st.sampled_from([48, 96]), case=st.integers(0, 4),
+       w_dtype=st.sampled_from([np.float32, np.float64]),
+       r_dtype=st.sampled_from([np.float32, np.float64]), bias=st.sampled_from(_BIASES))
+@example(seed=1, shape=(300, 256), block=48, case=3, w_dtype=np.float32,
+         r_dtype=np.float32, bias=())  # no lone one-row chunk
+@example(seed=1, shape=(512, 32), block=48, case=4, w_dtype=np.float32,
+         r_dtype=np.float32, bias=())  # no small-matrix chunk
+def test_chunked_error_has_the_whole_outputs_bits(seed, shape, block, case, w_dtype,
+                                                  r_dtype, bias):
+    n = _row_counts(block)[case]
+    original, pruned, rows = _error_pair(seed, *shape, n, w_dtype, r_dtype, bias)
+    assert _same_bits_as_whole(original, pruned, rows, block)
+
+
+@pytest.mark.parametrize("m, h, n, passes", [
+    (256, 256, 1, [(0, 1)]),
+    (256, 256, 96, [(0, 48), (48, 96)]),
+    (256, 256, 97, [(0, 48), (48, 97)]),  # a lone last row joins the chunk before it
+    (256, 256, 143, [(0, 48), (48, 143)]),
+    (3, 8, 143, [(0, 143)]),  # too small to split
+])
+def test_error_chunks_follow_the_split_rule(m, h, n, passes):
+    original, pruned, rows = _error_pair(0, m, h, n, np.float32, np.float32, ())
+    seen = []
+
+    def matrix(x, what, width=None):
+        seen.append(x.base is rows and (x.shape[0], x.ctypes.data))
+        return stats_module._matrix(x, what, width)
+
+    with mock.patch.object(pruner_module, "_EVAL_ROWS", 48), \
+            mock.patch.object(pruner_module, "_matrix", matrix):
+        reconstruction_mse(original, pruned, rows)
+    itemsize, start = rows.itemsize * m, rows.ctypes.data
+    want = [(b - a, start + a * itemsize) for a, b in passes]
+    assert seen == want + want  # the dense pass, then the pruned pass
+
+
+def test_chunked_error_still_raises_typed_errors():
+    layer = WeightLayer(np.ones((256, 256), np.float32), None, False)
+    rows = np.ones((97, 256), np.float32)
+    rows[-1, 5] = np.nan  # in the last chunk
+    with mock.patch.object(pruner_module, "_EVAL_ROWS", 48):
+        with pytest.raises(NonFiniteInput, match="rows contains NaN/Inf"):
+            reconstruction_mse(layer, layer, rows)
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            reconstruction_mse(WeightLayer(np.full((256, 256), 1e200), None, False),
+                               WeightLayer(np.zeros((256, 256)), None, False),
+                               np.ones((97, 256)))
+
+
+def _odd_width_mismatches():
+    """The (block, m, h, n) cases, with widths that are not a multiple of 8,
+    whose chunked error differs from the whole outputs' error."""
+    bad = []
+    for block in (48, 96):
+        for m, h in ((64, 1001), (300, 257), (520, 255), (2048, 33)):
+            for n in (*_row_counts(block), 2 * block + 11, 4 * block + 19):
+                for seed, (w_dtype, r_dtype) in enumerate(((np.float32, np.float32),
+                                                           (np.float64, np.float64))):
+                    original, pruned, rows = _error_pair(seed, m, h, n, w_dtype, r_dtype,
+                                                         ("dense",))
+                    if not _same_bits_as_whole(original, pruned, rows, block):
+                        bad.append([block, m, h, n])
+    return bad
+
+
+def test_chunked_error_has_the_whole_outputs_bits_at_odd_widths_on_one_blas_thread():
+    # With several BLAS threads OpenBLAS splits the rows between them by the
+    # row count, and at these widths the whole product's bits themselves
+    # change with the thread count; on one thread the chunks keep them.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_pruner; "
+              "print(json.dumps(test_pruner._odd_width_mismatches()))")
+    proc = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
