@@ -47,7 +47,7 @@ import numpy as np
 
 from .container import WeightLayer
 from .errors import DimensionMismatch, NonFiniteInput, SingularGram
-from .stats import ColumnStats, _check_stats, _matrix
+from .stats import ColumnStats, _check_stats, _matrix, _width
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class GramAccumulator:
     """Running sum over calibration rows of the outer product x^T x."""
 
     def __init__(self, m: int):
-        self.gram = np.zeros((m, m), dtype=np.float64)
+        self.gram = np.zeros((_width(m),) * 2, dtype=np.float64)
 
     @property
     def m(self) -> int:
@@ -120,19 +120,16 @@ class GramAccumulator:
     def update(self, rows: np.ndarray) -> None:
         """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64.
 
-        Float32 rows are widened whole, not a block at a time as the
-        statistics widen them: a Gram summed block by block does not
-        reproduce the bits of the one product ``x.T @ x``. The widened copy
-        is dropped before the product is symmetrized.
+        The product ``x.T @ x`` is summed as BLAS returns it, not mirrored:
+        ``score_sparsegpt`` reads one triangle. Rows are widened whole, not a
+        block at a time as the statistics widen them: a Gram summed block by
+        block does not reproduce the bits of the one product.
         """
         rows = _matrix(rows, "batch", self.m)
         with np.errstate(over="ignore", invalid="ignore"):
             g = rows.T @ rows
-            del rows  # float32 rows were widened whole for this product alone
+            del rows  # frees a widened copy before the sum
             np.add(self.gram, g, out=g)
-            # BLAS need not return an exactly symmetric product; re-symmetrize.
-            g = np.add(g, g.T)
-            g /= 2.0
         # Cauchy-Schwarz bounds every entry by the diagonal's largest.
         if not np.isfinite(np.diagonal(g)).all():
             raise NonFiniteInput("Gram matrix overflows float64")
@@ -163,8 +160,8 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
         raise NonFiniteInput("auto damping overflows float64")
     if not np.isfinite(np.diagonal(damped)).all():
         raise NonFiniteInput("damped Gram overflows float64")
-    # damped is symmetric, so its transpose is the same matrix in Fortran order
-    # and LAPACK works on it in place.
+    # damped.T is damped in Fortran order, so LAPACK factors it in place; dpotrf
+    # reads one triangle of it, so the two need not agree bit for bit.
     factor, info = scipy.linalg.lapack.dpotrf(damped.T, lower=True, overwrite_a=True,
                                               clean=True)
     if info == 0:

@@ -76,15 +76,15 @@ def gen_toy_mlp(
         fc1_centered = False
     x1 = _f32(x1)
 
-    w1 = _f32(rng.uniform(-1.0, 1.0, size=(d_in, d_hidden)))
-    b1 = _f32(rng.uniform(-1.0, 1.0, size=d_hidden))
-    hidden = _f32(np.maximum(x1 @ w1 + b1, 0.0))
-    w2 = _f32(rng.uniform(-1.0, 1.0, size=(d_hidden, d_out)))
-    b2 = _f32(rng.uniform(-1.0, 1.0, size=d_out))
+    fc1 = WeightLayer(_f32(rng.uniform(-1.0, 1.0, size=(d_in, d_hidden))),
+                      _f32(rng.uniform(-1.0, 1.0, size=d_hidden)), centered=fc1_centered)
+    hidden = _f32(np.maximum(fc1.output(x1), 0.0))
+    fc2 = WeightLayer(_f32(rng.uniform(-1.0, 1.0, size=(d_hidden, d_out))),
+                      _f32(rng.uniform(-1.0, 1.0, size=d_out)), centered=False)
 
     model = TensorContainer()
-    model.add_layer("fc1", WeightLayer(w1, b1, centered=fc1_centered))
-    model.add_layer("fc2", WeightLayer(w2, b2, centered=False))
+    model.add_layer("fc1", fc1)
+    model.add_layer("fc2", fc2)
 
     calib = TensorContainer()
     calib.add("fc1.calib", x1)

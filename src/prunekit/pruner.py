@@ -12,13 +12,13 @@ Every calibration row, held-out tail included, obeys the engine's input
 rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
 ``NonFiniteInput`` instead of reaching the error report.
 
-Loaded layers and rows are float32, and no stage widens them all at once
-up front: each consumer widens what it computes on and checks it there.
-``stats_update`` widens and checks the statistics rows a block at a time,
-``GramAccumulator.update`` widens them whole for the one product and drops
-the copy, the scorers widen the weights, and ``reconstruction_mse`` widens
-each layer's weights once and the held-out tail a chunk at a time. Widening
-is exact, so results keep the bits of float64 input.
+Loaded layers and rows are float32, and no stage widens rows of any dtype
+all at once up front: each consumer widens what it computes on and checks
+it there. ``stats_update`` widens and checks the statistics rows a block at
+a time, ``GramAccumulator.update`` widens them whole for the one product
+and drops the copy, the scorers widen the weights, and ``reconstruction_mse``
+widens each layer's weights once and the held-out tail a chunk at a time.
+Widening is exact, so results keep the bits of the float64 cast.
 
 The error report splits the held-out rows, never the columns: a column
 block of ``x @ W`` is a different BLAS product and changes the last bits.

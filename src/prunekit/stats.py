@@ -16,8 +16,8 @@ are the per-feature factors in ``criteria.CRITERION_RULES``. For any
 partition of a stream into batches the result matches a two-pass
 computation over the concatenated rows to ~1e-9 relative.
 
-A batch is widened to float64 and checked ``_BLOCK_ROWS`` rows at a time,
-so float32 rows never exist as a whole float64 copy. Both passes (sum and
+A batch of any dtype is widened to float64 and checked ``_BLOCK_ROWS`` rows
+at a time, so it never exists as a whole float64 copy. Both passes (sum and
 sum of squares, then m2 about the mean) run block by block. The first
 block is summed as a whole batch is; each later block is summed below the
 running sums in one (block + 1)-row buffer, which continues numpy's
@@ -32,7 +32,7 @@ function of the engine applies to its own arguments: ``_matrix`` (an array
 is a finite 2-D float64 matrix of the expected width, else
 ``DimensionMismatch`` or ``NonFiniteInput``) and ``_check_stats`` (an
 accumulator has the expected width and enough rows). ``_rows`` is the shape
-half of ``_matrix``: it keeps float32 rows as they are, for callers that
+half of ``_matrix``: it keeps rows in their own dtype, for callers that
 widen and check them a part at a time.
 """
 
@@ -69,16 +69,24 @@ class ColumnStats:
         return self.m2 / (self.n - 1) if self.n > 1 else np.zeros_like(self.m2)
 
 
-def stats_init(m: int) -> ColumnStats:
-    """Fresh accumulator for m input features."""
+def _width(m) -> int:
+    """``m`` as a feature count: a positive integer, else ``InvalidDimension``."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidDimension(f"feature dimension must be a positive integer, got {m!r}")
-    zeros = np.zeros(int(m), dtype=np.float64)
+    return int(m)
+
+
+def stats_init(m: int) -> ColumnStats:
+    """Fresh accumulator for m input features."""
+    zeros = np.zeros(_width(m), dtype=np.float64)
     return ColumnStats(n=0, mean=zeros.copy(), m2=zeros.copy(), sumsq=zeros.copy())
 
 
-def _shaped(x: np.ndarray, what: str, width: int | None) -> np.ndarray:
-    """``x`` if it is 2-D with ``width`` columns when given, else ``DimensionMismatch``."""
+def _rows(x, what: str, width: int | None = None) -> np.ndarray:
+    """The shape half of ``_matrix``: ``x`` as a 2-D array in its own dtype,
+    with ``width`` columns when given; the values are not checked. ``what``
+    names the array in errors."""
+    x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionMismatch(f"{what} must be 2-D, got {x.ndim}-D")
     if width is not None and x.shape[1] != width:
@@ -86,19 +94,10 @@ def _shaped(x: np.ndarray, what: str, width: int | None) -> np.ndarray:
     return x
 
 
-def _rows(x, what: str, width: int | None = None) -> np.ndarray:
-    """The shape half of ``_matrix``: ``x`` as a 2-D array with ``width``
-    columns when given, float32 kept and anything else as float64; the
-    values are not checked. ``what`` names the array in errors."""
-    x = np.asarray(x)
-    return _shaped(x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64),
-                   what, width)
-
-
 def _matrix(x, what: str, width: int | None = None) -> np.ndarray:
     """The engine's input rule: ``x`` as a finite 2-D float64 array, with
     ``width`` columns when given. ``what`` names the array in errors."""
-    x = _shaped(np.asarray(x, dtype=np.float64), what, width)
+    x = _rows(np.asarray(x, dtype=np.float64), what, width)
     if not np.isfinite(x).all():
         raise NonFiniteInput(f"{what} contains NaN/Inf")
     return x
@@ -151,7 +150,8 @@ def _summarize(rows: np.ndarray) -> ColumnStats:
     for i in later:
         k = min(_BLOCK_ROWS, n - i)
         dev = buf[1 : k + 1]
-        np.subtract(rows[i : i + k], mean, out=dev)  # float32 is widened first
+        dev[...] = rows[i : i + k]  # widened as in the first pass, whatever the dtype
+        dev -= mean
         dev *= dev
         m2 = _continued(buf, m2, k)
     return ColumnStats(n=n, mean=mean, m2=m2, sumsq=sumsq)

@@ -20,6 +20,7 @@ from prunekit.errors import (
     DimensionMismatch,
     EmptyStats,
     InsufficientSamples,
+    InvalidDimension,
     NonFiniteInput,
     SingularGram,
 )
@@ -206,18 +207,64 @@ def _gram_update_reference(gram, rows):
     return (g + g.T) / 2.0
 
 
+# Row layouts whose product x.T @ x BLAS returns exactly symmetric, so the
+# sum kept as it comes has the mirrored reference's bits.
+_GRAM_LAYOUTS = {
+    "float32": lambda x: x.astype(np.float32),
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "every other row": lambda x: np.repeat(x, 2, axis=0)[::2],
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
-       batches=st.lists(st.integers(0, 50), min_size=1, max_size=4))
-def test_gram_update_is_bit_identical_to_the_reference(seed, m, batches):
+       batches=st.lists(st.integers(0, 50), min_size=1, max_size=4),
+       layout=st.sampled_from(sorted(_GRAM_LAYOUTS)))
+def test_gram_update_is_bit_identical_to_the_reference(seed, m, batches, layout):
     rng = np.random.default_rng(seed)
     g = GramAccumulator(m)
     reference = np.zeros((m, m))
     for n in batches:
         rows = rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, m) + rng.uniform(-3, 3, m)
+        rows = _GRAM_LAYOUTS[layout](rows)
         g.update(rows)
-        reference = _gram_update_reference(reference, rows)
+        reference = _gram_update_reference(reference, np.asarray(rows, dtype=np.float64))
         assert g.gram.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 7, 40, 200])
+def test_sparsegpt_on_column_strided_rows_matches_a_contiguous_copy(m):
+    # Every other column of a wider array: BLAS may return this product a
+    # last bit off its mirror, in the triangle the score does not read.
+    rng = np.random.default_rng(m)
+    rows = (rng.standard_normal((3 * m, 2 * m)) + rng.uniform(-3, 3, 2 * m))[:, ::2]
+    grams = []
+    for r in (rows, np.ascontiguousarray(rows)):
+        g = GramAccumulator(m)
+        g.update(r)
+        grams.append(g)
+    w = rng.standard_normal((m, 5))
+    for damping in ("auto", 0.1):
+        np.testing.assert_allclose(score_sparsegpt(w, grams[0], damping),
+                                   score_sparsegpt(w, grams[1], damping),
+                                   rtol=1e-10, atol=0.0)
+
+
+def test_finite_gram_above_half_the_float64_range_is_kept():
+    # 1.2e154 squared is 1.44e308: finite, though twice it is not.
+    g = GramAccumulator(1)
+    g.update([[1.2e154]])
+    assert g.gram.tolist() == [[1.2e154 * 1.2e154]]
+    assert np.isfinite(score_sparsegpt(np.ones((1, 1)), g, damping=0.0)).all()
+
+
+@pytest.mark.parametrize("m", [-1, 0, 2.5])
+def test_gram_width_must_be_a_positive_integer(m):
+    with pytest.raises(InvalidDimension):
+        GramAccumulator(m)
+    with pytest.raises(InvalidDimension):
+        stats_init(m)
 
 
 def test_gram_accumulator_symmetric():

@@ -1,18 +1,19 @@
 """Working-set gates for a layer's largest temporaries.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
-is what it allocates beyond its inputs, its result included. The sparsegpt
-score holds one m x m temporary, the damped Gram factored and inverted in
-place, and frees it before it allocates the scores; the error report holds
-one widened weight matrix, its n x H error buffer and one chunk of rows
-and its output (a float64 layer is not copied, so with float64 weights and
-rows that is under two output-sized buffers); the statistics widen a few
-blocks of rows, never the whole batch. A solve against ``eye(m)``, a LAPACK
-copy that is not overwritten, a new temporary per arithmetic step, a batch
-widened at once, or float32 weights cast again for each output breaks these
-bounds. A loaded float32 payload is held as float32, in
-arrays of its own, and the load reads each tensor straight into its array,
-never holding the file's bytes beside them.
+is what it allocates beyond its inputs, its result included. A Gram update
+holds one m x m product, summed into in place and never mirrored; the
+sparsegpt score holds one m x m temporary, the damped Gram factored and
+inverted in place, and frees it before it allocates the scores; the error
+report holds one widened weight matrix, its n x H error buffer and one
+chunk of rows and its output (a float64 layer is not copied, so with float64
+weights and rows that is under two output-sized buffers); the statistics
+widen a few blocks of rows, never the whole batch, whatever its dtype. A
+solve against ``eye(m)``, a LAPACK copy that is not overwritten, a new
+temporary per arithmetic step, a batch widened at once, or float32 weights
+cast again for each output breaks these bounds. A loaded float32 payload is
+held as float32, in arrays of its own, and the load reads each tensor
+straight into its array, never holding the file's bytes beside them.
 """
 
 import os
@@ -84,13 +85,23 @@ def test_float32_error_holds_one_widened_layer_its_buffer_and_a_chunk():
     assert peak <= 1.02 * (M * M + n * M + 2 * _EVAL_ROWS * M) * 8
 
 
+def test_gram_update_holds_one_square_product():
+    rows = np.random.default_rng(6).standard_normal((2 * M, M))
+    gram = GramAccumulator(M)
+    peak = _traced_peak(lambda: gram.update(rows))
+    # The product, summed in place; its mirrored average would be one more.
+    assert peak <= 1.25 * M * M * 8
+
+
 def test_statistics_widen_a_few_blocks_not_the_batch():
-    rows = np.random.default_rng(2).standard_normal((4096, M)).astype(np.float32)
-    stats = stats_init(M)
-    peak = _traced_peak(lambda: stats_update(stats, rows))
-    # The first block, its squares and the buffer later blocks are widened
-    # into; the whole batch widened is 16 blocks, its squares 16 more.
-    assert peak <= 4 * _BLOCK_ROWS * M * 8
+    rng = np.random.default_rng(2)
+    for rows in (rng.standard_normal((4096, M)).astype(np.float32),
+                 rng.integers(-1000, 1000, (4096, M), dtype=np.int32)):
+        stats = stats_init(M)
+        peak = _traced_peak(lambda: stats_update(stats, rows))
+        # The first block, its squares and the buffer later blocks are widened
+        # into; the whole batch widened is 16 blocks, its squares 16 more.
+        assert peak <= 4 * _BLOCK_ROWS * M * 8, rows.dtype
 
 
 def test_loaded_float32_tensors_are_float32_and_own_their_memory(tmp_path):

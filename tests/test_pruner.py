@@ -459,6 +459,29 @@ def test_float32_layer_prunes_like_its_float64_widening(
     assert asdict(rep32) == asdict(rep64)
 
 
+@pytest.mark.parametrize("tag", ["stade", "wanda", "sparsegpt-score"])
+@pytest.mark.parametrize("dtype", [np.int16, np.float16, np.bool_])
+def test_any_dtype_rows_prune_like_their_float64_cast(tag, dtype):
+    rng = np.random.default_rng(9)
+    if dtype == np.bool_:
+        rows = rng.random((30, 8)) < 0.4
+    elif dtype == np.int16:
+        rows = rng.integers(-3000, 3000, (30, 8), dtype=np.int16)
+    else:
+        rows = (rng.uniform(-3, 3, 8) + rng.standard_normal((30, 8))).astype(dtype)
+    layer = WeightLayer(rng.standard_normal((8, 3)), rng.standard_normal(3), False)
+    results = []
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", 4):
+        for r in (rows, rows.astype(np.float64)):
+            results.append(prune_layer("fc", layer, r, Criterion(tag),
+                                       SparsitySpec.parse("2:4"), True))
+    (p0, mask0, rep0), (p1, mask1, rep1) = results
+    assert np.array_equal(mask0, mask1)
+    assert p0.weights.tobytes() == p1.weights.tobytes()
+    assert p0.bias.tobytes() == p1.bias.tobytes()
+    assert asdict(rep0) == asdict(rep1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), h=st.integers(1, 6),
        n=st.integers(2, 40))

@@ -350,6 +350,26 @@ def test_float32_blocks_are_widened_before_they_are_squared():
     _assert_same_bits(got, stats_merge(stats_init(2), _summarize_whole(rows)))
 
 
+def _narrow_rows(dtype, n, m, seed=0):
+    """Rows of a dtype narrower than float64: integers, halves or booleans."""
+    rng = np.random.default_rng(seed)
+    if dtype == np.bool_:
+        return rng.random((n, m)) < 0.3
+    if dtype == np.int16:
+        return rng.integers(-3000, 3000, (n, m), dtype=np.int16)
+    return (rng.uniform(-20, 20, m) + rng.standard_normal((n, m))).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float16, np.bool_])
+@pytest.mark.parametrize("n", [3, 9, 10])
+def test_any_dtype_summarizes_like_its_float64_cast(dtype, n):
+    # Kept in their own dtype until each block is widened; blocks of 4 rows.
+    rows = _narrow_rows(dtype, n, 5)
+    with mock.patch.object(stats_module, "_BLOCK_ROWS", 4):
+        got = stats_update(stats_init(5), rows)
+        _assert_same_bits(got, stats_update(stats_init(5), rows.astype(np.float64)))
+
+
 @pytest.mark.parametrize("row", [0, 3, 8])
 def test_non_finite_row_in_any_block_is_typed_error(row):
     rows = np.ones((9, 2), dtype=np.float32)
