@@ -13,6 +13,31 @@ input rule (``stats._matrix``), so a NaN or infinity raises
 ``NonFiniteInput``, as does a finite instance whose objective overflows
 float64; an instance without features raises ``InvalidDimension``. It
 always returns a minimizer or raises.
+
+``check_criterion_optimality`` draws its trials ``_WINDOW`` at a time.
+Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child
+``SeedSequence(seed).spawn`` would make. Within a window, the instances of
+one row count n sit side by side as the columns of one n x (sum of widths)
+stack, and one ``stats_update``, one ``compute_scores`` and one
+``_objectives`` pass check them all. The bits are those of checking each
+instance alone, because every step works per feature:
+
+- the statistics of at most ``stats._BLOCK_ROWS`` rows sum each column row
+  by row, whatever the stack's width (an instance has at least two
+  features, so it is never the one-column batch numpy sums pairwise);
+- the score is elementwise;
+- every objective row keeps its length n, so its mean adds in the same
+  pairwise order;
+- each instance's argmins read its own slice, ties going to the lowest
+  index.
+
+Each dense output is ``calib @ w_col + bias`` on the instance's own
+contiguous rows, never on a strided slice of the stack, whose product the
+BLAS may sum in another order. A window is reduced to its mismatch count,
+largest bias shift and first mismatch before the next one runs, so the
+working set does not grow with the trial count. A failing window is
+checked again one trial at a time, so that it raises what its first
+failing trial raises.
 """
 
 from __future__ import annotations
@@ -61,20 +86,31 @@ def brute_force_single_prune(
     if n == 0:
         raise EmptyStats("enumeration needs at least one calibration row")
 
-    # Row j of ``cols`` is feature j, so candidate j's objective is a mean
-    # along one contiguous row: the same pairwise summation, and so the same
-    # bits, as the mean of candidate j's 1-D error vector on its own.
-    cols = np.ascontiguousarray(calib.T)
     with np.errstate(over="ignore", invalid="ignore"):
         dense = calib @ w_col + bias
-        b = bias + cols.mean(axis=1) * w_col if allow_bias else np.full(m, bias)
-        pruned = dense - cols * w_col[:, None] - bias + b[:, None]
-        objective = np.mean((dense - pruned) ** 2, axis=1)
+    b, objective = _objectives(np.ascontiguousarray(calib.T), np.full(m, bias), dense,
+                               w_col, allow_bias)
     bad = np.flatnonzero(~np.isfinite(objective))
     if bad.size:
         raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
     j = int(np.argmin(objective))  # the first minimum: ties go to the lowest index
     return j, float(b[j]), float(objective[j])
+
+
+def _objectives(cols, bias, dense, w, allow_bias):
+    """Bias and objective of pruning each feature of a stack of instances.
+
+    Row f of ``cols`` is feature f over its instance's calibration rows;
+    ``bias[f]`` is that instance's bias, ``w[f]`` the feature's weight, and
+    row f of ``dense`` (broadcast) the instance's dense output. Each
+    objective is a mean along one contiguous row: the same pairwise
+    summation, and so the same bits, as the mean of that candidate's 1-D
+    error vector on its own.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = bias + cols.mean(axis=1) * w if allow_bias else bias
+        pruned = dense - cols * w[:, None] - bias[:, None] + b[:, None]
+        return b, np.mean((dense - pruned) ** 2, axis=1)
 
 
 def random_instance(rng: np.random.Generator, data: str = "uncentered"):
@@ -121,6 +157,63 @@ class CheckResult:
         return self.mismatches == 0
 
 
+_WINDOW = 256  # trials drawn, checked and reduced together
+
+
+def _check_stack(tag, allow_bias, trials):
+    """Check ``trials``, (index, instance) pairs of one row count, as one stack.
+
+    Returns each trial's ``(index, |refit bias - bias|, mismatch)``, where the
+    mismatch is None or ``(criterion choice, enumeration choice, enumeration
+    objective)``.
+    """
+    calibs, ws, biases = zip(*(instance for _, instance in trials))
+    sizes = [w_col.shape[0] for w_col in ws]
+    starts = np.cumsum([0, *sizes[:-1]])
+    w = np.concatenate(ws)
+    stack = np.hstack(calibs)
+    stats = stats_update(stats_init(w.shape[0]), stack)
+    scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = [calib @ w_col + bias for calib, w_col, bias in zip(calibs, ws, biases)]
+    b, objective = _objectives(np.ascontiguousarray(stack.T), np.repeat(biases, sizes),
+                               np.repeat(dense, sizes, axis=0), w, allow_bias)
+    bad = np.flatnonzero(~np.isfinite(objective))
+    if bad.size:  # names a feature of a stack of one; see _check_window
+        raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
+    outcomes = []
+    for (idx, _), start, m, bias in zip(trials, starts, sizes, biases):
+        crit_j = int(scores[start : start + m].argmin())  # ties go to the lowest index
+        bf_j = int(objective[start : start + m].argmin())
+        mismatch = None if crit_j == bf_j else (crit_j, bf_j, float(objective[start + bf_j]))
+        outcomes.append((idx, abs(float(b[start + bf_j]) - bias), mismatch))
+    return outcomes
+
+
+def _check_window(tag, allow_bias, trials):
+    """Check ``trials``, (index, instance) pairs, in one stack per row count.
+
+    Returns the mismatch count, the largest bias shift and the first mismatch
+    as ``(index, mismatch)``, or None.
+    """
+    stacks = {}
+    for trial in trials:
+        _, (calib, _, _) = trial
+        stacks.setdefault(calib.shape[0], []).append(trial)
+    try:
+        outcomes = [outcome for stack in stacks.values()
+                    for outcome in _check_stack(tag, allow_bias, stack)]
+    except NonFiniteInput:
+        # A stack fails at its first failing step, not at its first failing
+        # trial: run the trials alone, in order, to raise what that one raises.
+        for trial in trials:
+            _check_stack(tag, allow_bias, [trial])
+        raise
+    mismatched = [(idx, mismatch) for idx, _, mismatch in outcomes if mismatch]
+    return (len(mismatched), max(shift for _, shift, _ in outcomes),
+            min(mismatched) if mismatched else None)
+
+
 def check_criterion_optimality(
     tag: str,
     trials: int,
@@ -133,39 +226,34 @@ def check_criterion_optimality(
     ``data`` is the regime ``random_instance`` draws in, or "auto" for the
     one the criterion is claimed optimal for in ``CRITERION_RULES``.
     ``max_bias_shift`` records the largest |refit bias - original bias|
-    seen, which must vanish on centered data.
+    seen, which must vanish on centered data. ``trials`` must be an integer
+    of at least 1; ``threads`` workers check the windows of trials.
     """
     if tag not in CHECKABLE_TAGS:
         raise ValueError(f"no optimality check for criterion {tag!r}; "
                          f"expected one of {sorted(CHECKABLE_TAGS)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
     if data == "auto":
         data = default_data
 
-    children = np.random.SeedSequence(seed).spawn(trials)
-
     def instance(idx: int):
-        return random_instance(np.random.default_rng(children[idx]), data)
+        child = np.random.SeedSequence(seed, spawn_key=(idx,))
+        return random_instance(np.random.default_rng(child), data)
 
-    def run_trial(idx: int):
-        calib, w_col, bias = instance(idx)
-        stats = stats_update(stats_init(calib.shape[1]), calib)
-        scores = compute_scores(tag, w_col[:, None], stats=stats)
-        crit_j = int(np.argmin(scores[:, 0]))
-        bf_j, bf_b, bf_obj = brute_force_single_prune(w_col, bias, calib, allow_bias)
-        mismatch = None if crit_j == bf_j else (crit_j, bf_j, bf_obj)
-        return abs(bf_b - bias), mismatch
+    def run_window(start: int):
+        window = range(start, min(start + _WINDOW, trials))
+        return _check_window(tag, allow_bias, [(idx, instance(idx)) for idx in window])
 
-    outcomes = parallel_map(run_trial, range(trials), threads)
-    mismatched = [idx for idx, (_, mismatch) in enumerate(outcomes) if mismatch]
+    windows = parallel_map(run_window, range(0, trials, _WINDOW), threads)
+    firsts = [first for _, _, first in windows if first]
     first = None
-    if mismatched:
+    if firsts:
         # Only the first counterexample is reported, so only it is built;
         # its instance is drawn again from the trial's own seed.
-        idx = mismatched[0]
-        crit_j, bf_j, bf_obj = outcomes[idx][1]
+        idx, (crit_j, bf_j, bf_obj) = firsts[0]
         calib, w_col, bias = instance(idx)
         first = {
             "trial": idx,
@@ -179,13 +267,14 @@ def check_criterion_optimality(
             "feature_means": calib.mean(axis=0).tolist(),
             "feature_stds": calib.std(axis=0, ddof=1).tolist(),
         }
+    mismatches = sum(count for count, _, _ in windows)
     return CheckResult(
         criterion=tag,
         data=data,
         allow_bias=allow_bias,
         trials=trials,
-        matches=trials - len(mismatched),
-        mismatches=len(mismatched),
-        max_bias_shift=float(max(shift for shift, _ in outcomes)),
+        matches=trials - mismatches,
+        mismatches=mismatches,
+        max_bias_shift=float(max(shift for _, shift, _ in windows)),
         first_counterexample=first,
     )

@@ -13,7 +13,8 @@ solve against ``eye(m)``, a LAPACK copy that is not overwritten, a new
 temporary per arithmetic step, a batch widened at once, or float32 weights
 cast again for each output breaks these bounds. A loaded float32 payload is
 held as float32, in arrays of its own, and the load reads each tensor
-straight into its array, never holding the file's bytes beside them.
+straight into its array, never holding the file's bytes beside them. A
+verify check holds one window of trials at a time, whatever its trial count.
 """
 
 import os
@@ -26,6 +27,7 @@ from prunekit import (
     GramAccumulator,
     TensorContainer,
     WeightLayer,
+    check_criterion_optimality,
     load_container,
     reconstruction_mse,
     save_container,
@@ -102,6 +104,14 @@ def test_statistics_widen_a_few_blocks_not_the_batch():
         # The first block, its squares and the buffer later blocks are widened
         # into; the whole batch widened is 16 blocks, its squares 16 more.
         assert peak <= 4 * _BLOCK_ROWS * M * 8, rows.dtype
+
+
+def test_verify_working_set_does_not_grow_with_trials():
+    check = check_criterion_optimality  # offset data: mismatches and a counterexample
+    small = _traced_peak(lambda: check("wanda", 1000, 0, data="offset"))
+    large = _traced_peak(lambda: check("wanda", 8000, 0, data="offset"))
+    # Per-trial seeds or outcomes kept for the whole run grow eightfold.
+    assert large <= 1.25 * small
 
 
 def test_loaded_float32_tensors_are_float32_and_own_their_memory(tmp_path):

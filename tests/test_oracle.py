@@ -1,8 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import prunekit.oracle as oracle
 from prunekit import (
     WeightLayer,
     bias_update,
@@ -14,8 +17,10 @@ from prunekit import (
     stats_init,
     stats_update,
 )
+from prunekit.criteria import CHECKABLE_TAGS, CRITERION_RULES
 from prunekit.errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
-from prunekit.oracle import MAX_FEATURES, MAX_ROWS
+from prunekit.oracle import DATA_REGIMES, MAX_FEATURES, MAX_ROWS, CheckResult
+from prunekit.parallel import parallel_map
 
 # Two features: one symmetric around zero, one constant with a large offset.
 # With a bias refit the constant feature prunes for free; without one the
@@ -252,8 +257,126 @@ def test_check_rejects_unknown_criterion_and_bad_trials():
         check_criterion_optimality("magnitude", trials=10, seed=0)
     with pytest.raises(ValueError):
         check_criterion_optimality("stade", trials=0, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        check_criterion_optimality("stade", trials=2.5, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        check_criterion_optimality("stade", trials=True, seed=0)
     with pytest.raises(ValueError):
         check_criterion_optimality("stade", trials=10, seed=0, data="weird")
+
+
+def per_trial_check(tag, trials, seed, data="auto", threads=1):
+    """Reference: the check as one trial at a time, each from one child of a
+    spawn list, with the first counterexample's instance drawn again."""
+    default_data, allow_bias = CRITERION_RULES[tag].optimal_in
+    if data == "auto":
+        data = default_data
+    children = np.random.SeedSequence(seed).spawn(trials)
+
+    def instance(idx):
+        return oracle.random_instance(np.random.default_rng(children[idx]), data)
+
+    def run_trial(idx):
+        calib, w_col, bias = instance(idx)
+        stats = stats_update(stats_init(calib.shape[1]), calib)
+        scores = compute_scores(tag, w_col[:, None], stats=stats)
+        crit_j = int(np.argmin(scores[:, 0]))
+        bf_j, bf_b, bf_obj = brute_force_single_prune(w_col, bias, calib, allow_bias)
+        mismatch = None if crit_j == bf_j else (crit_j, bf_j, bf_obj)
+        return abs(bf_b - bias), mismatch
+
+    outcomes = parallel_map(run_trial, range(trials), threads)
+    mismatched = [idx for idx, (_, mismatch) in enumerate(outcomes) if mismatch]
+    first = None
+    if mismatched:
+        idx = mismatched[0]
+        crit_j, bf_j, bf_obj = outcomes[idx][1]
+        calib, w_col, bias = instance(idx)
+        first = {
+            "trial": idx,
+            "rows": int(calib.shape[0]),
+            "features": int(calib.shape[1]),
+            "criterion_choice": crit_j,
+            "enumeration_choice": bf_j,
+            "enumeration_objective": bf_obj,
+            "weights": w_col.tolist(),
+            "bias": bias,
+            "feature_means": calib.mean(axis=0).tolist(),
+            "feature_stds": calib.std(axis=0, ddof=1).tolist(),
+        }
+    return CheckResult(
+        criterion=tag,
+        data=data,
+        allow_bias=allow_bias,
+        trials=trials,
+        matches=trials - len(mismatched),
+        mismatches=len(mismatched),
+        max_bias_shift=float(max(shift for shift, _ in outcomes)),
+        first_counterexample=first,
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("data", DATA_REGIMES)
+@pytest.mark.parametrize("tag", CHECKABLE_TAGS)
+def test_windowed_check_matches_per_trial_loop(tag, data, threads):
+    # One full window and part of a second. Off centered data wanda
+    # mismatches, so its first counterexample is compared too.
+    trials = oracle._WINDOW + 44
+    expected = asdict(per_trial_check(tag, trials, 17, data, threads))
+    got = asdict(check_criterion_optimality(tag, trials, 17, data, threads))
+    assert got == expected
+
+
+@pytest.mark.parametrize("window", [4, 7])
+@pytest.mark.parametrize("data", DATA_REGIMES)
+@pytest.mark.parametrize("tag", CHECKABLE_TAGS)
+def test_small_windows_split_stacks_alike(tag, data, window, monkeypatch):
+    # Windows this small split the trials of one row count across windows and
+    # leave most stacks a single instance.
+    monkeypatch.setattr(oracle, "_WINDOW", window)
+    for trials in (1, window - 1, window, window + 1, 2 * window + 3):
+        for threads in (1, 2):
+            expected = asdict(per_trial_check(tag, trials, 0, data, threads))
+            got = asdict(check_criterion_optimality(tag, trials, 0, data, threads))
+            assert got == expected, (trials, threads)
+
+
+# Trial index -> what its instance becomes: rows that overflow the statistics,
+# or a last weight whose objective overflows while its statistics and score
+# stay finite. Every instance keeps 8 rows, so a window is one stack.
+OVERFLOWS = {
+    "rows": {3: "rows"},
+    "weight": {3: "weight"},
+    "weight-then-rows": {2: "weight", 5: "rows"},
+    "rows-then-weight": {2: "rows", 5: "weight"},
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+@pytest.mark.parametrize("tag", CHECKABLE_TAGS)
+def test_overflow_in_a_stack_raises_the_per_trial_error(tag, case, monkeypatch):
+    real = oracle.random_instance
+    drawn = []
+
+    def draw(rng, data):
+        calib, w_col, bias = real(rng, data)
+        calib, kind = calib[:8].copy(), OVERFLOWS[case].get(len(drawn))
+        drawn.append(kind)
+        if kind == "rows":
+            calib *= 1e200
+        elif kind == "weight":
+            w_col[-1] = 1e200
+        return calib, w_col, bias
+
+    monkeypatch.setattr(oracle, "random_instance", draw)
+    monkeypatch.setattr(oracle, "_WINDOW", 7)
+    with pytest.raises(NonFiniteInput) as expected:
+        per_trial_check(tag, 12, 4)
+    drawn.clear()
+    with pytest.raises(NonFiniteInput) as raised:
+        check_criterion_optimality(tag, 12, 4)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_random_instance_bounds():
