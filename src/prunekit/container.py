@@ -63,6 +63,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedPayload,
 )
+from .stats import _is_count
 
 MAGIC = b"PRUNEKT1"
 
@@ -270,10 +271,6 @@ def save_container(container: TensorContainer, path: str) -> None:
                 fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype], copy=False))
     except OSError as exc:
         raise IoFailure(f"cannot write container to {path!r}: {exc}") from exc
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_container(path: str) -> TensorContainer:

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .container import WeightLayer
-from .errors import DimensionMismatch, NonFiniteInput, SingularGram
+from .errors import DimensionMismatch, EmptyStats, NonFiniteInput, SingularGram
 from .stats import ColumnStats, _check_stats, _matrix, _width
 
 
@@ -97,14 +97,19 @@ class Criterion:
         if rule is None or not rule.needs_gram:
             if self.damping is not None:
                 raise ValueError(f"criterion {self.tag!r} takes no damping")
-        elif self.damping is None:
-            object.__setattr__(self, "damping", "auto")
-        elif isinstance(self.damping, str):
-            if self.damping != "auto":
-                raise ValueError(f"damping must be a float or 'auto', "
-                                 f"got {self.damping!r}")
-        elif not 0.0 <= self.damping < math.inf:  # NaN fails both
-            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
+        else:
+            damping = "auto" if self.damping is None else self.damping
+            object.__setattr__(self, "damping", _damping(damping))
+
+
+def _damping(value) -> float | str:
+    """The damping rule: "auto" or a finite float >= 0, else ``ValueError``."""
+    if isinstance(value, str) and value == "auto":
+        return value
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0.0 <= value < math.inf):  # NaN fails both
+        raise ValueError(f"damping must be 'auto' or a finite float >= 0, got {value!r}")
+    return float(value)
 
 
 class GramAccumulator:
@@ -143,17 +148,20 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     The diagonal is the column sums of squares of L^-1, where
     G + damping*I = L L^T; one m x m temporary holds G + damping*I, then L,
     then L^-1. ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means
-    undamped. The raw ratio is kept (no square root): only the ranking matters.
+    undamped; ``_damping`` rejects anything else. A missing Gram raises
+    ``EmptyStats``. The raw ratio is kept (no square root): only the ranking matters.
     """
     import scipy.linalg  # here, not at module level: see the module docstring
 
     weights = _matrix(weights, "weights")
     m = weights.shape[0]
+    if gram is None:
+        raise EmptyStats("no Gram accumulated")
     if gram.m != m:
         raise DimensionMismatch(f"gram width {gram.m} != weight rows {m}")
+    damping = _damping(damping)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = (0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto"
-               else float(damping))
+        lam = 0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto" else damping
         damped = gram.gram.copy()
         damped.flat[::m + 1] += lam
     if not math.isfinite(lam):

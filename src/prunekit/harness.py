@@ -21,6 +21,7 @@ from .container import TensorContainer, WeightLayer
 from .criteria import Criterion
 from .masks import SparsitySpec
 from .pruner import HOLDOUT_FRACTION, prune_container, split_holdout
+from .stats import _is_count
 
 NORM_KINDS = ("layernorm-like", "rmsnorm-like", "none")
 LAYER_NAMES = ("fc1", "fc2")
@@ -33,11 +34,11 @@ class ToyMlpConfig:
     samples: int = 256
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+        if len(self.dims) != 3 or not all(_is_count(d, 1) for d in self.dims):
             raise ValueError(f"dims must be three positive sizes, got {self.dims}")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
-        if self.samples < 4:
+        if not _is_count(self.samples, 4):
             raise ValueError(f"samples must be >= 4, got {self.samples}")
 
 
@@ -158,7 +159,7 @@ def run_comparison(
         raise ValueError("comparison needs at least two criteria")
     if len(set(tags)) < len(tags):
         raise ValueError(f"comparison repeats a criterion tag: {tags}")
-    if seeds < 1:
+    if not _is_count(seeds, 1):
         raise ValueError(f"seeds must be >= 1, got {seeds}")
 
     layers = list(LAYER_NAMES)

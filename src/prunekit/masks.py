@@ -33,7 +33,7 @@ import numpy as np
 
 from .container import WeightLayer
 from .errors import IndivisibleGroup, InvalidRatio, ShapeMismatch
-from .stats import _matrix
+from .stats import _is_count, _matrix
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class SparsitySpec:
         if structured == (self.ratio is not None):
             raise InvalidRatio("specify either a ratio or an n:m pattern, not both")
         if structured:
-            if (not isinstance(self.n, int) or not isinstance(self.m, int)
-                    or not 0 < self.n < self.m):
+            if not (_is_count(self.n, 1) and _is_count(self.m) and self.n < self.m):
                 raise InvalidRatio(f"structured pattern needs integers 0 < n < m, "
                                    f"got {self.n}:{self.m}")
         else:

@@ -19,8 +19,11 @@ Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child
 ``SeedSequence(seed).spawn`` would make. Within a window, the instances of
 one row count n sit side by side as the columns of one n x (sum of widths)
 stack, and one ``stats_update``, one ``compute_scores`` and one
-``_objectives`` pass check them all. The bits are those of checking each
-instance alone, because every step works per feature:
+``_enumerate`` pass check them all. ``_enumerate`` is the one enumerator:
+it owns the dense outputs, the objectives, their finite check and each
+instance's argmin, and ``brute_force_single_prune`` is its input checks plus
+``_enumerate`` on one instance. The bits are those of checking each instance
+alone, because every step works per feature:
 
 - the statistics of at most ``stats._BLOCK_ROWS`` rows sum each column row
   by row, whatever the stack's width (an instance has at least two
@@ -35,8 +38,8 @@ Each dense output is ``calib @ w_col + bias`` on the instance's own
 contiguous rows, never on a strided slice of the stack, whose product the
 BLAS may sum in another order. A window is reduced to its mismatch count,
 largest bias shift and first mismatch before the next one runs, so the
-working set does not grow with the trial count. A failing window is
-checked again one trial at a time, so that it raises what its first
+working set does not grow with the trial count. A failing window of several
+trials is checked again one trial at a time, so that it raises what its first
 failing trial raises.
 """
 
@@ -49,7 +52,7 @@ import numpy as np
 from .criteria import CHECKABLE_TAGS, CRITERION_RULES, compute_scores
 from .errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
 from .parallel import parallel_map
-from .stats import _matrix, stats_init, stats_update
+from .stats import _is_count, _matrix, stats_init, stats_update
 
 MAX_FEATURES = 64
 MAX_ROWS = 4096
@@ -86,31 +89,33 @@ def brute_force_single_prune(
     if n == 0:
         raise EmptyStats("enumeration needs at least one calibration row")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        dense = calib @ w_col + bias
-    b, objective = _objectives(np.ascontiguousarray(calib.T), np.full(m, bias), dense,
-                               w_col, allow_bias)
-    bad = np.flatnonzero(~np.isfinite(objective))
-    if bad.size:
-        raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
-    j = int(np.argmin(objective))  # the first minimum: ties go to the lowest index
-    return j, float(b[j]), float(objective[j])
+    return _enumerate(calib, [(calib, w_col, bias)], allow_bias)[0]
 
 
-def _objectives(cols, bias, dense, w, allow_bias):
-    """Bias and objective of pruning each feature of a stack of instances.
-
-    Row f of ``cols`` is feature f over its instance's calibration rows;
-    ``bias[f]`` is that instance's bias, ``w[f]`` the feature's weight, and
-    row f of ``dense`` (broadcast) the instance's dense output. Each
-    objective is a mean along one contiguous row: the same pairwise
+def _enumerate(stack, instances, allow_bias):
+    """Each of ``instances``' ``(best_j, best_bias, best_objective)``, as
+    ``brute_force_single_prune`` returns it. ``instances`` are (calib, w_col,
+    bias) of one row count and ``stack`` their calibrations side by side.
+    Each objective is a mean along one contiguous row: the same pairwise
     summation, and so the same bits, as the mean of that candidate's 1-D
-    error vector on its own.
+    error vector on its own. A non-finite one raises ``NonFiniteInput``.
     """
+    _, ws, biases = zip(*instances)
+    sizes = [w_col.shape[0] for w_col in ws]
+    cols, w, bias = np.ascontiguousarray(stack.T), np.concatenate(ws), np.repeat(biases, sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = bias + cols.mean(axis=1) * w if allow_bias else bias
-        pruned = dense - cols * w[:, None] - bias[:, None] + b[:, None]
-        return b, np.mean((dense - pruned) ** 2, axis=1)
+        dense = np.repeat([calib @ w_col + b for calib, w_col, b in instances], sizes, axis=0)
+        refit = bias + cols.mean(axis=1) * w if allow_bias else bias
+        pruned = dense - cols * w[:, None] - bias[:, None] + refit[:, None]
+        objective = np.mean((dense - pruned) ** 2, axis=1)
+    bad = np.flatnonzero(~np.isfinite(objective))
+    if bad.size:  # names a feature of a stack of one; see _check_window
+        raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
+    best = []
+    for start, m in zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes):
+        j = int(objective[start : start + m].argmin())  # ties go to the lowest index
+        best.append((j, float(refit[start + j]), float(objective[start + j])))
+    return best
 
 
 def random_instance(rng: np.random.Generator, data: str = "uncentered"):
@@ -160,58 +165,39 @@ class CheckResult:
 _WINDOW = 256  # trials drawn, checked and reduced together
 
 
-def _check_stack(tag, allow_bias, trials):
-    """Check ``trials``, (index, instance) pairs of one row count, as one stack.
-
-    Returns each trial's ``(index, |refit bias - bias|, mismatch)``, where the
-    mismatch is None or ``(criterion choice, enumeration choice, enumeration
-    objective)``.
-    """
-    calibs, ws, biases = zip(*(instance for _, instance in trials))
-    sizes = [w_col.shape[0] for w_col in ws]
-    starts = np.cumsum([0, *sizes[:-1]])
-    w = np.concatenate(ws)
-    stack = np.hstack(calibs)
-    stats = stats_update(stats_init(w.shape[0]), stack)
-    scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dense = [calib @ w_col + bias for calib, w_col, bias in zip(calibs, ws, biases)]
-    b, objective = _objectives(np.ascontiguousarray(stack.T), np.repeat(biases, sizes),
-                               np.repeat(dense, sizes, axis=0), w, allow_bias)
-    bad = np.flatnonzero(~np.isfinite(objective))
-    if bad.size:  # names a feature of a stack of one; see _check_window
-        raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
-    outcomes = []
-    for (idx, _), start, m, bias in zip(trials, starts, sizes, biases):
-        crit_j = int(scores[start : start + m].argmin())  # ties go to the lowest index
-        bf_j = int(objective[start : start + m].argmin())
-        mismatch = None if crit_j == bf_j else (crit_j, bf_j, float(objective[start + bf_j]))
-        outcomes.append((idx, abs(float(b[start + bf_j]) - bias), mismatch))
-    return outcomes
-
-
 def _check_window(tag, allow_bias, trials):
     """Check ``trials``, (index, instance) pairs, in one stack per row count.
 
     Returns the mismatch count, the largest bias shift and the first mismatch
-    as ``(index, mismatch)``, or None.
+    as ``(index, (criterion choice, enumeration choice, objective))``, or None.
     """
     stacks = {}
-    for trial in trials:
-        _, (calib, _, _) = trial
-        stacks.setdefault(calib.shape[0], []).append(trial)
+    for idx, instance in trials:
+        stacks.setdefault(instance[0].shape[0], []).append((idx, instance))
+    mismatched, shift = [], 0.0
     try:
-        outcomes = [outcome for stack in stacks.values()
-                    for outcome in _check_stack(tag, allow_bias, stack)]
+        for stacked in stacks.values():
+            indices, instances = zip(*stacked)
+            calibs, ws, biases = zip(*instances)
+            stack, w = np.hstack(calibs), np.concatenate(ws)
+            stats = stats_update(stats_init(w.shape[0]), stack)
+            scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
+            start = 0
+            for idx, w_col, bias, (bf_j, bf_b, bf_obj) in zip(
+                    indices, ws, biases, _enumerate(stack, instances, allow_bias)):
+                crit_j = int(scores[start : start + w_col.shape[0]].argmin())  # ties: lowest index
+                start += w_col.shape[0]
+                shift = max(shift, abs(bf_b - bias))
+                if crit_j != bf_j:
+                    mismatched.append((idx, (crit_j, bf_j, bf_obj)))
     except NonFiniteInput:
         # A stack fails at its first failing step, not at its first failing
         # trial: run the trials alone, in order, to raise what that one raises.
-        for trial in trials:
-            _check_stack(tag, allow_bias, [trial])
+        if len(trials) > 1:
+            for trial in trials:
+                _check_window(tag, allow_bias, [trial])
         raise
-    mismatched = [(idx, mismatch) for idx, _, mismatch in outcomes if mismatch]
-    return (len(mismatched), max(shift for _, shift, _ in outcomes),
-            min(mismatched) if mismatched else None)
+    return len(mismatched), shift, min(mismatched) if mismatched else None
 
 
 def check_criterion_optimality(
@@ -232,7 +218,7 @@ def check_criterion_optimality(
     if tag not in CHECKABLE_TAGS:
         raise ValueError(f"no optimality check for criterion {tag!r}; "
                          f"expected one of {sorted(CHECKABLE_TAGS)}")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not _is_count(trials, 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     trials = int(trials)
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in

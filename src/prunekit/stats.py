@@ -27,13 +27,14 @@ or C-contiguous with at least two columns. A one-column or non-C-contiguous
 batch of several blocks may differ in its last bits, because numpy sums an
 axis that is contiguous in memory pairwise.
 
-This module also states the engine's two input rules, which every public
+This module also owns the engine's input rules, which every public
 function of the engine applies to its own arguments: ``_matrix`` (an array
 is a finite 2-D float64 matrix of the expected width, else
-``DimensionMismatch`` or ``NonFiniteInput``) and ``_check_stats`` (an
-accumulator has the expected width and enough rows). ``_rows`` is the shape
-half of ``_matrix``: it keeps rows in their own dtype, for callers that
-widen and check them a part at a time.
+``DimensionMismatch`` or ``NonFiniteInput``), ``_check_stats`` (an
+accumulator, not None, has the expected width and enough rows) and
+``_is_count`` (an int or numpy integer of at least a bound, never a bool).
+``_rows`` is the shape half of ``_matrix``: it keeps rows in their own
+dtype, for callers that widen and check them a part at a time.
 """
 
 from __future__ import annotations
@@ -69,9 +70,15 @@ class ColumnStats:
         return self.m2 / (self.n - 1) if self.n > 1 else np.zeros_like(self.m2)
 
 
+def _is_count(value, least: int = 0) -> bool:
+    """The count rule: an int or numpy integer >= ``least``, never a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 def _width(m) -> int:
     """``m`` as a feature count: a positive integer, else ``InvalidDimension``."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_count(m, 1):
         raise InvalidDimension(f"feature dimension must be a positive integer, got {m!r}")
     return int(m)
 
@@ -103,11 +110,11 @@ def _matrix(x, what: str, width: int | None = None) -> np.ndarray:
     return x
 
 
-def _check_stats(stats: ColumnStats, m: int, min_rows: int) -> None:
-    """``stats`` covers ``m`` features and holds at least ``min_rows`` rows."""
-    if stats.m != m:
+def _check_stats(stats: ColumnStats | None, m: int, min_rows: int) -> None:
+    """``stats`` covers ``m`` features and holds >= ``min_rows`` rows; None holds none."""
+    if stats is not None and stats.m != m:
         raise DimensionMismatch(f"stats width {stats.m} != weight rows {m}")
-    if stats.n == 0:
+    if stats is None or stats.n == 0:
         raise EmptyStats("no calibration rows accumulated")
     if stats.n < min_rows:
         raise InsufficientSamples(

@@ -259,7 +259,7 @@ def test_finite_gram_above_half_the_float64_range_is_kept():
     assert np.isfinite(score_sparsegpt(np.ones((1, 1)), g, damping=0.0)).all()
 
 
-@pytest.mark.parametrize("m", [-1, 0, 2.5])
+@pytest.mark.parametrize("m", [-1, 0, 2.5, True])
 def test_gram_width_must_be_a_positive_integer(m):
     with pytest.raises(InvalidDimension):
         GramAccumulator(m)
@@ -300,12 +300,20 @@ def test_criterion_damping_validation():
     assert Criterion("sparsegpt-score").damping == "auto"
     with pytest.raises(ValueError):
         Criterion("wanda", damping=0.1)
-    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf"), True, "fast"):
         with pytest.raises(ValueError):
             Criterion("sparsegpt-score", damping=bad)
     with pytest.raises(ValueError):
         Criterion("not-a-criterion")
     assert Criterion("sparsegpt-score", damping="auto").damping == "auto"
+
+
+@pytest.mark.parametrize("damping", [-0.5, float("nan"), True, "fast"])
+def test_score_sparsegpt_applies_the_damping_rule(damping):
+    gram = GramAccumulator(3)
+    gram.update(np.eye(3))
+    with pytest.raises(ValueError, match="damping"):
+        score_sparsegpt(np.ones((3, 2)), gram, damping=damping)
 
 
 def test_scores_non_negative():

@@ -88,6 +88,9 @@ def test_config_validation():
         ToyMlpConfig(norm="batchnorm")
     with pytest.raises(ValueError):
         ToyMlpConfig(samples=2)
+    for bad in (dict(dims=(2.5, 4, 2)), dict(dims=(True, 4, 2)), dict(samples=8.5)):
+        with pytest.raises(ValueError):
+            ToyMlpConfig(**bad)
 
 
 def test_comparison_table_complete_and_reproducible():
@@ -106,6 +109,12 @@ def test_comparison_table_complete_and_reproducible():
 def test_comparison_requires_two_criteria():
     with pytest.raises(ValueError):
         run_comparison(["wanda"], SparsitySpec.unstructured(0.5), seeds=2)
+
+
+@pytest.mark.parametrize("seeds", [0, 1.5, True])
+def test_comparison_seeds_must_be_a_positive_integer(seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        run_comparison(["wanda", "stade"], SparsitySpec.unstructured(0.5), seeds=seeds)
 
 
 @pytest.mark.parametrize("criteria", [

@@ -28,7 +28,13 @@ from prunekit import (
     stats_init,
     stats_update,
 )
-from prunekit.errors import DimensionMismatch, NonFiniteInput, ShapeMismatch, SingularGram
+from prunekit.errors import (
+    DimensionMismatch,
+    EmptyStats,
+    NonFiniteInput,
+    ShapeMismatch,
+    SingularGram,
+)
 
 M, H, N = 4, 3, 10
 _rng = np.random.default_rng(0)
@@ -114,6 +120,13 @@ def test_bad_input_is_typed_error(name, bad, error):
     call, _, _ = ENTRY_POINTS[name]
     with pytest.raises(error):
         call(bad)
+
+
+@pytest.mark.parametrize("tag", ["wanda", "stade", "stade-star", "sparsegpt-score"])
+def test_missing_statistics_are_empty_stats(tag):
+    # Called without its statistics or Gram, a scorer holds no rows.
+    with pytest.raises(EmptyStats):
+        compute_scores(tag, WEIGHTS)
 
 
 def test_stats_width_mismatch_is_one_type():

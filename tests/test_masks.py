@@ -79,6 +79,12 @@ def test_spec_validation():
         SparsitySpec.structured(0, 4)
     with pytest.raises(InvalidRatio):
         SparsitySpec()
+    # Counts are integers, numpy integers included, but never bools.
+    with pytest.raises(InvalidRatio):
+        SparsitySpec(n=True, m=4)
+    numpy_counts = SparsitySpec(n=np.int64(2), m=np.int64(4))
+    assert numpy_counts == SparsitySpec.structured(2, 4)
+    assert str(numpy_counts) == "2:4"
 
 
 def test_spec_parse_and_str():

@@ -379,6 +379,20 @@ def test_overflow_in_a_stack_raises_the_per_trial_error(tag, case, monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def test_a_failing_window_of_one_trial_raises_its_error(monkeypatch):
+    # A failing window is checked again one trial at a time; a window of one
+    # trial must raise its own error, not check itself again without end.
+    real = oracle.random_instance
+
+    def draw(rng, data):
+        calib, w_col, bias = real(rng, data)
+        return calib * 1e200, w_col, bias
+
+    monkeypatch.setattr(oracle, "random_instance", draw)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        check_criterion_optimality("stade", 1, 0)
+
+
 def test_random_instance_bounds():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -40,6 +40,7 @@ from prunekit.errors import (
     SingularGram,
 )
 from prunekit.criteria import CRITERION_RULES
+from prunekit.parallel import parallel_map
 from prunekit.pruner import split_holdout
 
 
@@ -276,6 +277,13 @@ def test_thread_count_invariance():
                               out4.get_layer(name).weights)
     assert [r.reconstruction_mse for r in rep1.layers] == \
            [r.reconstruction_mse for r in rep4.layers]
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+def test_parallel_map_threads_must_be_a_positive_integer(threads):
+    with pytest.raises(ValueError, match="threads"):
+        parallel_map(abs, [-1, -2], threads)
+    assert parallel_map(abs, [-1, -2], np.int64(2)) == [1, 2]
 
 
 def test_classify_centered_exact_zero_mean():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from prunekit import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -54,3 +56,34 @@ def test_perfbench_commands_parse():
     assert argvs
     for argv in argvs:
         assert parser.parse_args(argv).func in (cli._cmd_prune, cli._cmd_verify), argv
+
+
+def _stub_tree(root, report_hash, correct="true", code=0):
+    """A tree whose perfbench/run.py prints canned benchmark lines."""
+    bench = root / "perfbench"
+    bench.mkdir(parents=True)
+    lines = ["== verify-oracle", "machine {}", f"sha256 verify.json {'a' * 64}",
+             "== prune-unstructured", f"sha256 report.json {report_hash}",
+             f'{{"correct": {correct}}}']
+    stdout = "\n".join(lines)
+    (bench / "run.py").write_text(f"import sys\nprint({stdout!r})\nsys.exit({code})\n")
+    return str(root)
+
+
+@pytest.mark.parametrize("change, expected", [
+    (dict(report_hash="b" * 64), 0),
+    (dict(report_hash="c" * 64), 1),
+    (dict(report_hash="b" * 64, correct="false"), 1),
+    (dict(report_hash="b" * 64, code=1), 1),
+], ids=["same", "changed-hash", "incorrect", "nonzero-exit"])
+def test_same_outputs_compares_hashes(tmp_path, change, expected):
+    parent = _stub_tree(tmp_path / "parent", "b" * 64)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "same_outputs.py"), parent,
+         _stub_tree(tmp_path / "change", **change), "--seed", "3", "4"],
+        capture_output=True, text=True)
+    assert proc.returncode == expected, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4  # two outputs at each of two seeds
+    assert lines[0] == f"seed 3 verify-oracle verify.json same {'a' * 64}"
+    assert (lines[1].split()[4] == "DIFFERENT") == (change["report_hash"] != "b" * 64)
