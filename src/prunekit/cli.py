@@ -6,9 +6,9 @@ its calibration rows) and ``verify`` (check a criterion against the
 exhaustive single-prune enumerator). Criterion comparisons over seeded toy
 models are ``scripts/compare_criteria.py``, over ``harness.run_comparison``.
 
-Exit codes: 0 success, 1 validation failure (including a verify
-counterexample), 2 usage error. Every successful run, and every verify run,
-prints a single-line JSON summary as its final stdout line.
+Exit codes: 0 success, 1 validation failure (a ``PruneKitError``, the one
+type ``main`` catches, or a verify counterexample), 2 usage error. Every
+success and every verify run prints a one-line JSON summary as its last stdout line.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, summary = args.func(args)
-    except (PruneKitError, ValueError) as exc:
+    except PruneKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))

@@ -1,19 +1,16 @@
 """Bit-exact binary container for weight layers, calibration data and masks.
 
-File layout (".pkt"):
+File layout (".pkt"; README's "Container format" gives the whole contract):
 
     bytes 0..8     magic b"PRUNEKT1"
     bytes 8..12    u32 little-endian manifest byte length
     manifest       UTF-8 JSON: {"tensors": [entry, ...]}
     payload        contiguous row-major little-endian buffers
 
-Each manifest entry carries ``name``, ``shape``, ``dtype`` and the byte
-``offset`` of its buffer in the payload. Buffers are contiguous, in manifest
-order: each starts where the previous one ends, and the payload ends where
-the last one does. Entries that represent weight layers additionally carry
-``centered`` (the layer's input distribution is zero-mean per feature, e.g.
-after a mean-subtracting normalization) and ``has_bias``. Buffers are "f32"
-except boolean tensors such as prune masks, which are "u8" holding 0/1.
+Each manifest entry carries ``name``, ``shape``, ``dtype`` ("f32", or "u8"
+holding 0/1 for boolean tensors such as masks) and the byte ``offset`` of
+its buffer. Buffers follow one another in manifest order and end with the
+payload. Weight-layer entries also carry ``centered`` and ``has_bias``.
 
 The layer rule: a weight layer "<name>" is 2-D f32, (M, H); its parts
 "<name>.bias" (f32, length H) and "<name>.mask" (u8, (M, H)) are not layers.
@@ -24,22 +21,16 @@ and ``WeightLayer.output`` is a layer's one forward pass.
 
 Values and the layer rule are checked once, when a tensor (a layer or a
 part, in either order) enters a container through ``TensorContainer.add``;
-every tensor the loader reads enters that way. ``add`` takes the storage
-type from the array: a bool or uint8 array is "u8" and must hold only 0/1,
-every other array is "f32" and is accepted exactly when its float32 cast is
-finite, so a bad value fails at load and nothing later scans the values
-again. In memory a "u8" tensor is a bool array, a float32 array stays
-float32 and any other array is float64, so a loaded container holds its
-payload at the file's size and an in-memory float64 tensor (a toy model, a
-compensated bias) keeps its values until save. Save casts each tensor to
-its disk type, so values that originated as float32 round-trip
-bit-exactly. The loader reads each tensor from the file straight into an
-array of its own, after every manifest check on it, so a load holds the
-payload once and no tensor keeps another's bytes alive. Stored arrays
-are read-only views, so a container's own arrays cannot change after their
-check; ``add`` does not copy a bool, float32 or float64 array, whose owner
-must not write to it afterwards. Any number of readers may share one
-container, saving is single-writer.
+every tensor the loader reads enters that way, so nothing later scans the
+values again. ``add`` takes the storage type from the array: a bool or
+uint8 array is "u8" (bool in memory) and must hold only 0/1, any other is
+"f32" and must be finite as float32. A float32 array stays float32 and any
+other float64 until save casts it, so float32 values round-trip bit-exactly.
+The loader reads each tensor straight into an array of its own, after every
+manifest check on it, so a load holds the payload once. Stored arrays are
+read-only views; ``add`` does not copy a bool, float32 or float64 array,
+whose owner must not write to it afterwards. Any number of readers may
+share one container, saving is single-writer.
 """
 
 from __future__ import annotations
@@ -152,12 +143,6 @@ class TensorContainer:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def entries(self) -> list[TensorEntry]:
         return list(self._entries.values())
 
@@ -215,7 +200,7 @@ class TensorContainer:
                 raise ShapeMismatch(f"layer {layer.name!r}: {part.name!r} shape "
                                     f"{part.array.shape} != {shape}")
 
-    # -- weight layers -------------------------------------------------
+    # -- weight layers and their parts -----------------------------------
 
     def layer_names(self) -> list[str]:
         return [e.name for e in self._entries.values() if e.is_layer]
@@ -235,13 +220,8 @@ class TensorContainer:
         entry, bias = self.entry(name), self._entries.get(f"{name}.bias")
         return WeightLayer(entry.array, bias.array if bias else None, bool(entry.centered))
 
-    # -- masks ----------------------------------------------------------
-
     def add_mask(self, layer_name: str, mask: np.ndarray) -> None:
         self.add(f"{layer_name}.mask", np.asarray(mask, dtype=bool))
-
-    def get_mask(self, layer_name: str) -> np.ndarray:
-        return self.get(f"{layer_name}.mask")
 
 
 def save_container(container: TensorContainer, path: str) -> None:

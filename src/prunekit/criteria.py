@@ -46,8 +46,14 @@ from typing import Callable
 import numpy as np
 
 from .container import WeightLayer
-from .errors import DimensionMismatch, EmptyStats, NonFiniteInput, SingularGram
-from .stats import ColumnStats, _check_stats, _matrix, _width
+from .errors import (
+    DimensionMismatch,
+    EmptyStats,
+    InvalidArgument,
+    NonFiniteInput,
+    SingularGram,
+)
+from .stats import ColumnStats, _check_stats, _is_fraction, _matrix, _width
 
 
 @dataclass(frozen=True)
@@ -91,24 +97,23 @@ class Criterion:
 
     def __post_init__(self) -> None:
         if self.tag not in CRITERION_TAGS:
-            raise ValueError(f"unknown criterion {self.tag!r}; "
-                             f"expected one of {CRITERION_TAGS}")
+            raise InvalidArgument(f"unknown criterion {self.tag!r}; "
+                                  f"expected one of {CRITERION_TAGS}")
         rule = CRITERION_RULES.get(self.tag)
         if rule is None or not rule.needs_gram:
             if self.damping is not None:
-                raise ValueError(f"criterion {self.tag!r} takes no damping")
+                raise InvalidArgument(f"criterion {self.tag!r} takes no damping")
         else:
             damping = "auto" if self.damping is None else self.damping
             object.__setattr__(self, "damping", _damping(damping))
 
 
 def _damping(value) -> float | str:
-    """The damping rule: "auto" or a finite float >= 0, else ``ValueError``."""
+    """The damping rule: "auto" or a finite float >= 0, else ``InvalidArgument``."""
     if isinstance(value, str) and value == "auto":
         return value
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not 0.0 <= value < math.inf):  # NaN fails both
-        raise ValueError(f"damping must be 'auto' or a finite float >= 0, got {value!r}")
+    if not (_is_fraction(value, math.inf) and value < math.inf):  # a finite number >= 0
+        raise InvalidArgument(f"damping must be 'auto' or a finite float >= 0, got {value!r}")
     return float(value)
 
 
@@ -208,7 +213,7 @@ def compute_scores(tag: str, weights: np.ndarray,
     statistics factor times |W|, or the tag's own scorer."""
     rule = CRITERION_RULES.get(tag)
     if rule is None:
-        raise ValueError(f"cannot score unresolved criterion {tag!r}")
+        raise InvalidArgument(f"cannot score unresolved criterion {tag!r}")
     if rule.factor is not None:
         weights = _matrix(weights, "weights")
         _check_stats(stats, weights.shape[0], rule.min_rows)

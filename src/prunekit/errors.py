@@ -5,6 +5,10 @@ class PruneKitError(Exception):
     """Base class for every error raised by prunekit."""
 
 
+class InvalidArgument(PruneKitError, ValueError):
+    """An argument breaks a library rule (a count, a fraction, a seed, a choice)."""
+
+
 # Container format
 class MagicMismatch(PruneKitError):
     """File does not start with the container magic string."""

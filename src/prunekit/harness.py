@@ -19,6 +19,7 @@ import numpy as np
 
 from .container import TensorContainer, WeightLayer
 from .criteria import Criterion
+from .errors import InvalidArgument
 from .masks import SparsitySpec
 from .pruner import HOLDOUT_FRACTION, prune_container, split_holdout
 from .stats import _is_count
@@ -35,11 +36,11 @@ class ToyMlpConfig:
 
     def __post_init__(self) -> None:
         if len(self.dims) != 3 or not all(_is_count(d, 1) for d in self.dims):
-            raise ValueError(f"dims must be three positive sizes, got {self.dims}")
+            raise InvalidArgument(f"dims must be three positive sizes, got {self.dims}")
         if self.norm not in NORM_KINDS:
-            raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
+            raise InvalidArgument(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         if not _is_count(self.samples, 4):
-            raise ValueError(f"samples must be >= 4, got {self.samples}")
+            raise InvalidArgument(f"samples must be >= 4, got {self.samples}")
 
 
 def _f32(x: np.ndarray) -> np.ndarray:
@@ -58,8 +59,10 @@ def gen_toy_mlp(
     input is exactly column-centered and flagged centered; "rmsnorm-like"
     divides by the per-feature root mean square without centering; "none"
     keeps the raw offset input. The rectified second-layer input is never
-    centered.
+    centered. ``seed`` must be an integer >= 0 (``_is_count``).
     """
+    if not _is_count(seed):
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
     d_in, d_hidden, d_out = config.dims
     rng = np.random.default_rng(seed)
 
@@ -156,11 +159,11 @@ def run_comparison(
     crits = [c if isinstance(c, Criterion) else Criterion(c) for c in criteria]
     tags = [c.tag for c in crits]
     if len(crits) < 2:
-        raise ValueError("comparison needs at least two criteria")
+        raise InvalidArgument("comparison needs at least two criteria")
     if len(set(tags)) < len(tags):
-        raise ValueError(f"comparison repeats a criterion tag: {tags}")
+        raise InvalidArgument(f"comparison repeats a criterion tag: {tags}")
     if not _is_count(seeds, 1):
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+        raise InvalidArgument(f"seeds must be >= 1, got {seeds}")
 
     layers = list(LAYER_NAMES)
     table = ComparisonTable(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .container import WeightLayer
 from .errors import IndivisibleGroup, InvalidRatio, ShapeMismatch
-from .stats import _is_count, _matrix
+from .stats import _is_count, _is_fraction, _matrix
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,14 @@ class SparsitySpec:
             if not (_is_count(self.n, 1) and _is_count(self.m) and self.n < self.m):
                 raise InvalidRatio(f"structured pattern needs integers 0 < n < m, "
                                    f"got {self.n}:{self.m}")
+        elif _is_fraction(self.ratio, 1.0):
+            object.__setattr__(self, "ratio", float(self.ratio))
         else:
-            if not (isinstance(self.ratio, (int, float))
-                    and 0.0 <= self.ratio <= 1.0):
-                raise InvalidRatio(f"ratio must lie in [0, 1], got {self.ratio!r}")
+            raise InvalidRatio(f"ratio must lie in [0, 1], got {self.ratio!r}")
 
     @classmethod
     def unstructured(cls, ratio: float) -> "SparsitySpec":
-        return cls(ratio=float(ratio))
+        return cls(ratio=ratio)
 
     @classmethod
     def structured(cls, n: int, m: int) -> "SparsitySpec":

@@ -38,9 +38,8 @@ Each dense output is ``calib @ w_col + bias`` on the instance's own
 contiguous rows, never on a strided slice of the stack, whose product the
 BLAS may sum in another order. A window is reduced to its mismatch count,
 largest bias shift and first mismatch before the next one runs, so the
-working set does not grow with the trial count. A failing window of several
-trials is checked again one trial at a time, so that it raises what its first
-failing trial raises.
+working set does not grow with the trial count. A stack that overflows
+raises ``NonFiniteInput`` at its first failing step, whichever trial that is.
 """
 
 from __future__ import annotations
@@ -50,7 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CHECKABLE_TAGS, CRITERION_RULES, compute_scores
-from .errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
+from .errors import (
+    EmptyStats,
+    InstanceTooLarge,
+    InvalidArgument,
+    InvalidDimension,
+    NonFiniteInput,
+)
 from .parallel import parallel_map
 from .stats import _is_count, _matrix, stats_init, stats_update
 
@@ -109,7 +114,7 @@ def _enumerate(stack, instances, allow_bias):
         pruned = dense - cols * w[:, None] - bias[:, None] + refit[:, None]
         objective = np.mean((dense - pruned) ** 2, axis=1)
     bad = np.flatnonzero(~np.isfinite(objective))
-    if bad.size:  # names a feature of a stack of one; see _check_window
+    if bad.size:  # an index into the stack: the instance's feature when it holds one
         raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
     best = []
     for start, m in zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes):
@@ -126,10 +131,10 @@ def random_instance(rng: np.random.Generator, data: str = "uncentered"):
     features occur. "offset" forces one feature near-constant (scale <=
     0.05) with a large offset (|mean| >= 3), the regime where a raw-norm
     ranking misranks. "centered" is the uncentered draw minus its exact
-    column means. Any other regime raises ``ValueError``.
+    column means. Any other regime raises ``InvalidArgument``.
     """
     if data not in DATA_REGIMES:
-        raise ValueError(f"unknown data regime {data!r}")
+        raise InvalidArgument(f"unknown data regime {data!r}")
     n = int(rng.integers(8, 65))
     m = int(rng.integers(2, 17))
     mu = rng.uniform(-5.0, 5.0, size=m)
@@ -175,28 +180,20 @@ def _check_window(tag, allow_bias, trials):
     for idx, instance in trials:
         stacks.setdefault(instance[0].shape[0], []).append((idx, instance))
     mismatched, shift = [], 0.0
-    try:
-        for stacked in stacks.values():
-            indices, instances = zip(*stacked)
-            calibs, ws, biases = zip(*instances)
-            stack, w = np.hstack(calibs), np.concatenate(ws)
-            stats = stats_update(stats_init(w.shape[0]), stack)
-            scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
-            start = 0
-            for idx, w_col, bias, (bf_j, bf_b, bf_obj) in zip(
-                    indices, ws, biases, _enumerate(stack, instances, allow_bias)):
-                crit_j = int(scores[start : start + w_col.shape[0]].argmin())  # ties: lowest index
-                start += w_col.shape[0]
-                shift = max(shift, abs(bf_b - bias))
-                if crit_j != bf_j:
-                    mismatched.append((idx, (crit_j, bf_j, bf_obj)))
-    except NonFiniteInput:
-        # A stack fails at its first failing step, not at its first failing
-        # trial: run the trials alone, in order, to raise what that one raises.
-        if len(trials) > 1:
-            for trial in trials:
-                _check_window(tag, allow_bias, [trial])
-        raise
+    for stacked in stacks.values():
+        indices, instances = zip(*stacked)
+        calibs, ws, biases = zip(*instances)
+        stack, w = np.hstack(calibs), np.concatenate(ws)
+        stats = stats_update(stats_init(w.shape[0]), stack)
+        scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
+        start = 0
+        for idx, w_col, bias, (bf_j, bf_b, bf_obj) in zip(
+                indices, ws, biases, _enumerate(stack, instances, allow_bias)):
+            crit_j = int(scores[start : start + w_col.shape[0]].argmin())  # ties: lowest index
+            start += w_col.shape[0]
+            shift = max(shift, abs(bf_b - bias))
+            if crit_j != bf_j:
+                mismatched.append((idx, (crit_j, bf_j, bf_obj)))
     return len(mismatched), shift, min(mismatched) if mismatched else None
 
 
@@ -213,13 +210,15 @@ def check_criterion_optimality(
     one the criterion is claimed optimal for in ``CRITERION_RULES``.
     ``max_bias_shift`` records the largest |refit bias - original bias|
     seen, which must vanish on centered data. ``trials`` must be an integer
-    of at least 1; ``threads`` workers check the windows of trials.
+    >= 1 and ``seed`` one >= 0; ``threads`` workers check the windows of trials.
     """
     if tag not in CHECKABLE_TAGS:
-        raise ValueError(f"no optimality check for criterion {tag!r}; "
+        raise InvalidArgument(f"no optimality check for criterion {tag!r}; "
                          f"expected one of {sorted(CHECKABLE_TAGS)}")
     if not _is_count(trials, 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_count(seed):
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
     trials = int(trials)
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
     if data == "auto":

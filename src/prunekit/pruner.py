@@ -55,6 +55,7 @@ from .criteria import (
 )
 from .errors import (
     InsufficientSamples,
+    InvalidArgument,
     MissingCalibration,
     NonFiniteInput,
     PruneKitError,
@@ -62,7 +63,7 @@ from .errors import (
 )
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
-from .stats import ColumnStats, _matrix, _rows, stats_init, stats_update
+from .stats import ColumnStats, _is_fraction, _matrix, _rows, stats_init, stats_update
 
 CENTERED_RATIO_THRESHOLD = 0.1
 HOLDOUT_FRACTION = 0.2  # default share of calibration rows held out for the error report
@@ -154,12 +155,12 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
 def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Split rows into (statistics rows, held-out tail of floor(fraction * n) rows).
 
-    ``fraction`` must lie in [0, 0.5], else ``ValueError`` (NaN included),
-    so the tail never overlaps the statistics rows. With an empty tail every
-    row is held out, so the error report never averages over nothing.
+    ``fraction`` must lie in [0, 0.5] (``_is_fraction``), else
+    ``InvalidArgument``, so the tail never overlaps the statistics rows. With an
+    empty tail every row is held out, so the error report never averages over nothing.
     """
-    if not 0.0 <= fraction <= 0.5:
-        raise ValueError(f"holdout_fraction must lie in [0, 0.5], got {fraction}")
+    if not _is_fraction(fraction, 0.5):
+        raise InvalidArgument(f"holdout_fraction must lie in [0, 0.5], got {fraction}")
     n_holdout = int(math.floor(fraction * rows.shape[0]))
     train = rows[: rows.shape[0] - n_holdout]
     return train, (rows[-n_holdout:] if n_holdout else train)

@@ -31,8 +31,8 @@ This module also owns the engine's input rules, which every public
 function of the engine applies to its own arguments: ``_matrix`` (an array
 is a finite 2-D float64 matrix of the expected width, else
 ``DimensionMismatch`` or ``NonFiniteInput``), ``_check_stats`` (an
-accumulator, not None, has the expected width and enough rows) and
-``_is_count`` (an int or numpy integer of at least a bound, never a bool).
+accumulator, not None, has the expected width and enough rows), ``_is_count``
+(an integer >= a bound) and ``_is_fraction`` (a number in [0, high]).
 ``_rows`` is the shape half of ``_matrix``: it keeps rows in their own
 dtype, for callers that widen and check them a part at a time.
 """
@@ -74,6 +74,12 @@ def _is_count(value, least: int = 0) -> bool:
     """The count rule: an int or numpy integer >= ``least``, never a bool."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= least)
+
+
+def _is_fraction(value, high: float) -> bool:
+    """The fraction rule: an int or float (numpy too) in [0, ``high``]; no bool or NaN."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0 <= value <= high)
 
 
 def _width(m) -> int:

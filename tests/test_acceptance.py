@@ -209,7 +209,7 @@ def test_09_stade_w_resolution_and_mask_identity():
     out_sw, report = prune_container(model, calib, Criterion("stade-w"), spec)
     assert [r.criterion for r in report.layers] == ["wanda", "stade"]
     out_w, _ = prune_container(model, calib, Criterion("wanda"), spec)
-    assert np.array_equal(out_sw.get_mask("fc1"), out_w.get_mask("fc1"))
+    assert np.array_equal(out_sw.get("fc1.mask"), out_w.get("fc1.mask"))
     elapsed = time.perf_counter() - start
     _report(9, "stade-w resolves {wanda, stade}; centered mask = wanda's", elapsed)
 

@@ -77,7 +77,7 @@ def test_prune_artifacts_do_not_depend_on_the_eval_chunk(tmp_path, monkeypatch):
     outs = set()
     for rows in (pruner._EVAL_ROWS, 48, 96):
         monkeypatch.setattr(pruner, "_EVAL_ROWS", rows)
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "auto"):
             pruned, report = tmp_path / "pruned.pkt", tmp_path / "report.json"
             assert cli.main(["prune", "--model", str(model), "--calib", str(calib),
                              "--criterion", "stade-w", "--sparsity", "0.5",
@@ -100,7 +100,7 @@ def test_prune_produces_valid_artifacts(workspace):
     pruned = load_container(str(out))
     spec = SparsitySpec.parse("2:4")
     for name in pruned.layer_names():
-        assert mask_violation(pruned.get_mask(name), spec) is None
+        assert mask_violation(pruned.get(f"{name}.mask"), spec) is None
     payload = json.loads(report.read_text())
     assert [rec["criterion"] for rec in payload["layers"]] == ["wanda", "stade"]
 
@@ -215,7 +215,7 @@ def test_reprune_a_pruned_container(workspace):
     assert proc.returncode == 0, proc.stderr
     pruned = load_container(str(second))
     for name in pruned.layer_names():
-        assert mask_violation(pruned.get_mask(name),
+        assert mask_violation(pruned.get(f"{name}.mask"),
                               SparsitySpec.unstructured(0.75)) is None
 
 

@@ -71,7 +71,7 @@ def test_empty_container_round_trip(tmp_path):
     path = tmp_path / "empty.pkt"
     save_container(TensorContainer(), str(path))
     loaded = load_container(str(path))
-    assert len(loaded) == 0
+    assert loaded.entries() == []
     assert loaded.layer_names() == []
 
 
@@ -136,6 +136,19 @@ def test_duplicate_name_rejected():
         c.add("t", np.ones(3))
 
 
+def test_empty_name_and_missing_entry_are_rejected():
+    c = TensorContainer()
+    with pytest.raises(InvariantViolation, match="non-empty"):
+        c.add("", np.ones(1))
+    with pytest.raises(KeyError, match="no tensor named 'x'"):
+        c.entry("x")
+
+
+def test_save_to_an_unwritable_path_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="cannot write container"):
+        save_container(TensorContainer(), str(tmp_path / "no-such-dir" / "m.pkt"))
+
+
 def test_duplicate_name_in_file_rejected(tmp_path):
     manifest = json.dumps({"tensors": [
         {"name": "t", "shape": [1], "dtype": "f32", "offset": 0},
@@ -185,7 +198,7 @@ def test_bias_length_mismatch():
     c.add("l", np.ones((2, 3)), centered=False)
     with pytest.raises(ShapeMismatch, match="'l.bias' shape"):
         c.add("l.bias", np.ones(2))
-    assert c.names() == ["l"]
+    assert [e.name for e in c.entries()] == ["l"]
 
 
 def test_bias_presence_is_has_bias():
@@ -213,11 +226,11 @@ def test_rejected_layer_part_leaves_container_unchanged(first, second):
     if first:
         name, array, centered = first
         c.add(name, array, centered=centered)
-    before = c.names()
+    before = [e.name for e in c.entries()]
     name, array, centered = second
     with pytest.raises(PruneKitError, match="layer 'l'"):
         c.add(name, array, centered=centered)
-    assert c.names() == before
+    assert [e.name for e in c.entries()] == before
 
 
 # Each file is what the writer before the layer rule produced for a
@@ -250,7 +263,7 @@ def test_mask_round_trip(tmp_path):
     save_container(c, str(path))
     loaded = load_container(str(path))
     assert loaded.entry("layer0.mask").dtype == "u8"
-    assert np.array_equal(loaded.get_mask("layer0"), mask)
+    assert np.array_equal(loaded.get("layer0.mask"), mask)
 
 
 def test_mask_values_validated():
@@ -283,8 +296,8 @@ def test_add_mask_stores_the_bool_cast_of_any_mask():
     mask = np.array([[0.7, 1.0], [0.0, 1.0]])
     c = make_layer_container(np.ones((2, 2)))
     c.add_mask("layer0", mask)
-    assert np.array_equal(c.get_mask("layer0"), np.asarray(mask, dtype=bool))
-    assert c.get_mask("layer0").dtype == bool
+    assert np.array_equal(c.get("layer0.mask"), np.asarray(mask, dtype=bool))
+    assert c.get("layer0.mask").dtype == bool
 
 
 def test_loaded_mask_byte_other_than_0_1_fails(tmp_path):
@@ -375,9 +388,13 @@ def test_non_layer_entry_has_no_flags(tmp_path):
     (_file([_entry(shape=[0, 2**63])], b""), ShapeMismatch),
     (_file([_entry(shape=[0, 2**62, 2**62])], b""), ShapeMismatch),
     (_file([_entry(shape=[1] * 65)], _ONE), ShapeMismatch),
+    (MAGIC + b"\x00\x00\x00", TruncatedPayload),
+    (_file([{"shape": [1], "dtype": "f32", "offset": 0}], _ONE), InvariantViolation),
+    (_file([{**_entry(), "dtype": "f64"}], _ONE * 2), InvariantViolation),
 ], ids=["deep-nesting", "bool-dim", "bool-offset", "huge-shape", "overlapping-offsets",
         "out-of-order-offsets", "trailing-bytes", "nan", "inf", "u8-byte-7",
-        "empty-dim-past-intp", "empty-bytes-past-intp", "65-dims"])
+        "empty-dim-past-intp", "empty-bytes-past-intp", "65-dims", "short-length-field",
+        "nameless-entry", "f64-dtype"])
 def test_hostile_file_is_typed_error(tmp_path, blob, error):
     path = tmp_path / "bad.pkt"
     path.write_bytes(blob)
@@ -468,7 +485,7 @@ def test_round_trip_preserves_every_buffer(tmp_path_factory, c):
     path = tmp_path_factory.mktemp("rt") / "c.pkt"
     save_container(c, str(path))
     loaded = load_container(str(path))
-    assert loaded.names() == c.names()
+    assert [e.name for e in loaded.entries()] == [e.name for e in c.entries()]
     for entry in c.entries():
         got = loaded.entry(entry.name)
         assert got.dtype == entry.dtype

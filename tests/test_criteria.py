@@ -20,6 +20,7 @@ from prunekit.errors import (
     DimensionMismatch,
     EmptyStats,
     InsufficientSamples,
+    InvalidArgument,
     InvalidDimension,
     NonFiniteInput,
     SingularGram,
@@ -294,6 +295,10 @@ def test_select_criterion_resolves_stade_w():
     assert select_criterion(Criterion("stade-w"), uncentered) == "stade"
     assert select_criterion(Criterion("magnitude"), centered) == "magnitude"
     assert select_criterion(Criterion("magnitude"), uncentered) == "magnitude"
+    # Only resolved tags score: stade-w has no row of its own.
+    stats = stats_update(stats_init(2), np.eye(2))
+    with pytest.raises(InvalidArgument, match="unresolved criterion 'stade-w'"):
+        compute_scores("stade-w", np.ones((2, 2)), stats=stats)
 
 
 def test_criterion_damping_validation():

@@ -85,6 +85,13 @@ def test_spec_validation():
     numpy_counts = SparsitySpec(n=np.int64(2), m=np.int64(4))
     assert numpy_counts == SparsitySpec.structured(2, 4)
     assert str(numpy_counts) == "2:4"
+    # A ratio is a number (tests/test_errors.py pins bools and numpy floats),
+    # stored as a float.
+    for bad in (float("nan"), "0.5"):
+        with pytest.raises(InvalidRatio):
+            SparsitySpec(ratio=bad)
+    assert type(SparsitySpec(ratio=np.float32(0.5)).ratio) is float
+    assert str(SparsitySpec(ratio=1)) == "1"
 
 
 def test_spec_parse_and_str():
@@ -130,6 +137,8 @@ def test_violation_names_group_and_column():
     assert mask_violation(mask, SparsitySpec.structured(2, 4)).startswith(
         "group 0 of column 0: 0 pruned, expected 2")
     assert "not divisible" in mask_violation(mask, SparsitySpec.structured(2, 3))
+    assert (mask_violation(mask[:, 0], SparsitySpec.unstructured(0.5))
+            == "mask must be 2-D, got 1-D")
 
 
 @pytest.mark.parametrize("shape", [(8, 0), (0, 3)])

@@ -37,6 +37,7 @@ from prunekit.errors import (
     InsufficientSamples,
     MissingCalibration,
     NonFiniteInput,
+    ShapeMismatch,
     SingularGram,
 )
 from prunekit.criteria import CRITERION_RULES
@@ -95,7 +96,7 @@ def test_half_sparsity_achieved_exactly():
     out, report = prune_container(model, calib, Criterion("magnitude"),
                                   SparsitySpec.unstructured(0.5))
     assert report.layers[0].achieved_sparsity == pytest.approx(5 / 10)
-    mask = out.get_mask("l")
+    mask = out.get("l.mask")
     assert (mask.sum(axis=0) == 5).all()
 
 
@@ -104,7 +105,7 @@ def test_output_masks_validate():
     spec = SparsitySpec.structured(2, 4)
     out, _ = prune_container(model, calib, Criterion("wanda"), spec)
     for name in ("fc1", "fc2"):
-        assert mask_violation(out.get_mask(name), spec) is None
+        assert mask_violation(out.get(f"{name}.mask"), spec) is None
 
 
 def test_every_criterion_runs_end_to_end():
@@ -135,9 +136,10 @@ def test_holdout_fraction_bounds():
                         SparsitySpec.unstructured(0.5), holdout_fraction=0.6)
 
 
-@pytest.mark.parametrize("fraction", [-0.5, 0.6, float("nan")])
+@pytest.mark.parametrize("fraction", [-0.5, 0.6, float("nan"), False])
 def test_holdout_fraction_outside_range_is_value_error(fraction):
-    # A negative tail would overlap the statistics rows; NaN cannot be floored.
+    # A negative tail would overlap the statistics rows; NaN cannot be floored;
+    # a bool is no fraction (stats._is_fraction).
     rows = np.random.default_rng(5).standard_normal((20, 4))
     with pytest.raises(ValueError, match=r"\[0, 0.5\]"):
         split_holdout(rows, fraction)
@@ -179,14 +181,14 @@ def test_repruning_a_pruned_container():
                                SparsitySpec.unstructured(0.5))
     spec = SparsitySpec.unstructured(0.75)
     second, report = prune_container(first, calib, Criterion("stade"), spec)
-    masks = [name for name in second.names() if name.endswith(".mask")]
+    masks = [e.name for e in second.entries() if e.name.endswith(".mask")]
     assert masks == ["fc1.mask", "fc2.mask"]
     for name, rec in zip(second.layer_names(), report.layers):
         layer = second.get_layer(name)
-        mask = second.get_mask(name)
+        mask = second.get(f"{name}.mask")
         assert mask_violation(mask, spec) is None
         assert rec.achieved_sparsity == np.floor(0.75 * layer.m) / layer.m
-        earlier = first.get_mask(name)
+        earlier = first.get(f"{name}.mask")
         assert np.all(layer.weights[earlier] == 0.0) and np.all(mask[earlier])
 
 
@@ -203,13 +205,13 @@ def test_prune_container_replaces_only_a_layers_own_parts():
         model.add(name, array)
     crit, spec = Criterion("stade"), SparsitySpec.unstructured(0.5)
     out, _ = prune_container(model, calib, crit, spec)
-    assert out.names() == ["l", "l.bias", "l.mask", *kept]
+    assert [e.name for e in out.entries()] == ["l", "l.bias", "l.mask", *kept]
     for name in kept:
         assert out.entry(name).dtype == model.entry(name).dtype
         assert out.get(name).tobytes() == model.get(name).tobytes()
     pruned, mask, _ = prune_layer("l", model.get_layer("l"), rows, crit, spec)
     assert out.get("l.bias").tobytes() == pruned.bias.tobytes()
-    assert np.array_equal(out.get_mask("l"), mask) and not mask.all()
+    assert np.array_equal(out.get("l.mask"), mask) and not mask.all()
 
 
 def test_bias_flag_behavior_per_criterion():
@@ -264,7 +266,7 @@ def test_layer_order_independence():
     for name in layers:
         assert np.array_equal(out_a.get_layer(name).weights,
                               out_b.get_layer(name).weights)
-        assert np.array_equal(out_a.get_mask(name), out_b.get_mask(name))
+        assert np.array_equal(out_a.get(f"{name}.mask"), out_b.get(f"{name}.mask"))
 
 
 def test_thread_count_invariance():
@@ -314,10 +316,29 @@ def test_manifest_flag_wins_but_warns():
     assert any("disagrees" in w for w in rec.warnings)
 
 
+@pytest.mark.parametrize("tag", ["magnitude", "wanda", "sparsegpt-score"])
+def test_one_calibration_row_skips_the_centering_check(tag):
+    # These criteria score from one row; the centering check needs two.
+    rng = np.random.default_rng(10)
+    layer = WeightLayer(rng.uniform(-1, 1, (4, 2)), None, centered=False)
+    spec = SparsitySpec.unstructured(0.5)
+    _, mask, report = prune_layer("fc", layer, rng.standard_normal((1, 4)), Criterion(tag),
+                                  spec)
+    assert report.warnings == ["too few rows for the empirical centering check"]
+    assert mask_violation(mask, spec) is None
+
+
 def test_reconstruction_mse_identity():
     layer = WeightLayer(np.ones((3, 2)), np.zeros(2), centered=False)
     rows = np.random.default_rng(9).uniform(-1, 1, size=(20, 3))
     assert reconstruction_mse(layer, layer, rows) == 0.0
+
+
+def test_reconstruction_mse_needs_layers_of_one_shape():
+    layer = WeightLayer(np.ones((3, 2)), None, centered=False)
+    narrower = WeightLayer(np.ones((3, 1)), None, centered=False)
+    with pytest.raises(ShapeMismatch, match="layer shapes differ"):
+        reconstruction_mse(layer, narrower, np.ones((5, 3)))
 
 
 @pytest.mark.parametrize("m, h, n", [(4, 0, 10), (4, 2, 0)])
