@@ -1,12 +1,4 @@
-"""Post-training weight pruning toolkit.
-
-Prunes linear layers without retraining: calibration statistics feed
-per-weight importance scores (magnitude, activation-norm, centered-norm,
-second-moment, and inverse-Gram criteria), scores rank into unstructured or
-n:m structured masks, and a closed-form bias update absorbs the mean output
-shift of the removed weights. A brute-force enumerator verifies the
-criteria's single-prune optimality claims on small instances.
-"""
+"""Post-training weight pruning toolkit; README describes the engine."""
 
 from .compensate import bias_delta_norm, bias_update
 from .container import (
@@ -20,7 +12,6 @@ from .criteria import (
     Criterion,
     GramAccumulator,
     compute_scores,
-    score_sparsegpt,
     select_criterion,
 )
 from .harness import (
@@ -90,7 +81,6 @@ __all__ = [
     "reconstruction_mse",
     "run_comparison",
     "save_container",
-    "score_sparsegpt",
     "select_criterion",
     "stats_init",
     "stats_merge",

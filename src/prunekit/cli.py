@@ -1,14 +1,7 @@
-"""Command-line entry point.
+"""Command-line entry point: ``gen``, ``prune`` and ``verify``.
 
-Subcommands: ``gen`` (write a toy model + calibration pair), ``prune``
-(prune a model container layer-wise, computing each layer's statistics from
-its calibration rows) and ``verify`` (check a criterion against the
-exhaustive single-prune enumerator). Criterion comparisons over seeded toy
-models are ``scripts/compare_criteria.py``, over ``harness.run_comparison``.
-
-Exit codes: 0 success, 1 validation failure (a ``PruneKitError``, the one
-type ``main`` catches, or a verify counterexample), 2 usage error. Every
-success and every verify run prints a one-line JSON summary as its last stdout line.
+README's "CLI" section is the contract: the flags, the JSON summary line
+and the exit codes. ``main`` catches ``PruneKitError`` and nothing else.
 """
 
 from __future__ import annotations

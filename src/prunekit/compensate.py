@@ -7,11 +7,6 @@ constant minimizing its mean square is its mean. So the summed shifts,
 b_m + sum_{j in S} mean_j W[j, m], are exactly the least-squares bias on the
 statistics rows for every mask, not only for a single pruned weight. Which
 set S to prune is the ranking criteria's question, not this module's.
-
-The mask and the statistics pass the same checks as everywhere else in the
-engine: ``masks._layer_mask`` (the mask has the weights' shape) and
-``stats._check_stats`` (width and at least one row), so a statistics-width
-mismatch raises ``DimensionMismatch`` here as it does in the scorers.
 """
 
 from __future__ import annotations

@@ -1,36 +1,12 @@
 """Bit-exact binary container for weight layers, calibration data and masks.
 
-File layout (".pkt"; README's "Container format" gives the whole contract):
-
-    bytes 0..8     magic b"PRUNEKT1"
-    bytes 8..12    u32 little-endian manifest byte length
-    manifest       UTF-8 JSON: {"tensors": [entry, ...]}
-    payload        contiguous row-major little-endian buffers
-
-Each manifest entry carries ``name``, ``shape``, ``dtype`` ("f32", or "u8"
-holding 0/1 for boolean tensors such as masks) and the byte ``offset`` of
-its buffer. Buffers follow one another in manifest order and end with the
-payload. Weight-layer entries also carry ``centered`` and ``has_bias``.
-
-The layer rule: a weight layer "<name>" is 2-D f32, (M, H); its parts
-"<name>.bias" (f32, length H) and "<name>.mask" (u8, (M, H)) are not layers.
-A layer has a bias exactly when "<name>.bias" is present; ``has_bias`` is
-written from that, and a file whose flag disagrees fails to load.
-``TensorContainer.layer_of`` names the layer, if any, that owns a tensor,
-and ``WeightLayer.output`` is a layer's one forward pass.
-
-Values and the layer rule are checked once, when a tensor (a layer or a
-part, in either order) enters a container through ``TensorContainer.add``;
-every tensor the loader reads enters that way, so nothing later scans the
-values again. ``add`` takes the storage type from the array: a bool or
-uint8 array is "u8" (bool in memory) and must hold only 0/1, any other is
-"f32" and must be finite as float32. A float32 array stays float32 and any
-other float64 until save casts it, so float32 values round-trip bit-exactly.
-The loader reads each tensor straight into an array of its own, after every
-manifest check on it, so a load holds the payload once. Stored arrays are
-read-only views; ``add`` does not copy a bool, float32 or float64 array,
-whose owner must not write to it afterwards. Any number of readers may
-share one container, saving is single-writer.
+README's "Container format" is the file layout and the layer rule. Values
+and the layer rule are checked once, when a tensor (a layer or a part, in
+either order) enters a container through ``TensorContainer.add``; every
+tensor the loader reads enters that way, so nothing later scans the values
+again. ``add`` does not copy a bool, float32 or float64 array, whose owner
+must not write to it afterwards. Any number of readers may share one
+container, saving is single-writer.
 """
 
 from __future__ import annotations
@@ -54,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedPayload,
 )
-from .stats import _is_count
+from .stats import _is_buildable, _is_count
 
 MAGIC = b"PRUNEKT1"
 
@@ -64,10 +40,6 @@ _DISK_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 # so a float32 min/max is compared in float64 instead of the limit being cast
 # down to float32 (where it overflows).
 _F32_LIMIT = np.float64(2.0**128 - 2.0**103)
-# numpy's limits on an array: its number of dimensions (NPY_MAXDIMS) and its
-# size in bytes, which must fit its index type.
-_MAX_NDIM = 64
-_MAX_BYTES = int(np.iinfo(np.intp).max)
 _PARTS = ("bias", "mask")  # the suffixes of the tensors a weight layer owns
 
 
@@ -179,8 +151,8 @@ class TensorContainer:
         self._entries[name] = entry
 
     def _check_layer_rule(self, new: TensorEntry) -> None:
-        """The layer rule (module docstring) for ``new``, as a layer and as a
-        part of one, against the tensors already present."""
+        """The layer rule (README's "Container format") for ``new``, as a
+        layer and as a part of one, against the tensors already present."""
         if new.is_layer and (new.dtype != "f32" or new.array.ndim != 2):
             raise InvariantViolation(f"layer {new.name!r}: weights must be 2-D f32, got "
                                      f"{new.dtype} of shape {new.array.shape}")
@@ -329,11 +301,8 @@ def _read_container(fh, size: int, path: str) -> TensorContainer:
             raise TruncatedPayload(
                 f"{path!r}: tensor {name!r} needs bytes [{offset}, {end}) "
                 f"but payload holds {payload_len}")
-        # A shape that fits the payload but that numpy cannot build: more
-        # dimensions than it allows, or, beside a zero dimension, nonzero ones
-        # whose byte count overflows its index type.
-        if (len(shape) > _MAX_NDIM
-                or math.prod(d for d in shape if d) * itemsize > _MAX_BYTES):
+        # A shape can fit the payload and still be one numpy cannot build.
+        if not _is_buildable(shape, itemsize):
             raise ShapeMismatch(f"{path!r}: tensor {name!r} has shape {shape!r}, "
                                 f"which numpy cannot build")
         array = np.empty(shape, dtype=_DISK_DTYPES[dtype])

@@ -3,15 +3,8 @@
 Every scorer takes a weight matrix with input features along rows (shape
 M x H) and returns a same-shaped float64 matrix of non-negative scores;
 within a comparison group the lowest-scoring weights are pruned first.
-
-Available criteria:
-
-    magnitude        |W|
-    wanda            sqrt(sumsq_j) * |W|        (raw activation norm)
-    stade            sqrt(m2_j) * |W|           (centered activation norm)
-    stade-star       sqrt(sumsq_j / n) * |W|    (root second moment; no bias update)
-    stade-w          wanda on centered layers, stade otherwise
-    sparsegpt-score  W^2 / diag((G + damping*I)^-1)
+Each resolved criterion's policy is one row of ``CRITERION_RULES``
+(README's "Criteria" table).
 
 wanda, stade and stade-star differ only in their per-feature factor, read
 from the accumulated statistics (``sumsq``: raw sum of squares, ``m2``:
@@ -26,20 +19,16 @@ sparsegpt-score needs only the diagonal of the damped inverse Gram. With
 G + damping*I = L L^T, that inverse is L^-T L^-1, so the diagonal is the
 column sums of squares of L^-1: one damped copy of G is factored (LAPACK
 ``dpotrf``), inverted (``dtrtri``) and squared in place, and no identity
-matrix or full inverse is formed. ``score_sparsegpt`` imports scipy itself,
-as the only code that needs it: importing scipy takes most of a process's
-start-up time, which every other criterion and subcommand then skips.
-
-Each resolved criterion's policy is one row of ``CRITERION_RULES``, which
-the pruner, the oracle and the CLI read. Every scorer applies the engine's
-input rules (``stats._matrix`` to the weights, ``stats._check_stats`` to
-the statistics) before it computes anything, and finite inputs whose
-scores overflow float64 raise ``NonFiniteInput``.
+matrix or full inverse is formed. ``_score_sparsegpt`` imports scipy
+itself, as the only code that needs it: importing scipy takes most of a
+process's start-up time, which every other criterion and subcommand then
+skips.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,7 +101,7 @@ def _damping(value) -> float | str:
     """The damping rule: "auto" or a finite float >= 0, else ``InvalidArgument``."""
     if isinstance(value, str) and value == "auto":
         return value
-    if not (_is_fraction(value, math.inf) and value < math.inf):  # a finite number >= 0
+    if not _is_fraction(value, sys.float_info.max):  # a larger int overflows float()
         raise InvalidArgument(f"damping must be 'auto' or a finite float >= 0, got {value!r}")
     return float(value)
 
@@ -131,7 +120,7 @@ class GramAccumulator:
         """Add ``rows``; ``NonFiniteInput`` if finite rows overflow float64.
 
         The product ``x.T @ x`` is summed as BLAS returns it, not mirrored:
-        ``score_sparsegpt`` reads one triangle. Rows are widened whole, not a
+        ``_score_sparsegpt`` reads one triangle. Rows are widened whole, not a
         block at a time as the statistics widen them: a Gram summed block by
         block does not reproduce the bits of the one product.
         """
@@ -146,15 +135,12 @@ class GramAccumulator:
         self.gram = g
 
 
-def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
-                    damping: float | str = "auto") -> np.ndarray:
-    """W^2 over the diagonal of the damped inverse Gram.
+def _score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
+                     damping: float | str) -> np.ndarray:
+    """W^2 over the diagonal of the damped inverse Gram (module docstring).
 
-    The diagonal is the column sums of squares of L^-1, where
-    G + damping*I = L L^T; one m x m temporary holds G + damping*I, then L,
-    then L^-1. ``damping`` "auto" means 0.01 * mean(diag(G)); 0.0 means
-    undamped; ``_damping`` rejects anything else. A missing Gram raises
-    ``EmptyStats``. The raw ratio is kept (no square root): only the ranking matters.
+    ``damping`` obeys ``_damping``, and a missing Gram raises ``EmptyStats``.
+    The raw ratio is kept (no square root): only the ranking matters.
     """
     import scipy.linalg  # here, not at module level: see the module docstring
 
@@ -167,30 +153,28 @@ def score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     damping = _damping(damping)
     with np.errstate(over="ignore", invalid="ignore"):
         lam = 0.01 * float(np.mean(np.diag(gram.gram))) if damping == "auto" else damping
+        if not math.isfinite(lam):
+            raise NonFiniteInput("auto damping overflows float64")
         damped = gram.gram.copy()
         damped.flat[::m + 1] += lam
-    if not math.isfinite(lam):
-        raise NonFiniteInput("auto damping overflows float64")
-    if not np.isfinite(np.diagonal(damped)).all():
-        raise NonFiniteInput("damped Gram overflows float64")
-    # damped.T is damped in Fortran order, so LAPACK factors it in place; dpotrf
-    # reads one triangle of it, so the two need not agree bit for bit.
-    factor, info = scipy.linalg.lapack.dpotrf(damped.T, lower=True, overwrite_a=True,
-                                              clean=True)
-    if info == 0:
-        factor, info = scipy.linalg.lapack.dtrtri(factor, lower=True, overwrite_c=True)
-    if info != 0:
-        raise SingularGram(f"damped Gram is not positive definite (damping={lam:g}): "
-                           f"{info}-th leading minor of the array is not positive "
-                           f"definite")
-    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.diagonal(damped)).all():
+            raise NonFiniteInput("damped Gram overflows float64")
+        # damped.T is damped in Fortran order, so LAPACK factors it in place;
+        # dpotrf reads one triangle of it, so the two need not agree bit for bit.
+        factor, info = scipy.linalg.lapack.dpotrf(damped.T, lower=True, overwrite_a=True,
+                                                  clean=True)
+        if info == 0:
+            factor, info = scipy.linalg.lapack.dtrtri(factor, lower=True, overwrite_c=True)
+        if info != 0:
+            raise SingularGram(f"damped Gram is not positive definite (damping={lam:g}): "
+                               f"{info}-th leading minor of the array is not positive "
+                               f"definite")
         factor *= factor
         diag = factor.sum(axis=0)
-    del damped, factor  # freed before the scores are allocated
-    if not (np.isfinite(diag).all() and (diag > 0).all()):
-        raise SingularGram(f"inverse diagonal is not strictly positive "
-                           f"(damping={lam:g})")
-    with np.errstate(over="ignore", invalid="ignore"):
+        del damped, factor  # freed before the scores are allocated
+        if not (np.isfinite(diag).all() and (diag > 0).all()):
+            raise SingularGram(f"inverse diagonal is not strictly positive "
+                               f"(damping={lam:g})")
         scores = np.square(weights)
         scores /= diag[:, None]
     if not np.isfinite(scores).all():
@@ -210,7 +194,8 @@ def compute_scores(tag: str, weights: np.ndarray,
                    gram: GramAccumulator | None = None,
                    damping: float | str = "auto") -> np.ndarray:
     """Score ``weights`` by a resolved criterion tag: the rule's per-feature
-    statistics factor times |W|, or the tag's own scorer."""
+    statistics factor times |W|, or the tag's own scorer. ``damping``
+    applies to sparsegpt-score only, with ``Criterion``'s meaning."""
     rule = CRITERION_RULES.get(tag)
     if rule is None:
         raise InvalidArgument(f"cannot score unresolved criterion {tag!r}")
@@ -224,5 +209,5 @@ def compute_scores(tag: str, weights: np.ndarray,
             raise NonFiniteInput("scores overflow float64")
         return scores
     if rule.needs_gram:
-        return score_sparsegpt(weights, gram, damping)
+        return _score_sparsegpt(weights, gram, damping)
     return np.abs(_matrix(weights, "weights"))

@@ -2,13 +2,9 @@
 
 The generator emits a model container plus the matching calibration
 container with activations captured at each layer input, the same artifact
-pair a user would export from a real network. The first layer's input can
-be exactly mean-centered per feature (a mean-subtracting normalization),
-scaled without centering, or left raw; the second layer always sees
-rectified activations, whose positive mean makes it the uncentered case.
-
-Feature offsets span (-3, 3) and feature scales are log-uniform over
-(0.1, 10), so raw inputs are both uncentered and scale-heterogeneous.
+pair a user would export from a real network. Feature offsets span (-3, 3)
+and feature scales are log-uniform over (0.1, 10), so raw inputs are both
+uncentered and scale-heterogeneous.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from .criteria import Criterion
 from .errors import InvalidArgument
 from .masks import SparsitySpec
 from .pruner import HOLDOUT_FRACTION, prune_container, split_holdout
-from .stats import _is_count
+from .stats import _is_buildable, _is_count
 
 NORM_KINDS = ("layernorm-like", "rmsnorm-like", "none")
 LAYER_NAMES = ("fc1", "fc2")
@@ -41,6 +37,12 @@ class ToyMlpConfig:
             raise InvalidArgument(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         if not _is_count(self.samples, 4):
             raise InvalidArgument(f"samples must be >= 4, got {self.samples}")
+        # Every float64 array gen_toy_mlp builds; each 1-D one is a row of these.
+        (d_in, d_hidden, d_out), n = self.dims, self.samples
+        shapes = ((n, d_in), (d_in, d_hidden), (n, d_hidden), (d_hidden, d_out))
+        if not all(_is_buildable(shape, 8) for shape in shapes):
+            raise InvalidArgument(f"dims {self.dims} with {n} samples make an array "
+                                  f"numpy cannot build")
 
 
 def _f32(x: np.ndarray) -> np.ndarray:
@@ -115,12 +117,6 @@ class ComparisonTable:
     e2e_mse: dict[str, list[float]]
     resolved: dict[str, list[str]] = field(default_factory=dict)
 
-    def mean_layer_mse(self, criterion: str, layer: str) -> float:
-        return float(np.mean(self.layer_mse[criterion][layer]))
-
-    def mean_e2e_mse(self, criterion: str) -> float:
-        return float(np.mean(self.e2e_mse[criterion]))
-
     def win_fraction(self, better: str, worse: str, layer: str) -> float:
         """Fraction of seeds where ``better`` has MSE <= ``worse`` on a layer."""
         a = np.asarray(self.layer_mse[better][layer])
@@ -129,13 +125,12 @@ class ComparisonTable:
 
     def to_text(self) -> str:
         """Aligned table of mean held-out MSE per criterion."""
-        cols = [*self.layers, "end-to-end"]
-        header = ["criterion", *cols]
+        header = ["criterion", *self.layers, "end-to-end"]
         rows = [header]
         for tag in self.criteria:
-            cells = [f"{self.mean_layer_mse(tag, layer):.4e}" for layer in self.layers]
-            cells.append(f"{self.mean_e2e_mse(tag):.4e}")
-            rows.append([tag, *cells])
+            means = [np.mean(self.layer_mse[tag][layer]) for layer in self.layers]
+            means.append(np.mean(self.e2e_mse[tag]))
+            rows.append([tag, *(f"{mean:.4e}" for mean in means)])
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in rows]

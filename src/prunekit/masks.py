@@ -11,8 +11,7 @@ No sort is made. The group size from ``_groups`` picks one of two
 selections, both giving that mask exactly:
 
 - groups of up to 16 entries (2:4, 4:8, 8:16, tiny layers) rank each entry
-  by pairwise comparison, counting lower-index entries that are ``<=`` it
-  and higher-index entries that are ``<`` it, and prune ranks below k;
+  by pairwise comparison (``_rank_select``) and prune ranks below k;
 - larger groups find each group's k-th lowest score v with
   ``ndarray.partition`` and prune the scores ``<= v``; where ties at v
   would overfill a group, only its lowest-index scores equal to v that fit
@@ -20,8 +19,7 @@ selections, both giving that mask exactly:
   copy holds 64 columns (1 MB at 2048 inputs) whatever the layer's width.
 
 Scores obey the engine's input rule (``stats._matrix``: finite, 2-D) and are
-never written to. ``_layer_mask`` is the one check that a mask matches its
-layer's weights, shared by ``apply_mask`` and ``compensate.bias_update``.
+never written to.
 """
 
 from __future__ import annotations
@@ -58,25 +56,17 @@ class SparsitySpec:
             raise InvalidRatio(f"ratio must lie in [0, 1], got {self.ratio!r}")
 
     @classmethod
-    def unstructured(cls, ratio: float) -> "SparsitySpec":
-        return cls(ratio=ratio)
-
-    @classmethod
-    def structured(cls, n: int, m: int) -> "SparsitySpec":
-        return cls(n=n, m=m)
-
-    @classmethod
     def parse(cls, text: str) -> "SparsitySpec":
         """Parse "0.5" as a ratio or "2:4" as a structured pattern."""
         text = text.strip()
         if ":" in text:
             left, _, right = text.partition(":")
             try:
-                return cls.structured(int(left), int(right))
+                return cls(n=int(left), m=int(right))
             except ValueError as exc:
                 raise InvalidRatio(f"bad structured pattern {text!r}") from exc
         try:
-            return cls.unstructured(float(text))
+            return cls(ratio=float(text))
         except ValueError as exc:
             raise InvalidRatio(f"bad sparsity ratio {text!r}") from exc
 

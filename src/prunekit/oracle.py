@@ -1,29 +1,19 @@
 """Exhaustive single-prune enumeration and criterion optimality checks.
 
-The enumerator tries every candidate weight of one output column, evaluates
-the empirical squared reconstruction error directly on the calibration rows
-(with the bias either re-fit or frozen), all candidates in one array pass,
-and returns the global minimizer.
-It is the ground truth the ranking criteria are checked against: on any
-sample, the stade argmin must match enumeration with bias refitting, wanda
-must match it on exactly mean-centered data, and stade-star must match it
-with the bias frozen. ``random_instance`` draws every check instance, in
-each of the ``DATA_REGIMES``. The enumerator's inputs obey the engine's
-input rule (``stats._matrix``), so a NaN or infinity raises
-``NonFiniteInput``, as does a finite instance whose objective overflows
-float64; an instance without features raises ``InvalidDimension``. It
-always returns a minimizer or raises.
+The enumerator tries every candidate weight of one output column, all in
+one array pass, and returns the minimizer of the empirical squared
+reconstruction error on the calibration rows, with the bias re-fit or
+frozen. It is the ground truth each criterion's argmin is checked against,
+on instances ``random_instance`` draws in the regime the criterion's
+``CRITERION_RULES`` row names.
 
 ``check_criterion_optimality`` draws its trials ``_WINDOW`` at a time.
 Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child
 ``SeedSequence(seed).spawn`` would make. Within a window, the instances of
 one row count n sit side by side as the columns of one n x (sum of widths)
 stack, and one ``stats_update``, one ``compute_scores`` and one
-``_enumerate`` pass check them all. ``_enumerate`` is the one enumerator:
-it owns the dense outputs, the objectives, their finite check and each
-instance's argmin, and ``brute_force_single_prune`` is its input checks plus
-``_enumerate`` on one instance. The bits are those of checking each instance
-alone, because every step works per feature:
+``_enumerate`` pass check them all. The bits are those of checking each
+instance alone, because every step works per feature:
 
 - the statistics of at most ``stats._BLOCK_ROWS`` rows sum each column row
   by row, whatever the stack's width (an instance has at least two

@@ -1,40 +1,30 @@
 """Layer-wise pruning of a whole container.
 
-Each weight layer is pruned independently: calibration rows are split into a
-statistics part and a held-out tail, the criterion is resolved against the
-layer's centered flag (stade-w protocol), scores are ranked into a mask, the
-bias is compensated, and the held-out rows score the reconstruction error
-between the two layers' ``WeightLayer.output``. Every tensor that is not a
-layer or a part of one (``TensorContainer.layer_of``) is copied unchanged.
-Calibration activations arrive precomputed in a companion container as
-"<layer>.calib" tensors, so the engine never needs to execute a model.
-Every calibration row, held-out tail included, obeys the engine's input
-rule (``stats._matrix``), so a NaN or infinity anywhere in them raises
-``NonFiniteInput`` instead of reaching the error report.
-
-Loaded layers and rows are float32, and no stage widens rows of any dtype
-all at once up front: each consumer widens what it computes on and checks
-it there. ``stats_update`` widens and checks the statistics rows a block at
-a time, ``GramAccumulator.update`` widens them whole for the one product
-and drops the copy, the scorers widen the weights, and ``reconstruction_mse``
-widens each layer's weights once and the held-out tail a chunk at a time.
-Widening is exact, so results keep the bits of the float64 cast.
+Each weight layer is pruned independently: its calibration rows
+("<layer>.calib" in a companion container) are split into a statistics
+part and a held-out tail, the criterion is resolved against the layer's
+centered flag (stade-w), scores are ranked into a mask, the bias is
+compensated, and the held-out rows score the reconstruction error. Every
+tensor that is not a layer or a part of one (``TensorContainer.layer_of``)
+is copied unchanged.
 
 The error report splits the held-out rows, never the columns: a column
 block of ``x @ W`` is a different BLAS product and changes the last bits.
 A chunk of rows keeps the whole product's bits only while the BLAS computes
-each of its rows as it does in the whole. Measured with OpenBLAS 0.3.31
-(SkylakeX kernels) on a 2-vCPU Xeon VM, three cases break that, and the
-chunking avoids each. A single row goes to gemv, and a product of at most
-10**6 multiply-adds to a small-matrix kernel: a layer is split only when an
-``_EVAL_ROWS``-row product has ``_EVAL_MIN_MACS`` multiply-adds, and the
-last chunk takes the remainder rather than standing alone. At an output
-width that is not a multiple of 8, the last columns' sums depend on where a
-row falls among the kernel's groups of 12 rows: ``_EVAL_ROWS`` is a
-multiple of 48, so every chunk starts on a group boundary. At such widths
-OpenBLAS also splits the rows between its threads by the row count, so with
-several BLAS threads the whole product's own bits change with the thread
-count, and chunks do not keep them.
+each of its rows as it does in the whole. On OpenBLAS (CHANGES.md names
+the build) three cases break that:
+
+- a single row goes to gemv, and a product of at most 10**6 multiply-adds
+  to a small-matrix kernel, so a layer is split only when an
+  ``_EVAL_ROWS``-row product has ``_EVAL_MIN_MACS`` multiply-adds, and the
+  last chunk takes the remainder rather than standing alone;
+- at an output width that is not a multiple of 8, the last columns' sums
+  depend on where a row falls among the kernel's groups of 12 rows, so
+  ``_EVAL_ROWS`` is a multiple of 48 and every chunk starts on a group
+  boundary;
+- at such widths several BLAS threads split the rows by the row count, so
+  the whole product's own bits change with the thread count, and chunks do
+  not keep them.
 """
 
 from __future__ import annotations
@@ -138,9 +128,7 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
 
     An empty output (no rows or no output columns) averages to 0.0. Finite
     inputs whose outputs or error overflow float64 raise ``NonFiniteInput``.
-    The difference comes from ``_output_error``, in row chunks, and the
-    mean is taken over the whole buffer at once, so the error keeps the bits
-    of subtracting the two whole outputs.
+    The mean is taken over ``_output_error``'s whole buffer at once.
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")

@@ -27,18 +27,13 @@ or C-contiguous with at least two columns. A one-column or non-C-contiguous
 batch of several blocks may differ in its last bits, because numpy sums an
 axis that is contiguous in memory pairwise.
 
-This module also owns the engine's input rules, which every public
-function of the engine applies to its own arguments: ``_matrix`` (an array
-is a finite 2-D float64 matrix of the expected width, else
-``DimensionMismatch`` or ``NonFiniteInput``), ``_check_stats`` (an
-accumulator, not None, has the expected width and enough rows), ``_is_count``
-(an integer >= a bound) and ``_is_fraction`` (a number in [0, high]).
-``_rows`` is the shape half of ``_matrix``: it keeps rows in their own
-dtype, for callers that widen and check them a part at a time.
+This module also owns the engine's input rules, which every public function
+of the engine applies to its own arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +69,14 @@ def _is_count(value, least: int = 0) -> bool:
     """The count rule: an int or numpy integer >= ``least``, never a bool."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= least)
+
+
+def _is_buildable(shape, itemsize: int) -> bool:
+    """numpy can build an array of ``shape`` (counts) and ``itemsize`` bytes:
+    at most 64 dimensions (NPY_MAXDIMS), and the nonzero dimensions' byte
+    count, which numpy checks even beside a zero one, fits its index type."""
+    return (len(shape) <= 64
+            and math.prod(int(d) for d in shape if d) * itemsize <= np.iinfo(np.intp).max)
 
 
 def _is_fraction(value, high: float) -> bool:

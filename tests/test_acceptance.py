@@ -20,6 +20,7 @@ from prunekit import (
     brute_force_single_prune,
     build_mask,
     check_criterion_optimality,
+    compute_scores,
     gen_toy_mlp,
     load_container,
     mask_violation,
@@ -28,7 +29,6 @@ from prunekit import (
     reconstruction_mse,
     run_comparison,
     save_container,
-    score_sparsegpt,
     stats_init,
     stats_update,
 )
@@ -159,8 +159,8 @@ def test_06_closed_form_bias_matches_grid_search():
 def test_07_masks_valid_and_ranking_only():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED_MASKS)
-    specs = [SparsitySpec.unstructured(p) for p in (0.0, 0.25, 0.5, 1.0)]
-    specs += [SparsitySpec.structured(2, 4), SparsitySpec.structured(4, 8)]
+    specs = [SparsitySpec(ratio=p) for p in (0.0, 0.25, 0.5, 1.0)]
+    specs += [SparsitySpec(n=2, m=4), SparsitySpec(n=4, m=8)]
     pairs = []
     for i in range(500):
         m = int(rng.choice([8, 16, 24, 32]))
@@ -191,7 +191,7 @@ def test_08_inverse_gram_diagonal_matches_dense_inversion():
         gram = GramAccumulator(m)
         gram.update(rows)
         lam = 0.01 * float(np.mean(np.diag(gram.gram)))
-        scores = score_sparsegpt(np.ones((m, 1)), gram, damping=lam)
+        scores = compute_scores("sparsegpt-score", np.ones((m, 1)), gram=gram, damping=lam)
         factored_diag = 1.0 / scores[:, 0]
         dense_diag = np.diag(np.linalg.inv(gram.gram + lam * np.eye(m)))
         rel = np.abs(factored_diag - dense_diag) / np.abs(dense_diag)
@@ -205,7 +205,7 @@ def test_08_inverse_gram_diagonal_matches_dense_inversion():
 def test_09_stade_w_resolution_and_mask_identity():
     start = time.perf_counter()
     model, calib = gen_toy_mlp(9, ToyMlpConfig((16, 32, 8), "layernorm-like", 256))
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     out_sw, report = prune_container(model, calib, Criterion("stade-w"), spec)
     assert [r.criterion for r in report.layers] == ["wanda", "stade"]
     out_w, _ = prune_container(model, calib, Criterion("wanda"), spec)
@@ -218,7 +218,7 @@ def test_10_qualitative_criterion_ordering():
     start = time.perf_counter()
     config = ToyMlpConfig(dims=(16, 32, 8), norm="none", samples=256)
     table = run_comparison(["magnitude", "wanda", "stade"],
-                           SparsitySpec.unstructured(0.5), seeds=20,
+                           SparsitySpec(ratio=0.5), seeds=20,
                            config=config)
     fractions = {}
     for layer in table.layers:

@@ -216,7 +216,7 @@ def test_reprune_a_pruned_container(workspace):
     pruned = load_container(str(second))
     for name in pruned.layer_names():
         assert mask_violation(pruned.get(f"{name}.mask"),
-                              SparsitySpec.unstructured(0.75)) is None
+                              SparsitySpec(ratio=0.75)) is None
 
 
 def _removed_flag_argv(workspace, command):
@@ -375,3 +375,14 @@ def test_gen_dims_parse_is_usage_error_and_range_is_validation(tmp_path, dims, c
     expected = "--dims" if code == 2 else "dims must be three positive sizes"
     assert expected in proc.stderr
     assert not (tmp_path / "m.pkt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--dims", "1,1,5000000000000000000"),
+                                         ("--samples", "5000000000000000000")],
+                         ids=["dims", "samples"])
+def test_gen_sizes_numpy_cannot_build_are_validation_errors(tmp_path, flag, value):
+    # Sizes numpy can index but memory cannot hold still end in MemoryError.
+    proc = run_cli("gen", flag, value, "--out", str(tmp_path / "m.pkt"),
+                   "--calib-out", str(tmp_path / "c.pkt"))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "numpy cannot build" in proc.stderr

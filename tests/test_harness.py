@@ -88,14 +88,16 @@ def test_config_validation():
         ToyMlpConfig(norm="batchnorm")
     with pytest.raises(ValueError):
         ToyMlpConfig(samples=2)
-    for bad in (dict(dims=(2.5, 4, 2)), dict(dims=(True, 4, 2)), dict(samples=8.5)):
+    # The last two make arrays numpy cannot build; numpy integers must not wrap.
+    for bad in (dict(dims=(2.5, 4, 2)), dict(dims=(True, 4, 2)), dict(samples=8.5),
+                dict(samples=2**62), dict(dims=(np.int64(2**40), np.int64(2**40), 1))):
         with pytest.raises(ValueError):
             ToyMlpConfig(**bad)
 
 
 def test_comparison_table_complete_and_reproducible():
     config = ToyMlpConfig(dims=(8, 16, 4), norm="none", samples=96)
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     table = run_comparison(["wanda", "stade"], spec, seeds=3, config=config)
     assert table.criteria == ["wanda", "stade"]
     for tag in table.criteria:
@@ -108,13 +110,13 @@ def test_comparison_table_complete_and_reproducible():
 
 def test_comparison_requires_two_criteria():
     with pytest.raises(ValueError):
-        run_comparison(["wanda"], SparsitySpec.unstructured(0.5), seeds=2)
+        run_comparison(["wanda"], SparsitySpec(ratio=0.5), seeds=2)
 
 
 @pytest.mark.parametrize("seeds", [0, 1.5, True])
 def test_comparison_seeds_must_be_a_positive_integer(seeds):
     with pytest.raises(ValueError, match="seeds"):
-        run_comparison(["wanda", "stade"], SparsitySpec.unstructured(0.5), seeds=seeds)
+        run_comparison(["wanda", "stade"], SparsitySpec(ratio=0.5), seeds=seeds)
 
 
 @pytest.mark.parametrize("criteria", [
@@ -123,14 +125,14 @@ def test_comparison_seeds_must_be_a_positive_integer(seeds):
 ], ids=["same-tag", "same-tag-other-damping"])
 def test_comparison_rejects_repeated_tags(criteria):
     with pytest.raises(ValueError, match="repeats"):
-        run_comparison(criteria, SparsitySpec.unstructured(0.5), seeds=1)
+        run_comparison(criteria, SparsitySpec(ratio=0.5), seeds=1)
 
 
 def test_identical_resolution_gives_identical_mse():
     # On a centered layer stade-w resolves to wanda, so both runs build the
     # same masks and report the same error for that layer.
     config = ToyMlpConfig(dims=(8, 16, 4), norm="layernorm-like", samples=96)
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     table = run_comparison(["wanda", "stade-w"], spec, seeds=2, config=config)
     assert table.layer_mse["wanda"]["fc1"] == table.layer_mse["stade-w"]["fc1"]
     assert table.resolved["stade-w"] == ["wanda", "stade"]
@@ -142,7 +144,7 @@ def test_e2e_error_uses_the_layer_holdout_rows(samples):
     # layer is scored on all rows; at 64 it is the last 12 rows. The
     # end-to-end error must be scored on the same rows as the layers.
     config = ToyMlpConfig(dims=(6, 12, 3), norm="none", samples=samples)
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     table = run_comparison(["wanda", "stade"], spec, seeds=1, config=config)
     model, calib = gen_toy_mlp(0, config)
     _, rows = split_holdout(calib.get("fc1.calib"), HOLDOUT_FRACTION)
@@ -156,7 +158,7 @@ def test_e2e_error_uses_the_layer_holdout_rows(samples):
 def test_table_text_is_aligned():
     config = ToyMlpConfig(dims=(6, 12, 3), norm="none", samples=64)
     table = run_comparison(["magnitude", "wanda"],
-                           SparsitySpec.unstructured(0.25), seeds=2, config=config)
+                           SparsitySpec(ratio=0.25), seeds=2, config=config)
     lines = table.to_text().splitlines()
     assert lines[0].startswith("criterion")
     assert len(lines) == 3

@@ -24,7 +24,6 @@ from prunekit import (
     compute_scores,
     prune_layer,
     reconstruction_mse,
-    score_sparsegpt,
     stats_init,
     stats_update,
 )
@@ -45,7 +44,7 @@ STATS = stats_update(stats_init(M), ROWS)
 GRAM = GramAccumulator(M)
 GRAM.update(ROWS)
 MASK = np.zeros((M, H), dtype=bool)
-SPEC = SparsitySpec.unstructured(0.5)
+SPEC = SparsitySpec(ratio=0.5)
 
 
 def _widen(x):
@@ -71,8 +70,8 @@ ENTRY_POINTS = {
                     _lengthen(WEIGHTS)),
     "score_stade_star": (lambda x: compute_scores("stade-star", x, stats=STATS),
                          WEIGHTS, _lengthen(WEIGHTS)),
-    "score_sparsegpt": (lambda x: score_sparsegpt(x, GRAM), WEIGHTS,
-                        _lengthen(WEIGHTS)),
+    "score_sparsegpt": (lambda x: compute_scores("sparsegpt-score", x, gram=GRAM),
+                        WEIGHTS, _lengthen(WEIGHTS)),
     "build_mask": (lambda x: build_mask(x, SPEC), WEIGHTS, None),
     "bias_update": (lambda x: bias_update(LAYER, x, STATS), MASK, _widen(MASK)),
     "apply_mask": (lambda x: apply_mask(LAYER, x), MASK, _widen(MASK)),
@@ -163,13 +162,13 @@ OVERFLOWS = {
     "score_stade": lambda: compute_scores("stade", BIG_WEIGHTS, stats=BIG_STATS),
     "score_stade_star": lambda: compute_scores("stade-star", BIG_WEIGHTS,
                                                stats=BIG_STATS),
-    "score_sparsegpt": lambda: score_sparsegpt(BIG_WEIGHTS, _gram(np.eye(2) * 1e-3),
-                                               damping=0.0),
-    "score_sparsegpt(auto damping)": lambda: score_sparsegpt(
-        np.ones((3, 1)), _gram(np.eye(3) * 9.4e153)),
+    "score_sparsegpt": lambda: compute_scores(
+        "sparsegpt-score", BIG_WEIGHTS, gram=_gram(np.eye(2) * 1e-3), damping=0.0),
+    "score_sparsegpt(auto damping)": lambda: compute_scores(
+        "sparsegpt-score", np.ones((3, 1)), gram=_gram(np.eye(3) * 9.4e153)),
     # Diagonal 8.1e307 plus the damping overflows: the damped Gram, not a singular one.
-    "score_sparsegpt(explicit damping)": lambda: score_sparsegpt(
-        np.ones((2, 1)), _gram(np.eye(2) * 9e153), damping=1e308),
+    "score_sparsegpt(explicit damping)": lambda: compute_scores(
+        "sparsegpt-score", np.ones((2, 1)), gram=_gram(np.eye(2) * 9e153), damping=1e308),
     "bias_update": lambda: bias_update(BIG_LAYER, np.ones((2, 2), dtype=bool),
                                        BIG_STATS),
     "reconstruction_mse": lambda: reconstruction_mse(
@@ -195,4 +194,5 @@ def test_sparsegpt_failed_factorization_is_singular_gram():
     # A rank-one Gram, undamped: the factorization stops at the second minor.
     with pytest.raises(SingularGram, match=r"not positive definite \(damping=0\): "
                                            r"2-th leading minor"):
-        score_sparsegpt(np.ones((3, 1)), _gram(np.ones((5, 3))), damping=0.0)
+        compute_scores("sparsegpt-score", np.ones((3, 1)), gram=_gram(np.ones((5, 3))),
+                       damping=0.0)

@@ -20,40 +20,40 @@ def pruned_rows(mask, col=0):
 
 def test_unstructured_prunes_lowest_half():
     scores = np.array([[1.0], [5.0], [4.0], [2.0]])
-    mask = build_mask(scores, SparsitySpec.unstructured(0.5))
+    mask = build_mask(scores, SparsitySpec(ratio=0.5))
     assert pruned_rows(mask) == {0, 3}
 
 
 def test_structured_group_prunes_lowest_two():
     scores = np.array([[0.9], [0.1], [0.5], [0.7]])
-    mask = build_mask(scores, SparsitySpec.structured(2, 4))
+    mask = build_mask(scores, SparsitySpec(n=2, m=4))
     assert pruned_rows(mask) == {1, 2}
 
 
 def test_boundary_ratios():
     scores = np.random.default_rng(0).random((6, 3))
-    assert not build_mask(scores, SparsitySpec.unstructured(0.0)).any()
-    assert build_mask(scores, SparsitySpec.unstructured(1.0)).all()
+    assert not build_mask(scores, SparsitySpec(ratio=0.0)).any()
+    assert build_mask(scores, SparsitySpec(ratio=1.0)).all()
 
 
 def test_floor_semantics():
     scores = np.random.default_rng(1).random((10, 2))
-    mask = build_mask(scores, SparsitySpec.unstructured(0.35))
+    mask = build_mask(scores, SparsitySpec(ratio=0.35))
     assert (mask.sum(axis=0) == 3).all()
 
 
 def test_ties_prune_lowest_index_first():
     scores = np.zeros((4, 2))
-    mask = build_mask(scores, SparsitySpec.unstructured(0.5))
+    mask = build_mask(scores, SparsitySpec(ratio=0.5))
     assert pruned_rows(mask, 0) == {0, 1} and pruned_rows(mask, 1) == {0, 1}
-    mask = build_mask(np.zeros((8, 1)), SparsitySpec.structured(2, 4))
+    mask = build_mask(np.zeros((8, 1)), SparsitySpec(n=2, m=4))
     assert pruned_rows(mask) == {0, 1, 4, 5}
 
 
 def test_structured_groups_are_contiguous_per_column():
     rng = np.random.default_rng(3)
     scores = rng.random((8, 5))
-    mask = build_mask(scores, SparsitySpec.structured(2, 4))
+    mask = build_mask(scores, SparsitySpec(n=2, m=4))
     grouped = mask.reshape(2, 4, 5)
     assert (grouped.sum(axis=1) == 2).all()
     for g in range(2):
@@ -65,25 +65,25 @@ def test_structured_groups_are_contiguous_per_column():
 
 def test_indivisible_group_rejected():
     with pytest.raises(IndivisibleGroup):
-        build_mask(np.ones((6, 2)), SparsitySpec.structured(2, 4))
+        build_mask(np.ones((6, 2)), SparsitySpec(n=2, m=4))
 
 
 def test_spec_validation():
     with pytest.raises(InvalidRatio):
-        SparsitySpec.unstructured(1.5)
+        SparsitySpec(ratio=1.5)
     with pytest.raises(InvalidRatio):
-        SparsitySpec.unstructured(-0.1)
+        SparsitySpec(ratio=-0.1)
     with pytest.raises(InvalidRatio):
-        SparsitySpec.structured(4, 4)
+        SparsitySpec(n=4, m=4)
     with pytest.raises(InvalidRatio):
-        SparsitySpec.structured(0, 4)
+        SparsitySpec(n=0, m=4)
     with pytest.raises(InvalidRatio):
         SparsitySpec()
     # Counts are integers, numpy integers included, but never bools.
     with pytest.raises(InvalidRatio):
         SparsitySpec(n=True, m=4)
     numpy_counts = SparsitySpec(n=np.int64(2), m=np.int64(4))
-    assert numpy_counts == SparsitySpec.structured(2, 4)
+    assert numpy_counts == SparsitySpec(n=2, m=4)
     assert str(numpy_counts) == "2:4"
     # A ratio is a number (tests/test_errors.py pins bools and numpy floats),
     # stored as a float.
@@ -95,8 +95,8 @@ def test_spec_validation():
 
 
 def test_spec_parse_and_str():
-    assert SparsitySpec.parse("0.5") == SparsitySpec.unstructured(0.5)
-    assert SparsitySpec.parse("2:4") == SparsitySpec.structured(2, 4)
+    assert SparsitySpec.parse("0.5") == SparsitySpec(ratio=0.5)
+    assert SparsitySpec.parse("2:4") == SparsitySpec(n=2, m=4)
     assert str(SparsitySpec.parse("4:8")) == "4:8"
     assert str(SparsitySpec.parse("0.25")) == "0.25"
     with pytest.raises(InvalidRatio):
@@ -108,15 +108,15 @@ def test_spec_parse_and_str():
 def test_validate_built_masks():
     rng = np.random.default_rng(5)
     scores = rng.random((8, 4))
-    for spec in (SparsitySpec.unstructured(0.25), SparsitySpec.structured(2, 4),
-                 SparsitySpec.structured(4, 8)):
+    for spec in (SparsitySpec(ratio=0.25), SparsitySpec(n=2, m=4),
+                 SparsitySpec(n=4, m=8)):
         assert mask_violation(build_mask(scores, spec), spec) is None
 
 
 def test_validate_detects_overfull_group():
     mask = np.zeros((4, 1), dtype=bool)
     mask[:3, 0] = True
-    spec = SparsitySpec.structured(2, 4)
+    spec = SparsitySpec(n=2, m=4)
     assert mask_violation(mask, spec) is not None
     assert "group 0" in mask_violation(mask, spec)
 
@@ -124,7 +124,7 @@ def test_validate_detects_overfull_group():
 def test_validate_detects_count_mismatch():
     mask = np.zeros((4, 2), dtype=bool)
     mask[0, 1] = True
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     assert mask_violation(mask, spec) is not None
     assert "column 0" in mask_violation(mask, spec)
 
@@ -132,18 +132,18 @@ def test_validate_detects_count_mismatch():
 def test_violation_names_group_and_column():
     mask = np.zeros((8, 3), dtype=bool)
     mask[:5, 2] = True
-    assert mask_violation(mask, SparsitySpec.unstructured(0.5)).startswith(
+    assert mask_violation(mask, SparsitySpec(ratio=0.5)).startswith(
         "group 0 of column 0: 0 pruned, expected 4")
-    assert mask_violation(mask, SparsitySpec.structured(2, 4)).startswith(
+    assert mask_violation(mask, SparsitySpec(n=2, m=4)).startswith(
         "group 0 of column 0: 0 pruned, expected 2")
-    assert "not divisible" in mask_violation(mask, SparsitySpec.structured(2, 3))
-    assert (mask_violation(mask[:, 0], SparsitySpec.unstructured(0.5))
+    assert "not divisible" in mask_violation(mask, SparsitySpec(n=2, m=3))
+    assert (mask_violation(mask[:, 0], SparsitySpec(ratio=0.5))
             == "mask must be 2-D, got 1-D")
 
 
 @pytest.mark.parametrize("shape", [(8, 0), (0, 3)])
 def test_zero_size_scores(shape):
-    for spec in (SparsitySpec.unstructured(0.5), SparsitySpec.structured(2, 4)):
+    for spec in (SparsitySpec(ratio=0.5), SparsitySpec(n=2, m=4)):
         mask = build_mask(np.zeros(shape), spec)
         assert mask.shape == shape and not mask.any()
         assert mask_violation(mask, spec) is None
@@ -180,7 +180,7 @@ def test_apply_mask_shape_mismatch():
 
 def test_determinism():
     scores = np.random.default_rng(11).random((16, 8))
-    spec = SparsitySpec.structured(4, 8)
+    spec = SparsitySpec(n=4, m=8)
     masks = [build_mask(scores, spec) for _ in range(3)]
     assert all(np.array_equal(masks[0], m) for m in masks)
 
@@ -194,7 +194,7 @@ score_elems = st.floats(min_value=0.0, max_value=1e6,
               elements=score_elems),
        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
 def test_unstructured_masks_always_valid(scores, ratio):
-    spec = SparsitySpec.unstructured(ratio)
+    spec = SparsitySpec(ratio=ratio)
     assert mask_violation(build_mask(scores, spec), spec) is None
 
 
@@ -203,7 +203,7 @@ def test_unstructured_masks_always_valid(scores, ratio):
               elements=score_elems),
        st.sampled_from([(1, 2), (2, 4), (4, 8)]))
 def test_structured_masks_always_valid(scores, pattern):
-    spec = SparsitySpec.structured(*pattern)
+    spec = SparsitySpec(n=pattern[0], m=pattern[1])
     assert mask_violation(build_mask(scores, spec), spec) is None
 
 
@@ -216,8 +216,8 @@ grid_scores = arrays(np.int64, st.tuples(st.sampled_from([8, 16]), st.integers(1
 @settings(max_examples=60, deadline=None)
 @given(grid_scores, st.sampled_from(["unstructured", "structured"]))
 def test_monotone_transform_leaves_mask_unchanged(scores, kind):
-    spec = (SparsitySpec.unstructured(0.5) if kind == "unstructured"
-            else SparsitySpec.structured(2, 4))
+    spec = (SparsitySpec(ratio=0.5) if kind == "unstructured"
+            else SparsitySpec(n=2, m=4))
     base = build_mask(scores, spec)
     for transform in (lambda s: 3.0 * s + 7.0, np.expm1, np.arctan):
         assert np.array_equal(build_mask(transform(scores), spec), base)
@@ -245,9 +245,9 @@ PATTERNS = [(1, 2), (2, 4), (4, 8), (8, 16), (16, 32)]
 @st.composite
 def selection_cases(draw):
     spec = draw(st.one_of(
-        st.sampled_from([0.0, 0.25, 0.5, 1.0]).map(SparsitySpec.unstructured),
-        st.floats(0.0, 1.0).map(SparsitySpec.unstructured),
-        st.sampled_from(PATTERNS).map(lambda p: SparsitySpec.structured(*p))))
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]).map(SparsitySpec),
+        st.floats(0.0, 1.0).map(SparsitySpec),
+        st.sampled_from(PATTERNS).map(lambda p: SparsitySpec(n=p[0], m=p[1]))))
     rows = (draw(st.integers(0, 80)) if spec.ratio is not None
             else spec.m * draw(st.integers(0, 3)))
     # Column counts around the 64-column partition block.
@@ -278,8 +278,8 @@ def test_build_mask_leaves_scores_unchanged(shape):
     # partitioned in place; tied scores also run the tie-breaking branch.
     scores = np.random.default_rng(13).integers(0, 4, shape) / 2.0
     before = scores.copy()
-    specs = [SparsitySpec.unstructured(0.5)] + [
-        SparsitySpec.structured(n, m) for n, m in [(1, 2), (16, 32)]
+    specs = [SparsitySpec(ratio=0.5)] + [
+        SparsitySpec(n=n, m=m) for n, m in [(1, 2), (16, 32)]
         if shape[0] % m == 0]
     for spec in specs:
         build_mask(scores, spec)

@@ -28,10 +28,10 @@ from prunekit import (
     TensorContainer,
     WeightLayer,
     check_criterion_optimality,
+    compute_scores,
     load_container,
     reconstruction_mse,
     save_container,
-    score_sparsegpt,
     stats_init,
     stats_update,
 )
@@ -58,8 +58,9 @@ def test_sparsegpt_score_holds_one_square_temporary():
     gram = GramAccumulator(M)
     gram.update(rng.standard_normal((2 * M, M)))
     weights = rng.standard_normal((M, M))
-    score_sparsegpt(weights, gram)  # the first call imports scipy, once per process
-    peak = _traced_peak(lambda: score_sparsegpt(weights, gram))
+    # The first call imports scipy, once per process.
+    compute_scores("sparsegpt-score", weights, gram=gram)
+    peak = _traced_peak(lambda: compute_scores("sparsegpt-score", weights, gram=gram))
     assert peak <= 1.5 * M * M * 8  # the damped copy, then the scores
 
 

@@ -71,7 +71,7 @@ def test_zero_sparsity_is_bitexact_noop():
     rows = rng.uniform(-2, 2, size=(40, 6))
     model, calib = single_layer_containers(w, b, rows)
     out, report = prune_container(model, calib, Criterion("wanda"),
-                                  SparsitySpec.unstructured(0.0))
+                                  SparsitySpec(ratio=0.0))
     pruned = out.get_layer("l")
     assert np.array_equal(pruned.weights, w)
     assert np.array_equal(pruned.bias, b)
@@ -84,7 +84,7 @@ def test_zero_sparsity_is_bitexact_noop():
 def test_stade_w_resolves_per_layer_flags():
     model, calib = toy_pair(norm="layernorm-like")
     _, report = prune_container(model, calib, Criterion("stade-w"),
-                                SparsitySpec.unstructured(0.5))
+                                SparsitySpec(ratio=0.5))
     assert [r.criterion for r in report.layers] == ["wanda", "stade"]
     assert [r.centered for r in report.layers] == [True, False]
 
@@ -94,7 +94,7 @@ def test_half_sparsity_achieved_exactly():
     model, calib = single_layer_containers(rng.standard_normal((10, 4)), None,
                                            rng.uniform(-1, 1, size=(30, 10)))
     out, report = prune_container(model, calib, Criterion("magnitude"),
-                                  SparsitySpec.unstructured(0.5))
+                                  SparsitySpec(ratio=0.5))
     assert report.layers[0].achieved_sparsity == pytest.approx(5 / 10)
     mask = out.get("l.mask")
     assert (mask.sum(axis=0) == 5).all()
@@ -102,7 +102,7 @@ def test_half_sparsity_achieved_exactly():
 
 def test_output_masks_validate():
     model, calib = toy_pair()
-    spec = SparsitySpec.structured(2, 4)
+    spec = SparsitySpec(n=2, m=4)
     out, _ = prune_container(model, calib, Criterion("wanda"), spec)
     for name in ("fc1", "fc2"):
         assert mask_violation(out.get(f"{name}.mask"), spec) is None
@@ -112,11 +112,11 @@ def test_every_criterion_runs_end_to_end():
     model, calib = toy_pair()
     for tag in ("magnitude", "wanda", "stade", "stade-star", "stade-w"):
         _, report = prune_container(model, calib, Criterion(tag),
-                                    SparsitySpec.unstructured(0.25))
+                                    SparsitySpec(ratio=0.25))
         assert len(report.layers) == 2
     _, report = prune_container(model, calib,
                                 Criterion("sparsegpt-score", damping="auto"),
-                                SparsitySpec.unstructured(0.25))
+                                SparsitySpec(ratio=0.25))
     assert all(r.criterion == "sparsegpt-score" for r in report.layers)
 
 
@@ -126,14 +126,14 @@ def test_missing_calibration_is_an_error():
     bare.add("fc1.calib", calib.get("fc1.calib"))
     with pytest.raises(MissingCalibration, match="fc2"):
         prune_container(model, bare, Criterion("wanda"),
-                        SparsitySpec.unstructured(0.5))
+                        SparsitySpec(ratio=0.5))
 
 
 def test_holdout_fraction_bounds():
     model, calib = toy_pair()
     with pytest.raises(ValueError):
         prune_container(model, calib, Criterion("wanda"),
-                        SparsitySpec.unstructured(0.5), holdout_fraction=0.6)
+                        SparsitySpec(ratio=0.5), holdout_fraction=0.6)
 
 
 @pytest.mark.parametrize("fraction", [-0.5, 0.6, float("nan"), False])
@@ -146,7 +146,7 @@ def test_holdout_fraction_outside_range_is_value_error(fraction):
     layer = WeightLayer(np.ones((4, 3)), np.zeros(3), centered=False)
     with pytest.raises(ValueError, match=r"\[0, 0.5\]"):
         prune_layer("fc", layer, rows, Criterion("stade"),
-                    SparsitySpec.unstructured(0.5), holdout_fraction=fraction)
+                    SparsitySpec(ratio=0.5), holdout_fraction=fraction)
 
 
 @pytest.mark.parametrize("weights, bias, error", [
@@ -163,7 +163,7 @@ def test_weight_layer_holds_the_layer_rule(weights, bias, error):
     rows = np.random.default_rng(6).standard_normal((20, 4))
     with pytest.raises(error):
         prune_layer("fc", WeightLayer(weights, bias, centered=False), rows,
-                    Criterion("stade"), SparsitySpec.unstructured(0.5))
+                    Criterion("stade"), SparsitySpec(ratio=0.5))
 
 
 def test_split_holdout_tail_or_every_row():
@@ -178,8 +178,8 @@ def test_split_holdout_tail_or_every_row():
 def test_repruning_a_pruned_container():
     model, calib = toy_pair()
     first, _ = prune_container(model, calib, Criterion("stade"),
-                               SparsitySpec.unstructured(0.5))
-    spec = SparsitySpec.unstructured(0.75)
+                               SparsitySpec(ratio=0.5))
+    spec = SparsitySpec(ratio=0.75)
     second, report = prune_container(first, calib, Criterion("stade"), spec)
     masks = [e.name for e in second.entries() if e.name.endswith(".mask")]
     assert masks == ["fc1.mask", "fc2.mask"]
@@ -203,7 +203,7 @@ def test_prune_container_replaces_only_a_layers_own_parts():
             "l.calib": rng.standard_normal((4, 6))}
     for name, array in kept.items():
         model.add(name, array)
-    crit, spec = Criterion("stade"), SparsitySpec.unstructured(0.5)
+    crit, spec = Criterion("stade"), SparsitySpec(ratio=0.5)
     out, _ = prune_container(model, calib, crit, spec)
     assert [e.name for e in out.entries()] == ["l", "l.bias", "l.mask", *kept]
     for name in kept:
@@ -219,7 +219,7 @@ def test_bias_flag_behavior_per_criterion():
     rows = 5.0 + rng.standard_normal((60, 6))  # strongly offset features
     w = rng.uniform(0.5, 1.0, size=(6, 2))
     model, calib = single_layer_containers(w, None, rows)
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     _, rep_stade = prune_container(model, calib, Criterion("stade"), spec)
     assert rep_stade.layers[0].bias_delta_norm > 0
     assert rep_stade.layers[0].bias_added
@@ -238,7 +238,7 @@ def test_disabled_update_is_noop():
         model.add_layer(name, WeightLayer(rng.uniform(0.5, 1.0, (6, 3)), bias, False))
         calib.add(f"{name}.calib", rows)
     out, report = prune_container(model, calib, Criterion("stade"),
-                                  SparsitySpec.unstructured(0.5),
+                                  SparsitySpec(ratio=0.5),
                                   bias_update_enabled=False)
     assert out.get_layer("a").bias.tobytes() == model.get_layer("a").bias.tobytes()
     assert out.get_layer("b").bias is None
@@ -251,7 +251,7 @@ def test_layer_order_independence():
     rng = np.random.default_rng(5)
     layers = {f"l{i}": (rng.standard_normal((8, 3)), rng.uniform(-1, 1, (50, 8)))
               for i in range(3)}
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
 
     def build(order):
         model, calib = TensorContainer(), TensorContainer()
@@ -271,7 +271,7 @@ def test_layer_order_independence():
 
 def test_thread_count_invariance():
     model, calib = toy_pair(seed=6)
-    spec = SparsitySpec.structured(2, 4)
+    spec = SparsitySpec(n=2, m=4)
     out1, rep1 = prune_container(model, calib, Criterion("stade"), spec, threads=1)
     out4, rep4 = prune_container(model, calib, Criterion("stade"), spec, threads=4)
     for name in ("fc1", "fc2"):
@@ -310,7 +310,7 @@ def test_manifest_flag_wins_but_warns():
     model, calib = single_layer_containers(rng.uniform(-1, 1, (4, 2)), None, rows,
                                            centered=True)  # flag claims centered
     _, report = prune_container(model, calib, Criterion("stade-w"),
-                                SparsitySpec.unstructured(0.5))
+                                SparsitySpec(ratio=0.5))
     rec = report.layers[0]
     assert rec.criterion == "wanda"  # manifest flag drives the resolution
     assert any("disagrees" in w for w in rec.warnings)
@@ -321,7 +321,7 @@ def test_one_calibration_row_skips_the_centering_check(tag):
     # These criteria score from one row; the centering check needs two.
     rng = np.random.default_rng(10)
     layer = WeightLayer(rng.uniform(-1, 1, (4, 2)), None, centered=False)
-    spec = SparsitySpec.unstructured(0.5)
+    spec = SparsitySpec(ratio=0.5)
     _, mask, report = prune_layer("fc", layer, rng.standard_normal((1, 4)), Criterion(tag),
                                   spec)
     assert report.warnings == ["too few rows for the empirical centering check"]
@@ -396,7 +396,7 @@ def test_stade_choice_dominates_any_single_prune():
 def test_report_serializes():
     model, calib = toy_pair()
     _, report = prune_container(model, calib, Criterion("wanda"),
-                                SparsitySpec.unstructured(0.5))
+                                SparsitySpec(ratio=0.5))
     payload = asdict(report)
     assert len(payload["layers"]) == 2
     assert {"layer", "criterion", "achieved_sparsity",
@@ -410,7 +410,7 @@ def test_overflowing_calibration_rows_are_typed_error(tag):
     rows = np.random.default_rng(3).standard_normal((20, 4)) * 1e160
     layer = WeightLayer(np.ones((4, 2)), np.zeros(2), centered=False)
     with pytest.raises(NonFiniteInput, match="overflow"):
-        prune_layer("fc", layer, rows, Criterion(tag), SparsitySpec.unstructured(0.5))
+        prune_layer("fc", layer, rows, Criterion(tag), SparsitySpec(ratio=0.5))
 
 
 @pytest.mark.parametrize("bias_update_enabled", [False, True], ids=["mse", "bias"])
@@ -421,7 +421,7 @@ def test_overflowing_error_report_is_typed_error(bias_update_enabled):
     layer = WeightLayer(np.full((2, 2), 1e300), None, centered=False)
     with pytest.raises(NonFiniteInput, match="overflow"):
         prune_layer("fc", layer, np.full((10, 2), 1e8), Criterion("magnitude"),
-                    SparsitySpec.unstructured(0.5),
+                    SparsitySpec(ratio=0.5),
                     bias_update_enabled=bias_update_enabled)
 
 
@@ -433,7 +433,7 @@ def test_infinite_reconstruction_error_is_typed_error():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NonFiniteInput, match="overflow"):
             prune_layer("fc", layer, np.ones((10, 4)), Criterion("magnitude"),
-                        SparsitySpec.unstructured(0.5))
+                        SparsitySpec(ratio=0.5))
         with pytest.raises(NonFiniteInput, match="overflow"):
             reconstruction_mse(layer, WeightLayer(np.zeros((4, 3)), None, False),
                                np.ones((10, 4)))
@@ -441,7 +441,7 @@ def test_infinite_reconstruction_error_is_typed_error():
 
 @pytest.mark.parametrize("criterion, spec, error", [
     (Criterion("wanda"), SparsitySpec.parse("2:4"), IndivisibleGroup),
-    (Criterion("sparsegpt-score", damping=0.0), SparsitySpec.unstructured(0.5),
+    (Criterion("sparsegpt-score", damping=0.0), SparsitySpec(ratio=0.5),
      SingularGram),
 ], ids=["indivisible", "singular"])
 def test_prune_container_error_names_the_layer(criterion, spec, error):

@@ -87,3 +87,24 @@ def test_same_outputs_compares_hashes(tmp_path, change, expected):
     assert len(lines) == 4  # two outputs at each of two seeds
     assert lines[0] == f"seed 3 verify-oracle verify.json same {'a' * 64}"
     assert (lines[1].split()[4] == "DIFFERENT") == (change["report_hash"] != "b" * 64)
+
+
+def _loc_rows(*paths):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "loc.py"), *map(str, paths)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()[1:]]
+
+
+def test_loc_counts_add_up_to_each_file_length(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""One.\n\nTwo."""\n\n# a comment\nx = 1  # code\n')
+    assert _loc_rows(sample)[0][:5] == ["1", "3", "1", "1", "6"]
+    package = Path(cli.__file__).parent
+    rows = _loc_rows(package)
+    files = {Path(row[5]).name: [int(n) for n in row[:5]] for row in rows[:-1]}
+    assert set(files) == {path.name for path in package.glob("*.py")}
+    for name, (code, doc, comment, blank, total) in files.items():
+        lines = len((package / name).read_text("utf-8").splitlines())
+        assert code + doc + comment + blank == total == lines, name
+    assert [int(n) for n in rows[-1][:5]] == [sum(col) for col in zip(*files.values())]
