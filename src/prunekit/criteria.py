@@ -144,8 +144,8 @@ def _score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
     """
     import scipy.linalg  # here, not at module level: see the module docstring
 
-    weights = _matrix(weights, "weights")
-    m = weights.shape[0]
+    widened = _matrix(weights, "weights")
+    m = widened.shape[0]
     if gram is None:
         raise EmptyStats("no Gram accumulated")
     if gram.m != m:
@@ -175,11 +175,19 @@ def _score_sparsegpt(weights: np.ndarray, gram: GramAccumulator,
         if not (np.isfinite(diag).all() and (diag > 0).all()):
             raise SingularGram(f"inverse diagonal is not strictly positive "
                                f"(damping={lam:g})")
-        scores = np.square(weights)
+        scores = np.square(widened, out=_scratch(widened, weights))
         scores /= diag[:, None]
     if not np.isfinite(scores).all():
         raise NonFiniteInput("scores overflow float64")
     return scores
+
+
+def _scratch(widened: np.ndarray, weights) -> np.ndarray | None:
+    """``widened`` when ``_matrix`` made it as a new array that only the scorer
+    holds (float32 weights, say), so the scores can be computed in it; else
+    None, and the scores get an array of their own. The caller's weights are
+    never written to: a container's arrays are read-only."""
+    return None if np.may_share_memory(widened, weights) else widened
 
 
 def select_criterion(criterion: Criterion, layer: WeightLayer) -> str:
@@ -199,15 +207,15 @@ def compute_scores(tag: str, weights: np.ndarray,
     rule = CRITERION_RULES.get(tag)
     if rule is None:
         raise InvalidArgument(f"cannot score unresolved criterion {tag!r}")
-    if rule.factor is not None:
-        weights = _matrix(weights, "weights")
-        _check_stats(stats, weights.shape[0], rule.min_rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = np.abs(weights)  # scaled in place: no third weight-sized array
-            scores *= rule.factor(stats)[:, None]
-        if not np.isfinite(scores).all():
-            raise NonFiniteInput("scores overflow float64")
-        return scores
     if rule.needs_gram:
         return _score_sparsegpt(weights, gram, damping)
-    return np.abs(_matrix(weights, "weights"))
+    widened = _matrix(weights, "weights")
+    if rule.factor is None:
+        return np.abs(widened, out=_scratch(widened, weights))
+    _check_stats(stats, widened.shape[0], rule.min_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.abs(widened, out=_scratch(widened, weights))
+        scores *= rule.factor(stats)[:, None]
+    if not np.isfinite(scores).all():
+        raise NonFiniteInput("scores overflow float64")
+    return scores

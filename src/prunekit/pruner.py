@@ -8,11 +8,12 @@ compensated, and the held-out rows score the reconstruction error. Every
 tensor that is not a layer or a part of one (``TensorContainer.layer_of``)
 is copied unchanged.
 
-The error report splits the held-out rows, never the columns: a column
-block of ``x @ W`` is a different BLAS product and changes the last bits.
-A chunk of rows keeps the whole product's bits only while the BLAS computes
-each of its rows as it does in the whole. On OpenBLAS (CHANGES.md names
-the build) three cases break that:
+The error report is one product of the removed weights, ``x @ (W0 - W1)``.
+It splits the held-out rows, never the columns: a column block is a
+different BLAS product and changes the last bits. A chunk of rows keeps the
+whole product's bits only while the BLAS computes each of its rows as it
+does in the whole. On OpenBLAS (CHANGES.md names the build) three cases
+break that:
 
 - a single row goes to gemv, and a product of at most 10**6 multiply-adds
   to a small-matrix kernel, so a layer is split only when an
@@ -30,11 +31,11 @@ the build) three cases break that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compensate import bias_delta_norm, bias_update
+from .compensate import _bias_change, bias_delta_norm, bias_update
 from .container import TensorContainer, WeightLayer
 from .criteria import (
     CRITERION_RULES,
@@ -96,29 +97,25 @@ def classify_centered(stats: ColumnStats) -> bool:
 
 def _output_error(original: WeightLayer, pruned: WeightLayer,
                   rows: np.ndarray) -> np.ndarray:
-    """``original.output(rows) - pruned.output(rows)`` in one n x H buffer.
+    """``rows @ (W0 - W1) + (b0 - b1)`` in one n x H buffer, a missing bias
+    counted as zero: the two layers' output difference as one product.
 
-    One pass per layer: its weights are widened to float64 once (a float64
-    layer is not copied) and ``WeightLayer.output`` takes the rows a chunk
-    at a time, each widened and checked by ``_matrix``. The dense pass
-    writes the buffer and the pruned pass subtracts from it, so the call
-    holds one widened weight matrix, the buffer and one chunk's rows and
-    output, and the buffer has the bits of the two whole outputs (module
+    The weight difference is widened to float64 once, and each chunk of rows,
+    widened and checked by ``_matrix``, is multiplied straight into its rows
+    of the buffer. So the call holds the difference, the buffer and one
+    chunk's rows, and the buffer has the bits of the whole product (module
     docstring). Overflow is left to the caller.
     """
     rows = _rows(rows, "rows", original.m)
     n = rows.shape[0]
     step = _EVAL_ROWS if _EVAL_ROWS * original.weights.size >= _EVAL_MIN_MACS else max(n, 1)
     cuts = [*range(step, n - step + 1, step)]  # the last chunk takes the remainder
-    chunks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
     err = np.empty((n, original.h))
-    dense = replace(original, weights=np.asarray(original.weights, dtype=np.float64))
-    for part in chunks:
-        err[part] = dense.output(_matrix(rows[part], "rows"))
-    del dense  # one widened weight matrix at a time
-    sparse = replace(pruned, weights=np.asarray(pruned.weights, dtype=np.float64))
-    for part in chunks:
-        err[part] -= sparse.output(_matrix(rows[part], "rows"))
+    diff = np.subtract(original.weights, pruned.weights, dtype=np.float64)
+    shift = _bias_change(original, pruned)
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        np.matmul(_matrix(rows[a:b], "rows"), diff, out=err[a:b])
+        err[a:b] -= shift
     return err
 
 
@@ -127,8 +124,9 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     """Mean squared output difference between the two layers over ``rows``.
 
     An empty output (no rows or no output columns) averages to 0.0. Finite
-    inputs whose outputs or error overflow float64 raise ``NonFiniteInput``.
-    The mean is taken over ``_output_error``'s whole buffer at once.
+    inputs whose error overflows float64 raise ``NonFiniteInput``; outputs
+    that overflow while their difference does not are not an error. The
+    mean is taken over ``_output_error``'s whole buffer at once.
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")

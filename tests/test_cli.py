@@ -87,6 +87,24 @@ def test_prune_artifacts_do_not_depend_on_the_eval_chunk(tmp_path, monkeypatch):
     assert len(outs) == 1
 
 
+def test_prune_reports_the_error_that_two_outputs_round_away(tmp_path, capsys):
+    # 2**53 + 1 rounds to 2**53, so on rows of ones the dense and pruned
+    # outputs are the same float64; the pruned weight's product is exactly 1.
+    model, calib = TensorContainer(), TensorContainer()
+    model.add_layer("fc", WeightLayer(np.array([[2.0**53], [1.0]], np.float32), None,
+                                      centered=False))
+    calib.add("fc.calib", np.ones((10, 2), np.float32))
+    save_container(model, str(tmp_path / "m.pkt"))
+    save_container(calib, str(tmp_path / "c.pkt"))
+    report = tmp_path / "r.json"
+    assert cli.main(["prune", "--model", str(tmp_path / "m.pkt"),
+                     "--calib", str(tmp_path / "c.pkt"), "--criterion", "magnitude",
+                     "--sparsity", "0.5", "--out", str(tmp_path / "o.pkt"),
+                     "--report", str(report)]) == 0
+    assert "mse=1.000000e+00" in capsys.readouterr().out
+    assert json.loads(report.read_text())["layers"][0]["reconstruction_mse"] == 1.0
+
+
 def test_prune_produces_valid_artifacts(workspace):
     out = workspace / "pruned.pkt"
     report = workspace / "report.json"

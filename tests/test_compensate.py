@@ -113,15 +113,33 @@ def test_kept_weight_whose_shift_overflows_does_not_poison_the_bias():
         bias_update(WeightLayer(weights, None, False), single_prune_mask(2, 1, 0), stats)
 
 
+@pytest.mark.parametrize("m, h", [(1, 1), (600, 1), (256, 3), (257, 2), (600, 3),
+                                  (700, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_bias_update_has_the_bits_of_the_whole_product_sum(m, h, dtype, order):
+    # Row blocks continue numpy's row-by-row sum of a C-contiguous product;
+    # one column (summed pairwise) and other layouts are summed whole.
+    rng = np.random.default_rng(m * h)
+    weights = np.asarray(rng.standard_normal((m, h)).astype(dtype), order=order)
+    stats = stats_of(rng.uniform(-3, 3, m) + rng.standard_normal((20, m)))
+    mask = np.asarray(rng.random((m, h)) < 0.5, order=order)
+    delta = ((mask * stats.mean[:, None]) * weights).sum(axis=0)
+    for bias in (rng.standard_normal(h).astype(dtype), None):
+        out = bias_update(WeightLayer(weights, bias, False), mask, stats)
+        want = delta if bias is None else np.where(delta != 0.0, bias + delta, bias)
+        assert out.bias.tobytes() == want.tobytes()
+
+
 def _reconstruction_mse_reference(original, pruned, rows):
-    """reconstruction_mse's expression before it reused its output buffers."""
-    y0 = rows @ original.weights
-    if original.bias is not None:
-        y0 = y0 + original.bias
-    y1 = rows @ pruned.weights
-    if pruned.bias is not None:
-        y1 = y1 + pruned.bias
-    return float(np.mean((y0 - y1) ** 2)) if y0.size else 0.0
+    """The one-product error written out whole: ``rows @ (W0 - W1) + (b0 - b1)``
+    in float64, a missing bias counted as zero, then its mean square."""
+    def bias(layer):
+        return np.zeros(layer.h) if layer.bias is None else layer.bias.astype(np.float64)
+
+    diff = original.weights.astype(np.float64) - pruned.weights.astype(np.float64)
+    err = rows @ diff + (bias(original) - bias(pruned))
+    return float(np.mean(err ** 2)) if err.size else 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -364,3 +364,29 @@ def test_stade_argmin_matches_empirical_objective():
         objective = rows.var(axis=0, ddof=1)[:, None] * w**2
         assert np.array_equal(np.argmin(scores, axis=0),
                               np.argmin(objective, axis=0))
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: ``np.asarray`` of it is a view, not a copy."""
+
+
+def test_scoring_never_writes_the_callers_weights():
+    # A scorer computes in the weights' widened copy only when it made one;
+    # each array here is float64 already (or shares memory with one).
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((12, 10))
+    stats = stats_of(rng.uniform(-3, 3, 12) + rng.standard_normal((40, 12)))
+    gram = GramAccumulator(12)
+    gram.update(rng.standard_normal((40, 12)))
+    for weights in (base, np.asfortranarray(base), base[:, ::2], base.view(_Tagged)):
+        before = weights.tobytes()
+        weights.flags.writeable = False
+        for tag in ("magnitude", "wanda", "stade", "stade-star", "sparsegpt-score"):
+            scores = compute_scores(tag, weights, stats=stats, gram=gram)
+            assert weights.tobytes() == before, tag
+            assert not np.may_share_memory(scores, weights), tag
+        weights.flags.writeable = True
+    listed = base.tolist()
+    assert compute_scores("wanda", listed, stats=stats).tobytes() == \
+        compute_scores("wanda", base, stats=stats).tobytes()
+    assert listed == base.tolist()

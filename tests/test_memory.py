@@ -4,17 +4,17 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates beyond its inputs, its result included. A Gram update
 holds one m x m product, summed into in place and never mirrored; the
 sparsegpt score holds one m x m temporary, the damped Gram factored and
-inverted in place, and frees it before it allocates the scores; the error
-report holds one widened weight matrix, its n x H error buffer and one
-chunk of rows and its output (a float64 layer is not copied, so with float64
-weights and rows that is under two output-sized buffers); the statistics
+inverted in place, and frees it before it squares the weights; float32
+weights are scored in their widened copy; the bias update forms its products
+a block of rows at a time; the error report holds the widened weight
+difference, its n x H error buffer and one chunk of rows; the statistics
 widen a few blocks of rows, never the whole batch, whatever its dtype. A
 solve against ``eye(m)``, a LAPACK copy that is not overwritten, a new
-temporary per arithmetic step, a batch widened at once, or float32 weights
-cast again for each output breaks these bounds. A loaded float32 payload is
-held as float32, in arrays of its own, and the load reads each tensor
-straight into its array, never holding the file's bytes beside them. A
-verify check holds one window of trials at a time, whatever its trial count.
+temporary per arithmetic step, a batch widened at once, or a chunk's own
+product breaks these bounds. A loaded float32 payload is held as float32,
+in arrays of its own, and the load reads each tensor straight into its
+array, never holding the file's bytes beside them. A verify check holds one
+window of trials at a time, whatever its trial count.
 """
 
 import os
@@ -27,6 +27,7 @@ from prunekit import (
     GramAccumulator,
     TensorContainer,
     WeightLayer,
+    bias_update,
     check_criterion_optimality,
     compute_scores,
     load_container,
@@ -71,7 +72,7 @@ def test_reconstruction_error_holds_two_output_buffers():
     pruned = WeightLayer(original.weights * (rng.random((M, M)) < 0.5),
                          rng.standard_normal(M), False)
     peak = _traced_peak(lambda: reconstruction_mse(original, pruned, rows))
-    assert peak <= 2.5 * M * M * 8  # y0 and y1, each rows x outputs
+    assert peak <= 2.5 * M * M * 8  # the weight difference and the error buffer
 
 
 def test_float32_error_holds_one_widened_layer_its_buffer_and_a_chunk():
@@ -82,10 +83,32 @@ def test_float32_error_holds_one_widened_layer_its_buffer_and_a_chunk():
     original = WeightLayer(weights, rng.standard_normal(M).astype(np.float32), False)
     pruned = WeightLayer(np.where(rng.random((M, M)) < 0.5, 0.0, weights), None, False)
     peak = _traced_peak(lambda: reconstruction_mse(original, pruned, rows))
-    # A widened weight matrix, the n x M error buffer, and a chunk's widened
-    # rows and output; the rows widened whole are n x M more, and so is a
-    # second output.
-    assert peak <= 1.02 * (M * M + n * M + 2 * _EVAL_ROWS * M) * 8
+    # The widened weight difference, the n x M error buffer, and a chunk's
+    # widened rows with its one-byte finiteness check; a chunk's own output
+    # is _EVAL_ROWS x M more, and the rows widened whole n x M more.
+    assert peak <= 1.01 * ((M * M + n * M + _EVAL_ROWS * M) * 8 + _EVAL_ROWS * M)
+
+
+@pytest.mark.parametrize("tag", ["magnitude", "wanda", "stade", "stade-star"])
+def test_float32_weights_are_scored_in_their_widened_copy(tag):
+    rng = np.random.default_rng(7)
+    weights = rng.standard_normal((M, M)).astype(np.float32)
+    stats = stats_update(stats_init(M), rng.standard_normal((64, M)))
+    peak = _traced_peak(lambda: compute_scores(tag, weights, stats=stats))
+    # The widened copy, which becomes the scores, and its one-byte finiteness
+    # check; scores of their own are one more widened copy.
+    assert peak <= 1.01 * (M * M * 8 + M * M)
+
+
+def test_bias_update_holds_one_block_of_the_products():
+    rng = np.random.default_rng(8)
+    layer = WeightLayer(rng.standard_normal((M, M)).astype(np.float32), None, False)
+    stats = stats_update(stats_init(M), rng.standard_normal((64, M)))
+    mask = rng.random((M, M)) < 0.5
+    peak = _traced_peak(lambda: bias_update(layer, mask, stats))
+    # One (block + 1)-row buffer and numpy's casting buffers; the whole
+    # masked-mean and weight products are two M x M arrays.
+    assert peak <= 1.2 * (_BLOCK_ROWS + 1) * M * 8
 
 
 def test_gram_update_holds_one_square_product():

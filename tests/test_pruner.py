@@ -347,6 +347,27 @@ def test_reconstruction_mse_of_empty_output_is_zero(m, h, n):
     assert reconstruction_mse(layer, layer, np.ones((n, m))) == 0.0
 
 
+def test_reconstruction_mse_takes_one_product_of_the_removed_weights():
+    # 2**53 + 1 rounds to 2**53, so the dense and pruned outputs on rows of
+    # ones are the same float64; the removed weight's product is exactly 1.
+    original = WeightLayer(np.array([[2.0**53], [1.0]]), None, centered=False)
+    pruned = WeightLayer(np.array([[2.0**53], [0.0]]), None, centered=False)
+    assert reconstruction_mse(original, pruned, np.ones((10, 2))) == 1.0
+
+
+def test_outputs_that_overflow_do_not_hide_a_finite_error():
+    # Every output overflows float64 (10 * 1e308), but the pruned weight's
+    # product is 1 on every row.
+    layer = WeightLayer(np.array([[1e308], [1.0]]), None, centered=False)
+    rows = np.tile([10.0, 1.0], (10, 1))
+    pruned = WeightLayer(np.array([[1e308], [0.0]]), None, centered=False)
+    assert reconstruction_mse(layer, pruned, rows) == 1.0
+    _, mask, report = prune_layer("fc", layer, rows, Criterion("magnitude"),
+                                  SparsitySpec(ratio=0.5))
+    assert mask.tolist() == [[False], [True]]
+    assert report.reconstruction_mse == 1.0
+
+
 def test_reconstruction_mse_matches_single_prune_closed_form():
     # Pruning weight j with the optimal bias leaves exactly the centered
     # second moment of feature j times the squared weight.
@@ -415,8 +436,8 @@ def test_overflowing_calibration_rows_are_typed_error(tag):
 
 @pytest.mark.parametrize("bias_update_enabled", [False, True], ids=["mse", "bias"])
 def test_overflowing_error_report_is_typed_error(bias_update_enabled):
-    # Finite f64 weights and rows whose outputs (bias off) or summed bias
-    # change (bias on) overflow float64 stop with a typed error, not a
+    # Finite f64 weights and rows whose error (bias off) or summed bias
+    # change (bias on) overflows float64 stop with a typed error, not a
     # RuntimeWarning from inside the report.
     layer = WeightLayer(np.full((2, 2), 1e300), None, centered=False)
     with pytest.raises(NonFiniteInput, match="overflow"):
@@ -525,10 +546,14 @@ def test_float32_scores_gram_and_error_equal_their_float64_widening(seed, m, h, 
         grams.append(gram)
     assert grams[0].gram.tobytes() == grams[1].gram.tobytes()
     stats = stats_update(stats_init(m), r64)
+    before = w32.tobytes(), w64.tobytes()
+    w32.flags.writeable = w64.flags.writeable = False  # as a container's arrays are
     for tag in CRITERION_RULES:
         # sparsegpt-score squares the weights: a float32 square would round.
+        # float32 weights are scored in their widened copy, float64 ones not.
         s32, s64 = (compute_scores(tag, w, stats=stats, gram=grams[1]) for w in (w32, w64))
         assert s32.dtype == np.float64 and s32.tobytes() == s64.tobytes(), tag
+        assert (w32.tobytes(), w64.tobytes()) == before, tag
     b32, b64 = _f32_and_widened(rng.standard_normal(h))
     mask = rng.random((m, h)) < 0.5
     layers = [(WeightLayer(w, b, False), WeightLayer(np.where(mask, 0.0, w), None, False))
@@ -538,19 +563,22 @@ def test_float32_scores_gram_and_error_equal_their_float64_widening(seed, m, h, 
 
 
 def _whole_error(original, pruned, rows):
-    """Test-local copy of the error report before it split the rows: the
-    rows widened at once, both outputs whole. Returns (difference, error)."""
+    """Test-local one-product error report that never splits the rows: the
+    rows widened at once times the whole widened weight difference, plus
+    b0 - b1 (a missing bias as zero). Returns (difference, error)."""
+    def bias(layer):
+        return np.zeros(layer.h) if layer.bias is None else layer.bias.astype(np.float64)
+
     rows = np.asarray(rows, dtype=np.float64)
+    weights = original.weights.astype(np.float64) - pruned.weights.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        y0 = original.output(rows)
-        y0 -= pruned.output(rows)
-        diff = y0.copy()
-        return diff, float(np.mean(np.square(y0, out=y0))) if y0.size else 0.0
+        diff = rows @ weights + (bias(original) - bias(pruned))
+        return diff, float(np.mean(diff ** 2)) if diff.size else 0.0
 
 
 def _same_bits_as_whole(original, pruned, rows, block):
     """Whether the chunked difference and error, with ``_EVAL_ROWS`` set to
-    ``block``, have the bits of the whole outputs'. The error alone would
+    ``block``, have the bits of the whole product's. The error alone would
     hide a last-bit change in a few outputs."""
     with mock.patch.object(pruner_module, "_EVAL_ROWS", block):
         diff = pruner_module._output_error(original, pruned, rows)
@@ -623,7 +651,7 @@ def test_error_chunks_follow_the_split_rule(m, h, n, passes):
         reconstruction_mse(original, pruned, rows)
     itemsize, start = rows.itemsize * m, rows.ctypes.data
     want = [(b - a, start + a * itemsize) for a, b in passes]
-    assert seen == want + want  # the dense pass, then the pruned pass
+    assert seen == want  # one pass: each chunk is multiplied once
 
 
 def test_chunked_error_still_raises_typed_errors():
