@@ -2,6 +2,9 @@
 
 README's "CLI" section is the contract: the flags, the JSON summary line
 and the exit codes. ``main`` catches ``PruneKitError`` and nothing else.
+``prune`` opens both input files, reads each layer's tensors as that layer
+is pruned, and closes both before the save opens ``--out``, so ``--out``
+may name either input.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .container import load_container, save_container
+# perfbench/tracing.py wraps cli.load_container, so the name stays here.
+from .container import load_container, open_container, save_container  # noqa: F401
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
 from .errors import InvalidRatio, IoFailure, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp
@@ -144,14 +148,12 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 def _cmd_prune(args) -> tuple[int, dict]:
     criterion = Criterion(args.criterion, damping=args.damping)
-    model = load_container(args.model)
-    calib = load_container(args.calib)
-    pruned, report = prune_container(
-        model, calib, criterion, args.sparsity,
-        bias_update_enabled=_bias_flag(args.bias_update),
-        holdout_fraction=args.holdout,
-        threads=args.threads)
-    del model, calib  # the save holds only what it writes
+    with open_container(args.model) as model, open_container(args.calib) as calib:
+        pruned, report = prune_container(
+            model, calib, criterion, args.sparsity,
+            bias_update_enabled=_bias_flag(args.bias_update),
+            holdout_fraction=args.holdout,
+            threads=args.threads)
     save_container(pruned, args.out)
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "

@@ -1,12 +1,14 @@
 """Bit-exact binary container for weight layers, calibration data and masks.
 
-README's "Container format" is the file layout and the layer rule. Values
-and the layer rule are checked once, when a tensor (a layer or a part, in
-either order) enters a container through ``TensorContainer.add``; every
-tensor the loader reads enters that way, so nothing later scans the values
-again. ``add`` does not copy a bool, float32 or float64 array, whose owner
-must not write to it afterwards. Any number of readers may share one
-container, saving is single-writer.
+README's "Container format" is the file layout and the layer rule. The
+layer rule needs only names, dtypes and shapes, so it is checked when a
+tensor (a layer or a part, in either order) enters a container: through
+``TensorContainer.add``, or when ``open_container`` reads the manifest. The
+value rule (``_check_values``) is checked when an array enters: by ``add``,
+or each time an open file's tensor is read. ``add`` does not copy a bool,
+float32 or float64 array, whose owner must not write to it afterwards. Any
+number of readers may share one container, open or in memory; saving is
+single-writer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import math
 import os
 import stat
 import struct
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -91,8 +96,23 @@ class WeightLayer:
         return out
 
 
+def _check_values(name: str, array: np.ndarray) -> None:
+    """The value rule: a bool or uint8 array holds only 0 and 1, any other
+    array only values finite as float32; else ``InvariantViolation``."""
+    boolean = array.dtype in (bool, np.uint8)
+    if boolean and array.size and array.max() > 1:
+        raise InvariantViolation(f"tensor {name!r}: u8 values must be 0 or 1")
+    # min/max of the input itself: no temporary, no cast that could
+    # overflow, and NaN fails both comparisons.
+    if not boolean and array.size and not (
+            -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
+        raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
+
+
 @dataclass
 class TensorEntry:
+    """A tensor held in memory."""
+
     name: str
     array: np.ndarray
     centered: bool | None = None
@@ -102,23 +122,75 @@ class TensorEntry:
         return "u8" if self.array.dtype == bool else "f32"
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.array.shape
+
+    @property
     def is_layer(self) -> bool:
         return self.centered is not None
 
 
+@dataclass(frozen=True)
+class _FileEntry:
+    """A tensor of an open container file, whose manifest record passed
+    every check. ``array`` reads it anew at each access, with a positional
+    read into an array of its own, so concurrent readers share no file
+    offset; the container keeps no array."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    centered: bool | None
+    fh: BinaryIO
+    start: int  # the file position of its first byte
+    path: str
+
+    @property
+    def is_layer(self) -> bool:
+        return self.centered is not None
+
+    @property
+    def array(self) -> np.ndarray:
+        array = np.empty(self.shape, dtype=_DISK_DTYPES[self.dtype])
+        buf = array.reshape(-1).view(np.uint8)
+        done = 0
+        try:
+            while done < buf.size:  # one preadv can return less than asked
+                got = os.preadv(self.fh.fileno(), [buf[done:]], self.start + done)
+                if not got:
+                    raise TruncatedPayload(
+                        f"{self.path!r}: tensor {self.name!r}: file ends inside bytes "
+                        f"[{self.start}, {self.start + buf.size}) of the file")
+                done += got
+        except OSError as exc:
+            raise IoFailure(f"cannot read container from {self.path!r}: {exc}") from exc
+        try:
+            _check_values(self.name, array)
+        except PruneKitError as exc:
+            raise type(exc)(f"{self.path!r}: {exc}") from exc
+        if self.dtype == "u8":
+            array = array.view(bool)
+        array.flags.writeable = False
+        return array
+
+
 class TensorContainer:
-    """Ordered collection of named tensors with per-layer metadata."""
+    """Ordered collection of named tensors with per-layer metadata.
+
+    Each tensor is held in memory, or read from its file at each ``get``
+    (``open_container``); every read method serves both alike.
+    """
 
     def __init__(self) -> None:
-        self._entries: dict[str, TensorEntry] = {}
+        self._entries: dict[str, TensorEntry | _FileEntry] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def entries(self) -> list[TensorEntry]:
+    def entries(self) -> list[TensorEntry | _FileEntry]:
         return list(self._entries.values())
 
-    def entry(self, name: str) -> TensorEntry:
+    def entry(self, name: str) -> TensorEntry | _FileEntry:
         if name not in self._entries:
             raise KeyError(f"no tensor named {name!r}")
         return self._entries[name]
@@ -130,47 +202,41 @@ class TensorContainer:
         """Check ``array`` against the value and layer rules, then store it
         read-only: a bool or uint8 array as "u8" (bool in memory), any other
         as "f32" (float32 in memory if it is float32, else float64)."""
-        if not name:
-            raise InvariantViolation("tensor name must be non-empty")
-        if name in self._entries:
-            raise InvariantViolation(f"duplicate tensor name {name!r}")
         array = np.asarray(array)
-        boolean = array.dtype in (bool, np.uint8)
-        if boolean and array.size and array.max() > 1:
-            raise InvariantViolation(f"tensor {name!r}: u8 values must be 0 or 1")
-        # min/max of the input itself: no temporary, no cast that could
-        # overflow, and NaN fails both comparisons.
-        if not boolean and array.size and not (
-                -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
-            raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
-        dtype = bool if boolean else np.float32 if array.dtype == np.float32 else np.float64
+        _check_values(name, array)
+        dtype = (bool if array.dtype in (bool, np.uint8)
+                 else np.float32 if array.dtype == np.float32 else np.float64)
         arr = np.ascontiguousarray(array, dtype=dtype).view()
         arr.flags.writeable = False
-        entry = TensorEntry(name, arr, centered)
-        self._check_layer_rule(entry)
-        self._entries[name] = entry
+        self._insert(TensorEntry(name, arr, centered))
 
-    def _check_layer_rule(self, new: TensorEntry) -> None:
-        """The layer rule (README's "Container format") for ``new``, as a
-        layer and as a part of one, against the tensors already present."""
-        if new.is_layer and (new.dtype != "f32" or new.array.ndim != 2):
+    def _insert(self, new: TensorEntry | _FileEntry) -> None:
+        """Store ``new`` if its name is new and non-empty and it keeps the
+        layer rule (README's "Container format"), as a layer and as a part
+        of one, against the tensors already present."""
+        if not new.name:
+            raise InvariantViolation("tensor name must be non-empty")
+        if new.name in self._entries:
+            raise InvariantViolation(f"duplicate tensor name {new.name!r}")
+        if new.is_layer and (new.dtype != "f32" or len(new.shape) != 2):
             raise InvariantViolation(f"layer {new.name!r}: weights must be 2-D f32, got "
-                                     f"{new.dtype} of shape {new.array.shape}")
+                                     f"{new.dtype} of shape {new.shape}")
         owner = self.layer_of(new.name)
         pairs = [(self._entries[owner], new)] if owner is not None else []
         if new.is_layer:
             parts = (self._entries.get(f"{new.name}.{s}") for s in _PARTS)
             pairs += [(new, part) for part in parts if part]
         for layer, part in pairs:
-            dtype, shape = (("f32", layer.array.shape[1:]) if part.name.endswith(".bias")
-                            else ("u8", layer.array.shape))
+            dtype, shape = (("f32", layer.shape[1:]) if part.name.endswith(".bias")
+                            else ("u8", layer.shape))
             if part.is_layer or part.dtype != dtype:
                 raise InvariantViolation(f"layer {layer.name!r}: {part.name!r} must be "
                                          f"a {dtype} tensor, not a {part.dtype} "
                                          f"{'layer' if part.is_layer else 'tensor'}")
-            if part.array.shape != shape:
+            if part.shape != shape:
                 raise ShapeMismatch(f"layer {layer.name!r}: {part.name!r} shape "
-                                    f"{part.array.shape} != {shape}")
+                                    f"{part.shape} != {shape}")
+        self._entries[new.name] = new
 
     # -- weight layers and their parts -----------------------------------
 
@@ -203,7 +269,7 @@ def save_container(container: TensorContainer, path: str) -> None:
     for entry in container.entries():
         record = {
             "name": entry.name,
-            "shape": [int(d) for d in entry.array.shape],
+            "shape": [int(d) for d in entry.shape],
             "dtype": entry.dtype,
             "offset": offset,
         }
@@ -211,7 +277,7 @@ def save_container(container: TensorContainer, path: str) -> None:
             record["centered"] = bool(entry.centered)
             record["has_bias"] = f"{entry.name}.bias" in container
         manifest.append(record)
-        offset += entry.array.size * _DISK_DTYPES[entry.dtype].itemsize
+        offset += math.prod(entry.shape) * _DISK_DTYPES[entry.dtype].itemsize
     manifest_bytes = json.dumps({"tensors": manifest}, sort_keys=True,
                                 separators=(",", ":")).encode("utf-8")
     try:
@@ -226,28 +292,46 @@ def save_container(container: TensorContainer, path: str) -> None:
 
 
 def load_container(path: str) -> TensorContainer:
-    """Read a container file, validating the manifest against the payload.
+    """Read a container file whole: ``open_container``, then every tensor
+    read into memory, so a load holds the payload once."""
+    with open_container(path) as container:
+        for entry in container.entries():
+            container._entries[entry.name] = TensorEntry(entry.name, entry.array,
+                                                         entry.centered)
+    return container
+
+
+@contextmanager
+def open_container(path: str) -> Iterator[TensorContainer]:
+    """Open a container file and check its manifest; yield a container whose
+    tensors are read from the file at each access, until the block ends.
 
     ``path`` must be a regular file: its size, not its contents, tells how
-    long the payload is before any tensor is read.
+    long the payload is before any tensor is read. A tensor's values are
+    checked when it is read.
     """
     try:
-        with open(path, "rb") as fh:
-            info = os.fstat(fh.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise IoFailure(f"cannot read container from {path!r}: not a regular file")
-            return _read_container(fh, info.st_size, path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoFailure(f"cannot read container from {path!r}: {exc}") from exc
+    with fh:
+        try:
+            container = _read_manifest(fh, path)
+        except OSError as exc:
+            raise IoFailure(f"cannot read container from {path!r}: {exc}") from exc
+        yield container
 
 
-def _read_container(fh, size: int, path: str) -> TensorContainer:
-    """The container in ``fh``, a file of ``size`` bytes open at its start.
+def _read_manifest(fh: BinaryIO, path: str) -> TensorContainer:
+    """The container in ``fh``, open at its start, with every tensor left in
+    the file.
 
-    Every manifest check of a tensor runs before its array is allocated, so
-    no allocation exceeds the bytes the file holds; each tensor is then read
-    into its own array, and a short read is a truncated payload.
+    Every manifest check of a tensor, the layer rule included, runs here, so
+    no tensor read allocates more than the file holds.
     """
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        raise IoFailure(f"cannot read container from {path!r}: not a regular file")
     head = fh.read(len(MAGIC) + 4)
     if head[: len(MAGIC)] != MAGIC:
         raise MagicMismatch(f"{path!r} does not start with {MAGIC!r}")
@@ -256,7 +340,7 @@ def _read_container(fh, size: int, path: str) -> TensorContainer:
     (manifest_len,) = struct.unpack_from("<I", head, len(MAGIC))
     header_end = len(head) + manifest_len
     # Nothing is read past the file's size, so a hostile length allocates nothing.
-    manifest_bytes = fh.read(manifest_len) if header_end <= size else b""
+    manifest_bytes = fh.read(manifest_len) if header_end <= info.st_size else b""
     if len(manifest_bytes) < manifest_len:
         raise TruncatedPayload(f"{path!r}: manifest truncated")
     try:
@@ -267,7 +351,7 @@ def _read_container(fh, size: int, path: str) -> TensorContainer:
     if not isinstance(records, list):
         raise InvariantViolation(f"{path!r}: manifest has no tensor list")
 
-    payload_len = size - header_end
+    payload_len = info.st_size - header_end
     container = TensorContainer()
     end = 0
     for record in records:
@@ -305,12 +389,9 @@ def _read_container(fh, size: int, path: str) -> TensorContainer:
         if not _is_buildable(shape, itemsize):
             raise ShapeMismatch(f"{path!r}: tensor {name!r} has shape {shape!r}, "
                                 f"which numpy cannot build")
-        array = np.empty(shape, dtype=_DISK_DTYPES[dtype])
-        if fh.readinto(array) != array.nbytes:
-            raise TruncatedPayload(f"{path!r}: tensor {name!r}: file ends inside "
-                                   f"bytes [{offset}, {end})")
         try:
-            container.add(name, array, centered=flags["centered"])
+            container._insert(_FileEntry(name, dtype, tuple(shape), flags["centered"], fh,
+                                         header_end + offset, path))
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -125,9 +125,12 @@ def _partition_select(grouped: np.ndarray, k: int, out: np.ndarray) -> None:
     """Prune into ``out`` each group's k lowest entries, found by partition."""
     for j in range(0, grouped.shape[2], _BLOCK):
         block = grouped[:, :, j:j + _BLOCK]
-        # An explicit copy: ascontiguousarray returns a view of a one-column
-        # block, and partitioning it would reorder the caller's scores.
-        kth = block.transpose(2, 0, 1).copy()
+        # An explicit copy, never a view, so partitioning it cannot reorder
+        # the caller's scores. It is filled a _BLOCK x _BLOCK tile at a time:
+        # transposing the whole block at once reads one element per page.
+        kth = np.empty((block.shape[2], *block.shape[:2]), dtype=block.dtype)
+        for i in range(0, block.shape[1], _BLOCK):
+            kth[:, :, i:i + _BLOCK] = block[:, i:i + _BLOCK].transpose(2, 0, 1)
         kth.partition(k - 1, axis=2)
         v = kth[:, :, k - 1].T[:, None, :]
         pruned = block <= v

@@ -226,9 +226,23 @@ def prune_container(
     ``bias_update_enabled`` None picks the resolved criterion's default from
     ``CRITERION_RULES``. A model that is itself a pruning output can be
     pruned again: its old biases and masks are replaced by the new ones.
+
+    Each worker gets its layer's weights, bias and "<layer>.calib" when it
+    starts and lets them go when it returns, so on containers from
+    ``open_container`` the run holds ``threads`` layers' inputs plus the
+    pruned outputs, and reading overlaps pruning. Every tensor of both
+    inputs is read, so an open file's values are all checked before the
+    result is returned.
     """
     split_holdout(np.empty((0, 0)), holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
+    # The tensors that nothing below reads, the old masks the output replaces
+    # and calibration tensors of no layer, are read once only to be checked.
+    calib_names = {f"{name}.calib" for name in layer_names}
+    unread = [e for e in model.entries() if e.name.endswith(".mask") and model.layer_of(e.name)]
+    unread += [e for e in calib.entries() if e.name not in calib_names]
+    for entry in unread:
+        entry.array
     for name in layer_names:
         if f"{name}.calib" not in calib:
             raise MissingCalibration(f"no calibration rows for layer {name!r}")

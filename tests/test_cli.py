@@ -21,6 +21,10 @@ from prunekit import (
 from prunekit import cli, pruner
 from prunekit.cli import build_parser
 from prunekit.container import MAGIC
+from prunekit.errors import InvariantViolation
+from test_container import test_hostile_file_is_typed_error as _load_rejects
+
+_HOSTILE = next(mark for mark in _load_rejects.pytestmark if mark.name == "parametrize")
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -54,18 +58,53 @@ def test_gen_summary_line(workspace):
     assert summary["layers"] == ["fc1", "fc2"]
 
 
-def test_prune_artifacts_do_not_depend_on_threads(workspace):
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """A five-layer model, biases on every other layer and the last without
+    one, and its calibration rows."""
+    root = tmp_path_factory.mktemp("deep")
+    rng = np.random.default_rng(11)
+    widths = (16, 32, 24, 40, 48, 8)
+    model, calib = TensorContainer(), TensorContainer()
+    for i, (m, h) in enumerate(zip(widths, widths[1:])):
+        bias = rng.standard_normal(h).astype(np.float32) if i % 2 else None
+        model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, h)).astype(np.float32),
+                                              bias, centered=i % 3 == 0))
+        calib.add(f"fc{i}.calib", (rng.standard_normal((200, m)) + 2 * (i % 2))
+                  .astype(np.float32))
+    save_container(model, str(root / "model.pkt"))
+    save_container(calib, str(root / "calib.pkt"))
+    return root
+
+
+def _prune_argv(model, calib, out, *extra):
+    return ["prune", "--model", str(model), "--calib", str(calib), "--criterion", "stade-w",
+            "--sparsity", "0.5", "--out", str(out), *extra]
+
+
+def test_prune_artifacts_do_not_depend_on_threads(deep):
+    # Five layers, so at two and three threads a worker reads its layer
+    # while another layer is being pruned.
     outs = []
-    for threads in ("1", "2"):
-        pruned, report = workspace / f"t{threads}.pkt", workspace / f"t{threads}.json"
-        proc = run_cli("prune", "--model", str(workspace / "model.pkt"),
-                       "--calib", str(workspace / "calib.pkt"),
-                       "--criterion", "stade-w", "--sparsity", "0.5",
-                       "--threads", threads, "--out", str(pruned),
-                       "--report", str(report))
+    for threads in ("1", "2", "3"):
+        pruned, report = deep / f"t{threads}.pkt", deep / f"t{threads}.json"
+        proc = run_cli(*_prune_argv(deep / "model.pkt", deep / "calib.pkt", pruned,
+                                    "--threads", threads, "--report", str(report)))
         assert proc.returncode == 0, proc.stderr
         outs.append((pruned.read_bytes(), report.read_bytes()))
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("target", ["model", "calib"])
+def test_prune_may_write_over_either_input(deep, tmp_path, capsys, target):
+    # Every read ends before the save opens its output.
+    assert cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt",
+                                tmp_path / "elsewhere.pkt")) == 0
+    inputs = {name: tmp_path / f"{name}.pkt" for name in ("model", "calib")}
+    for name, path in inputs.items():
+        path.write_bytes((deep / f"{name}.pkt").read_bytes())
+    assert cli.main(_prune_argv(inputs["model"], inputs["calib"], inputs[target])) == 0
+    assert inputs[target].read_bytes() == (tmp_path / "elsewhere.pkt").read_bytes()
 
 
 def test_prune_artifacts_do_not_depend_on_the_eval_chunk(tmp_path, monkeypatch):
@@ -286,6 +325,45 @@ def test_hostile_container_fails_cleanly(workspace, manifest):
                    "--out", str(workspace / "h.pkt"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def _fails_before_writing(argv, capsys, path):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and repr(str(path)) in err, err
+    assert "Traceback" not in err and not os.path.exists(argv[argv.index("--out") + 1])
+
+
+@pytest.mark.parametrize("role", ["model", "calib"])
+@pytest.mark.parametrize("blob", [blob for blob, _ in _HOSTILE.args[1]],
+                         ids=_HOSTILE.kwargs["ids"])
+def test_every_file_the_loader_rejects_fails_prune(deep, tmp_path, capsys, role, blob):
+    inputs = {name: deep / f"{name}.pkt" for name in ("model", "calib")}
+    inputs[role] = tmp_path / "bad.pkt"
+    inputs[role].write_bytes(blob)
+    _fails_before_writing(_prune_argv(inputs["model"], inputs["calib"], tmp_path / "o.pkt"),
+                          capsys, inputs[role])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_bad_value_read_after_other_layers_still_fails_prune(deep, tmp_path, capsys,
+                                                              threads):
+    # A NaN in the last layer's weights, which end the model file, and a 7 in
+    # a u8 calibration tensor that no layer reads.
+    model, calib = tmp_path / "model.pkt", tmp_path / "calib.pkt"
+    model.write_bytes((deep / "model.pkt").read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    rows = load_container(str(deep / "calib.pkt"))
+    rows.add("flags", np.array([1, 0, 1], dtype=np.uint8))
+    save_container(rows, str(calib))
+    calib.write_bytes(calib.read_bytes()[:-1] + b"\x07")
+    for bad in (model, calib):
+        with pytest.raises(InvariantViolation, match=repr(str(bad))):
+            load_container(str(bad))
+    good = {"model": deep / "model.pkt", "calib": deep / "calib.pkt"}
+    _fails_before_writing(_prune_argv(model, good["calib"], tmp_path / "o.pkt",
+                                      "--threads", threads), capsys, model)
+    _fails_before_writing(_prune_argv(good["model"], calib, tmp_path / "o.pkt",
+                                      "--threads", threads), capsys, calib)
 
 
 def test_unknown_subcommand_is_usage_error(workspace):

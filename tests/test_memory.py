@@ -13,10 +13,13 @@ solve against ``eye(m)``, a LAPACK copy that is not overwritten, a new
 temporary per arithmetic step, a batch widened at once, or a chunk's own
 product breaks these bounds. A loaded float32 payload is held as float32,
 in arrays of its own, and the load reads each tensor straight into its
-array, never holding the file's bytes beside them. A verify check holds one
-window of trials at a time, whatever its trial count.
+array, never holding the file's bytes beside them. ``prune`` reads a
+layer's tensors when that layer is pruned, never both input files whole. A
+verify check holds one window of trials at a time, whatever its trial count.
 """
 
+import contextlib
+import io
 import os
 import tracemalloc
 
@@ -24,18 +27,22 @@ import numpy as np
 import pytest
 
 from prunekit import (
+    Criterion,
     GramAccumulator,
+    SparsitySpec,
     TensorContainer,
     WeightLayer,
     bias_update,
     check_criterion_optimality,
     compute_scores,
     load_container,
+    prune_layer,
     reconstruction_mse,
     save_container,
     stats_init,
     stats_update,
 )
+from prunekit import cli
 from prunekit.errors import TruncatedPayload
 from prunekit.pruner import _EVAL_ROWS
 from prunekit.stats import _BLOCK_ROWS
@@ -188,3 +195,32 @@ def test_file_shorter_than_its_stat_is_truncated(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fstat", stale_fstat)
     with pytest.raises(TruncatedPayload, match="file ends inside"):
         load_container(str(path))
+
+
+def test_prune_holds_its_outputs_and_a_layer_at_a_time_not_both_files(tmp_path):
+    rng = np.random.default_rng(9)
+    m, n, layers = 256, 512, 8
+    model, calib = TensorContainer(), TensorContainer()
+    for i in range(layers):
+        model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, m)).astype(np.float32),
+                                              rng.standard_normal(m).astype(np.float32),
+                                              centered=i % 2 == 1))
+        calib.add(f"fc{i}.calib", (rng.standard_normal((n, m)) + 3 * (i % 2 == 0))
+                  .astype(np.float32))
+    paths = {name: str(tmp_path / f"{name}.pkt") for name in ("model", "calib", "out")}
+    save_container(model, paths["model"])
+    save_container(calib, paths["calib"])
+    argv = ["prune", "--model", paths["model"], "--calib", paths["calib"],
+            "--criterion", "stade-w", "--sparsity", "0.5", "--threads", "1",
+            "--out", paths["out"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # imports and first-call caches, outside the trace
+        peak = _traced_peak(lambda: cli.main(argv))
+    outputs = os.path.getsize(paths["out"])
+    inputs = (m * m + m + n * m) * 4  # one layer's weights, bias and calibration rows
+    working = max(_traced_peak(lambda: prune_layer(
+        name, model.get_layer(name), calib.get(f"{name}.calib"), Criterion("stade-w"),
+        SparsitySpec(ratio=0.5))) for name in ("fc0", "fc1"))
+    # The pruned outputs, about two layers' inputs, and one layer's working
+    # set; both input files held whole are six layers' inputs more.
+    assert peak <= outputs + 2 * inputs + working
