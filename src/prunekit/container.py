@@ -5,10 +5,10 @@ layer rule needs only names, dtypes and shapes, so it is checked when a
 tensor (a layer or a part, in either order) enters a container: through
 ``TensorContainer.add``, or when ``open_container`` reads the manifest. The
 value rule (``_check_values``) is checked when an array enters: by ``add``,
-or each time an open file's tensor is read. ``add`` does not copy a bool,
-float32 or float64 array, whose owner must not write to it afterwards. Any
-number of readers may share one container, open or in memory; saving is
-single-writer.
+or each time an open file's tensor, or a range of its rows, is read. ``add``
+does not copy a bool, float32 or float64 array, whose owner must not write
+to it afterwards. Any number of readers may share one container, open or in
+memory; saving is single-writer.
 """
 
 from __future__ import annotations
@@ -129,13 +129,17 @@ class TensorEntry:
     def is_layer(self) -> bool:
         return self.centered is not None
 
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows [a, b) along the first axis: a view of the held array."""
+        return self.array[a:b]
+
 
 @dataclass(frozen=True)
 class _FileEntry:
     """A tensor of an open container file, whose manifest record passed
-    every check. ``array`` reads it anew at each access, with a positional
-    read into an array of its own, so concurrent readers share no file
-    offset; the container keeps no array."""
+    every check. ``rows`` reads a range of it anew at each call, with a
+    positional read into an array of its own, so concurrent readers share no
+    file offset; the container keeps no array."""
 
     name: str
     dtype: str
@@ -151,16 +155,22 @@ class _FileEntry:
 
     @property
     def array(self) -> np.ndarray:
-        array = np.empty(self.shape, dtype=_DISK_DTYPES[self.dtype])
+        return self.rows(0, self.shape[0])
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows [a, b) along the first axis, checked by the value rule."""
+        dtype = _DISK_DTYPES[self.dtype]
+        array = np.empty((b - a, *self.shape[1:]), dtype=dtype)
         buf = array.reshape(-1).view(np.uint8)
+        start = self.start + a * math.prod(self.shape[1:]) * dtype.itemsize
         done = 0
         try:
             while done < buf.size:  # one preadv can return less than asked
-                got = os.preadv(self.fh.fileno(), [buf[done:]], self.start + done)
+                got = os.preadv(self.fh.fileno(), [buf[done:]], start + done)
                 if not got:
                     raise TruncatedPayload(
                         f"{self.path!r}: tensor {self.name!r}: file ends inside bytes "
-                        f"[{self.start}, {self.start + buf.size}) of the file")
+                        f"[{start}, {start + buf.size}) of the file")
                 done += got
         except OSError as exc:
             raise IoFailure(f"cannot read container from {self.path!r}: {exc}") from exc

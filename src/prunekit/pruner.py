@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compensate import _bias_change, bias_delta_norm, bias_update
-from .container import TensorContainer, WeightLayer
+from .container import TensorContainer, TensorEntry, WeightLayer, _FileEntry
 from .criteria import (
     CRITERION_RULES,
     Criterion,
@@ -54,7 +54,16 @@ from .errors import (
 )
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
 from .parallel import parallel_map
-from .stats import ColumnStats, _is_fraction, _matrix, _rows, stats_init, stats_update
+from .stats import (
+    _BLOCK_ROWS,
+    ColumnStats,
+    _check_rows,
+    _is_fraction,
+    _matrix,
+    _rows,
+    stats_init,
+    stats_update,
+)
 
 CENTERED_RATIO_THRESHOLD = 0.1
 HOLDOUT_FRACTION = 0.2  # default share of calibration rows held out for the error report
@@ -138,42 +147,77 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     return mse
 
 
-def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split rows into (statistics rows, held-out tail of floor(fraction * n) rows).
-
-    ``fraction`` must lie in [0, 0.5] (``_is_fraction``), else
-    ``InvalidArgument``, so the tail never overlaps the statistics rows. With an
-    empty tail every row is held out, so the error report never averages over nothing.
-    """
+def _holdout_fraction(fraction: float) -> float:
+    """The holdout rule: ``fraction`` lies in [0, 0.5] (``_is_fraction``), so
+    the held-out tail never overlaps the statistics rows; else ``InvalidArgument``."""
     if not _is_fraction(fraction, 0.5):
         raise InvalidArgument(f"holdout_fraction must lie in [0, 0.5], got {fraction}")
-    n_holdout = int(math.floor(fraction * rows.shape[0]))
-    train = rows[: rows.shape[0] - n_holdout]
-    return train, (rows[-n_holdout:] if n_holdout else train)
+    return fraction
+
+
+def _holdout_bounds(n: int, fraction: float) -> tuple[int, int]:
+    """(end of the statistics rows, start of the held-out rows) of ``n``
+    calibration rows: the statistics take the first ``n - floor(fraction * n)``
+    and the held-out tail the rest. With an empty tail every row is held out
+    (start 0), so the error report never averages over nothing."""
+    n_holdout = int(math.floor(_holdout_fraction(fraction) * n))
+    return n - n_holdout, (n - n_holdout if n_holdout else 0)
+
+
+def split_holdout(rows: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split rows into (statistics rows, held-out rows) by ``_holdout_bounds``."""
+    train_end, holdout_start = _holdout_bounds(rows.shape[0], fraction)
+    return rows[:train_end], rows[holdout_start:]
+
+
+def _training_rows(calib: TensorEntry | _FileEntry, n: int, widen: bool) -> np.ndarray:
+    """Rows [0, n) of ``calib``. With ``widen`` an open file's rows are read
+    ``_BLOCK_ROWS`` at a time into one float64 array, so they never exist
+    whole in float32 beside it; rows held in memory are returned as they are."""
+    if not widen or isinstance(calib, TensorEntry):
+        return calib.rows(0, n)
+    rows = np.empty((n, calib.shape[1]))
+    for a in range(0, n, _BLOCK_ROWS):
+        rows[a : a + _BLOCK_ROWS] = calib.rows(a, min(a + _BLOCK_ROWS, n))
+    return rows
 
 
 def prune_layer(
     name: str,
     layer: WeightLayer,
-    calib_rows: np.ndarray,
+    calib_rows: np.ndarray | TensorEntry | _FileEntry,
     criterion: Criterion,
     spec: SparsitySpec,
     bias_update_enabled: bool | None = None,
     holdout_fraction: float = HOLDOUT_FRACTION,
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
-    """Run the stats -> score -> mask -> compensate pipeline on one layer."""
-    calib_rows = _rows(calib_rows, "calibration rows", layer.m)
-    train, holdout = split_holdout(calib_rows, holdout_fraction)
-    stats = stats_update(stats_init(layer.m), train)
+    """Run the stats -> score -> mask -> compensate pipeline on one layer.
+
+    ``calib_rows`` is an array, or a container entry such as an open file's
+    "<layer>.calib"; either is read one row range at a time: the statistics
+    rows when the statistics start, the held-out rows (``_holdout_bounds``)
+    only when the error report runs, after the Gram and the scores are
+    freed. When the criterion needs the Gram, the statistics and the Gram
+    share one float64 copy of an open file's statistics rows
+    (``_training_rows``), dropped after the Gram.
+    """
+    if not isinstance(calib_rows, (TensorEntry, _FileEntry)):
+        calib_rows = TensorEntry(f"{name}.calib", np.asarray(calib_rows))
+    _check_rows(calib_rows.shape, "calibration rows", layer.m)
+    n = calib_rows.shape[0]
+    train_end, holdout_start = _holdout_bounds(n, holdout_fraction)
     resolved = select_criterion(criterion, layer)
     rule = CRITERION_RULES[resolved]
     if bias_update_enabled is None:
         bias_update_enabled = rule.bias_update
 
+    train = _training_rows(calib_rows, train_end, rule.needs_gram)
+    stats = stats_update(stats_init(layer.m), train)
     gram = None
     if rule.needs_gram:
         gram = GramAccumulator(layer.m)
         gram.update(train)
+    del train
     scores = compute_scores(resolved, layer.weights, stats=stats, gram=gram,
                             damping=criterion.damping)
 
@@ -202,7 +246,8 @@ def prune_layer(
         sparsity=str(spec),
         achieved_sparsity=float(mask.mean()) if mask.size else 0.0,
         bias_delta_norm=bias_delta_norm(layer, pruned),
-        reconstruction_mse=reconstruction_mse(layer, pruned, holdout),
+        reconstruction_mse=reconstruction_mse(layer, pruned,
+                                              calib_rows.rows(holdout_start, n)),
         centered=layer.centered,
         max_abs_mean=float(np.abs(stats.mean).max()),
         bias_added=layer.bias is None and pruned.bias is not None,
@@ -227,14 +272,16 @@ def prune_container(
     ``CRITERION_RULES``. A model that is itself a pruning output can be
     pruned again: its old biases and masks are replaced by the new ones.
 
-    Each worker gets its layer's weights, bias and "<layer>.calib" when it
-    starts and lets them go when it returns, so on containers from
-    ``open_container`` the run holds ``threads`` layers' inputs plus the
-    pruned outputs, and reading overlaps pruning. Every tensor of both
-    inputs is read, so an open file's values are all checked before the
-    result is returned.
+    Each worker reads its layer's weights and bias when it starts and its
+    "<layer>.calib" in two row ranges (``prune_layer``): the statistics rows
+    until the statistics and the Gram are done, then the held-out rows for
+    the error report. So on containers from ``open_container`` the run holds,
+    per worker, one layer's weights and one stage's rows, plus the pruned
+    outputs, and reading overlaps pruning. Every tensor of both inputs is
+    read, so an open file's values are all checked before the result is
+    returned.
     """
-    split_holdout(np.empty((0, 0)), holdout_fraction)  # a bad fraction fails before any layer
+    _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
     # The tensors that nothing below reads, the old masks the output replaces
     # and calibration tensors of no layer, are read once only to be checked.
@@ -249,7 +296,7 @@ def prune_container(
 
     def run(name: str):
         try:
-            return prune_layer(name, model.get_layer(name), calib.get(f"{name}.calib"),
+            return prune_layer(name, model.get_layer(name), calib.entry(f"{name}.calib"),
                                criterion, spec, bias_update_enabled, holdout_fraction)
         except PruneKitError as exc:
             raise type(exc)(f"layer {name!r}: {exc}") from exc

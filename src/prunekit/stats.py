@@ -98,15 +98,20 @@ def stats_init(m: int) -> ColumnStats:
     return ColumnStats(n=0, mean=zeros.copy(), m2=zeros.copy(), sumsq=zeros.copy())
 
 
+def _check_rows(shape: tuple[int, ...], what: str, width: int | None = None) -> None:
+    """``shape`` is 2-D, with ``width`` columns when given; else
+    ``DimensionMismatch``. ``what`` names the array in errors."""
+    if len(shape) != 2:
+        raise DimensionMismatch(f"{what} must be 2-D, got {len(shape)}-D")
+    if width is not None and shape[1] != width:
+        raise DimensionMismatch(f"{what} width {shape[1]} != expected {width}")
+
+
 def _rows(x, what: str, width: int | None = None) -> np.ndarray:
-    """The shape half of ``_matrix``: ``x`` as a 2-D array in its own dtype,
-    with ``width`` columns when given; the values are not checked. ``what``
-    names the array in errors."""
+    """The shape half of ``_matrix``: ``x`` as an array in its own dtype that
+    passes ``_check_rows``; the values are not checked."""
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"{what} must be 2-D, got {x.ndim}-D")
-    if width is not None and x.shape[1] != width:
-        raise DimensionMismatch(f"{what} width {x.shape[1]} != expected {width}")
+    _check_rows(x.shape, what, width)
     return x
 
 

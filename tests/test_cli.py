@@ -5,22 +5,26 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prunekit import (
+    Criterion,
     SparsitySpec,
     TensorContainer,
     WeightLayer,
     load_container,
     mask_violation,
+    prune_container,
     save_container,
 )
 from prunekit import cli, pruner
 from prunekit.cli import build_parser
-from prunekit.container import MAGIC
+from prunekit.criteria import CRITERION_TAGS
+from prunekit.container import MAGIC, open_container
 from prunekit.errors import InvariantViolation
 from test_container import test_hostile_file_is_typed_error as _load_rejects
 
@@ -61,7 +65,8 @@ def test_gen_summary_line(workspace):
 @pytest.fixture(scope="module")
 def deep(tmp_path_factory):
     """A five-layer model, biases on every other layer and the last without
-    one, and its calibration rows."""
+    one, and its calibration rows: 600 per layer, so the 480 statistics rows
+    span two of the statistics' row blocks."""
     root = tmp_path_factory.mktemp("deep")
     rng = np.random.default_rng(11)
     widths = (16, 32, 24, 40, 48, 8)
@@ -70,29 +75,53 @@ def deep(tmp_path_factory):
         bias = rng.standard_normal(h).astype(np.float32) if i % 2 else None
         model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, h)).astype(np.float32),
                                               bias, centered=i % 3 == 0))
-        calib.add(f"fc{i}.calib", (rng.standard_normal((200, m)) + 2 * (i % 2))
+        calib.add(f"fc{i}.calib", (rng.standard_normal((600, m)) + 2 * (i % 2))
                   .astype(np.float32))
     save_container(model, str(root / "model.pkt"))
     save_container(calib, str(root / "calib.pkt"))
     return root
 
 
-def _prune_argv(model, calib, out, *extra):
-    return ["prune", "--model", str(model), "--calib", str(calib), "--criterion", "stade-w",
+def _prune_argv(model, calib, out, *extra, criterion="stade-w"):
+    return ["prune", "--model", str(model), "--calib", str(calib), "--criterion", criterion,
             "--sparsity", "0.5", "--out", str(out), *extra]
 
 
 def test_prune_artifacts_do_not_depend_on_threads(deep):
     # Five layers, so at two and three threads a worker reads its layer
-    # while another layer is being pruned.
-    outs = []
-    for threads in ("1", "2", "3"):
-        pruned, report = deep / f"t{threads}.pkt", deep / f"t{threads}.json"
-        proc = run_cli(*_prune_argv(deep / "model.pkt", deep / "calib.pkt", pruned,
-                                    "--threads", threads, "--report", str(report)))
-        assert proc.returncode == 0, proc.stderr
-        outs.append((pruned.read_bytes(), report.read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
+    # while another layer is being pruned; sparsegpt-score widens its
+    # statistics rows as it reads them.
+    for criterion in ("stade-w", "sparsegpt-score"):
+        outs = []
+        for threads in ("1", "2", "3"):
+            pruned, report = (deep / f"{criterion}-{threads}.{ext}" for ext in ("pkt", "json"))
+            proc = run_cli(*_prune_argv(deep / "model.pkt", deep / "calib.pkt", pruned,
+                                        "--threads", threads, "--report", str(report),
+                                        criterion=criterion))
+            assert proc.returncode == 0, proc.stderr
+            outs.append((pruned.read_bytes(), report.read_bytes()))
+        assert outs[0] == outs[1] == outs[2], criterion
+
+
+@pytest.mark.parametrize("holdout", ["0.2", "0"])
+@pytest.mark.parametrize("criterion", CRITERION_TAGS)
+def test_prune_of_files_writes_what_prune_container_writes_in_memory(deep, tmp_path, capsys,
+                                                                     criterion, holdout):
+    # prune reads an open file's rows in ranges, and a Gram criterion widens
+    # its statistics rows block by block; in memory the rows are whole.
+    files = {name: tmp_path / f"files.{name}" for name in ("pkt", "json")}
+    assert cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt", files["pkt"],
+                                "--holdout", holdout, "--report", str(files["json"]),
+                                criterion=criterion)) == 0
+    pruned, report = prune_container(load_container(str(deep / "model.pkt")),
+                                     load_container(str(deep / "calib.pkt")),
+                                     Criterion(criterion), SparsitySpec(ratio=0.5),
+                                     holdout_fraction=float(holdout))
+    memory = {name: tmp_path / f"memory.{name}" for name in ("pkt", "json")}
+    save_container(pruned, str(memory["pkt"]))
+    cli._write_report(str(memory["json"]), asdict(report))
+    for name in ("pkt", "json"):
+        assert files[name].read_bytes() == memory[name].read_bytes(), name
 
 
 @pytest.mark.parametrize("target", ["model", "calib"])
@@ -364,6 +393,58 @@ def test_a_bad_value_read_after_other_layers_still_fails_prune(deep, tmp_path, c
                                       "--threads", threads), capsys, model)
     _fails_before_writing(_prune_argv(good["model"], calib, tmp_path / "o.pkt",
                                       "--threads", threads), capsys, calib)
+
+
+def _poke(path, tensor, row, value):
+    """Write float32 ``value`` over the first value of row ``row`` of the
+    2-D f32 tensor ``tensor`` in the container file at ``path``."""
+    with open_container(str(path)) as container:
+        entry = container.entry(tensor)
+        at = entry.start + row * entry.shape[1] * 4
+    blob = bytearray(path.read_bytes())
+    blob[at : at + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("criterion", ["stade-w", "sparsegpt-score"])
+@pytest.mark.parametrize("target", ["elsewhere", "model", "calib"])
+@pytest.mark.parametrize("fault", ["inf-in-held-out-rows", "nan-in-statistics-rows",
+                                   "truncated-in-held-out-rows"])
+def test_a_fault_in_either_calibration_row_range_fails_prune(deep, tmp_path, capsys,
+                                                             monkeypatch, fault, target,
+                                                             criterion):
+    # Of deep's 600 rows per layer, 0-479 feed the statistics and 480-599 are
+    # held out; each range is read at its own stage.
+    inputs = {name: tmp_path / f"{name}.pkt" for name in ("model", "calib")}
+    for name, path in inputs.items():
+        path.write_bytes((deep / f"{name}.pkt").read_bytes())
+    bad = inputs["calib"]
+    if fault == "truncated-in-held-out-rows":
+        # The last 8 bytes lie in fc4.calib's last row. The size fstat reports
+        # is the old one, so the manifest checks pass and the read comes short.
+        bad.write_bytes(bad.read_bytes()[:-8])
+        real_fstat, inode = os.fstat, bad.stat().st_ino
+
+        def stale_fstat(fd):
+            info = real_fstat(fd)
+            if info.st_ino != inode:
+                return info
+            return os.stat_result((*info[:6], info.st_size + 8, *info[7:10]))
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        words = "file ends inside"
+    else:
+        row, value = (550, np.inf) if fault == "inf-in-held-out-rows" else (300, np.nan)
+        _poke(bad, "fc2.calib", row, value)
+        words = "value not finite as float32"
+    before = {name: path.read_bytes() for name, path in inputs.items()}
+    out = tmp_path / "o.pkt" if target == "elsewhere" else inputs[target]
+    code = cli.main(_prune_argv(inputs["model"], bad, out, criterion=criterion))
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+    assert words in err and repr(str(bad)) in err, err
+    assert {name: path.read_bytes() for name, path in inputs.items()} == before
+    assert target != "elsewhere" or not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error(workspace):

@@ -14,8 +14,12 @@ temporary per arithmetic step, a batch widened at once, or a chunk's own
 product breaks these bounds. A loaded float32 payload is held as float32,
 in arrays of its own, and the load reads each tensor straight into its
 array, never holding the file's bytes beside them. ``prune`` reads a
-layer's tensors when that layer is pruned, never both input files whole. A
-verify check holds one window of trials at a time, whatever its trial count.
+layer's weights and bias when that layer is pruned and its calibration rows
+in two ranges, never both input files whole: the statistics rows (for
+sparsegpt-score filled straight into the one float64 copy that the
+statistics and the Gram share, then dropped), and the held-out rows only for
+the error report. A verify check holds one window of trials at a time,
+whatever its trial count.
 """
 
 import contextlib
@@ -44,7 +48,7 @@ from prunekit import (
 )
 from prunekit import cli
 from prunekit.errors import TruncatedPayload
-from prunekit.pruner import _EVAL_ROWS
+from prunekit.pruner import _EVAL_ROWS, HOLDOUT_FRACTION, _holdout_bounds
 from prunekit.stats import _BLOCK_ROWS
 
 M = 512
@@ -224,3 +228,32 @@ def test_prune_holds_its_outputs_and_a_layer_at_a_time_not_both_files(tmp_path):
     # The pruned outputs, about two layers' inputs, and one layer's working
     # set; both input files held whole are six layers' inputs more.
     assert peak <= outputs + 2 * inputs + working
+
+
+def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows(tmp_path):
+    rng = np.random.default_rng(10)
+    m, h, n = 512, 64, 4096
+    model, calib = TensorContainer(), TensorContainer()
+    for i in range(2):
+        model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, h)).astype(np.float32),
+                                              None, centered=False))
+        calib.add(f"fc{i}.calib", rng.standard_normal((n, m)).astype(np.float32))
+    paths = {name: str(tmp_path / f"{name}.pkt") for name in ("model", "calib", "out")}
+    save_container(model, paths["model"])
+    save_container(calib, paths["calib"])
+    argv = ["prune", "--model", paths["model"], "--calib", paths["calib"],
+            "--criterion", "sparsegpt-score", "--sparsity", "2:4", "--threads", "1",
+            "--out", paths["out"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # imports and first-call caches, outside the trace
+        peak = _traced_peak(lambda: cli.main(argv))
+    train_end, _ = _holdout_bounds(n, HOLDOUT_FRACTION)
+    held_out = (n - train_end) * m * 4
+    # The pruned outputs, one layer's training rows in float64, the Gram's
+    # zero start and the m x m product summed into it, and the layer's float32
+    # weights, with half the float32 held-out rows to spare: the held-out rows
+    # read before the Gram, or the float32 training rows beside their float64
+    # copy (8 x the spare), break it.
+    bound = (os.path.getsize(paths["out"]) + train_end * m * 8 + 2 * m * m * 8
+             + m * h * 4 + held_out // 2)
+    assert peak <= bound
