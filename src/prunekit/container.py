@@ -139,7 +139,9 @@ class _FileEntry:
     """A tensor of an open container file, whose manifest record passed
     every check. ``rows`` reads a range of it anew at each call, with a
     positional read into an array of its own, so concurrent readers share no
-    file offset; the container keeps no array."""
+    file offset; the container keeps no array. Before each read it checks
+    that the file still has the size and modification time it had when it
+    was opened, so a file changed between two reads of one tensor fails."""
 
     name: str
     dtype: str
@@ -148,6 +150,7 @@ class _FileEntry:
     fh: BinaryIO
     start: int  # the file position of its first byte
     path: str
+    opened: tuple[int, int]  # the file's (st_size, st_mtime_ns) when it was opened
 
     @property
     def is_layer(self) -> bool:
@@ -165,6 +168,10 @@ class _FileEntry:
         start = self.start + a * math.prod(self.shape[1:]) * dtype.itemsize
         done = 0
         try:
+            info = os.fstat(self.fh.fileno())
+            if (info.st_size, info.st_mtime_ns) != self.opened:
+                raise IoFailure(f"cannot read container from {self.path!r}: the file "
+                                f"changed since it was opened")
             while done < buf.size:  # one preadv can return less than asked
                 got = os.preadv(self.fh.fileno(), [buf[done:]], start + done)
                 if not got:
@@ -401,7 +408,8 @@ def _read_manifest(fh: BinaryIO, path: str) -> TensorContainer:
                                 f"which numpy cannot build")
         try:
             container._insert(_FileEntry(name, dtype, tuple(shape), flags["centered"], fh,
-                                         header_end + offset, path))
+                                         header_end + offset, path,
+                                         (info.st_size, info.st_mtime_ns)))
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -31,7 +31,7 @@ break that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -107,25 +107,43 @@ def classify_centered(stats: ColumnStats) -> bool:
 def _output_error(original: WeightLayer, pruned: WeightLayer,
                   rows: np.ndarray) -> np.ndarray:
     """``rows @ (W0 - W1) + (b0 - b1)`` in one n x H buffer, a missing bias
-    counted as zero: the two layers' output difference as one product.
-
-    The weight difference is widened to float64 once, and each chunk of rows,
-    widened and checked by ``_matrix``, is multiplied straight into its rows
-    of the buffer. So the call holds the difference, the buffer and one
-    chunk's rows, and the buffer has the bits of the whole product (module
-    docstring). Overflow is left to the caller.
-    """
+    counted as zero: the two layers' output difference as one product
+    (``_removed_error``), the weight difference widened to float64 once."""
     rows = _rows(rows, "rows", original.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(original.weights, pruned.weights, dtype=np.float64)
+    return _removed_error(diff, _bias_change(original, pruned), rows)
+
+
+def _removed_error(diff: np.ndarray, shift: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows @ diff - shift`` in one n x H buffer: the output error of
+    removing the float64 weight difference ``diff`` and moving the bias by
+    ``shift``.
+
+    Each chunk of rows, widened and checked by ``_matrix``, is multiplied
+    straight into its rows of the buffer. So the call holds ``diff``, the
+    buffer and one chunk's rows, and the buffer has the bits of the whole
+    product (module docstring). Overflow is left to ``_mean_square``.
+    """
     n = rows.shape[0]
-    step = _EVAL_ROWS if _EVAL_ROWS * original.weights.size >= _EVAL_MIN_MACS else max(n, 1)
+    step = _EVAL_ROWS if _EVAL_ROWS * diff.size >= _EVAL_MIN_MACS else max(n, 1)
     cuts = [*range(step, n - step + 1, step)]  # the last chunk takes the remainder
-    err = np.empty((n, original.h))
-    diff = np.subtract(original.weights, pruned.weights, dtype=np.float64)
-    shift = _bias_change(original, pruned)
-    for a, b in zip([0, *cuts], [*cuts, n]):
-        np.matmul(_matrix(rows[a:b], "rows"), diff, out=err[a:b])
-        err[a:b] -= shift
+    err = np.empty((n, diff.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            np.matmul(_matrix(rows[a:b], "rows"), diff, out=err[a:b])
+            err[a:b] -= shift
     return err
+
+
+def _mean_square(err: np.ndarray) -> float:
+    """The mean of ``err`` squared in place, 0.0 when it is empty; an error
+    that overflows float64 raises ``NonFiniteInput``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = float(np.mean(np.square(err, out=err))) if err.size else 0.0
+    if not math.isfinite(mse):
+        raise NonFiniteInput("reconstruction error overflows float64")
+    return mse
 
 
 def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
@@ -139,12 +157,7 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = _output_error(original, pruned, rows)
-        mse = float(np.mean(np.square(err, out=err))) if err.size else 0.0
-    if not math.isfinite(mse):
-        raise NonFiniteInput("reconstruction error overflows float64")
-    return mse
+    return _mean_square(_output_error(original, pruned, rows))
 
 
 def _holdout_fraction(fraction: float) -> float:
@@ -184,7 +197,7 @@ def _training_rows(calib: TensorEntry | _FileEntry, n: int, widen: bool) -> np.n
 
 def prune_layer(
     name: str,
-    layer: WeightLayer,
+    layer: WeightLayer | TensorContainer,
     calib_rows: np.ndarray | TensorEntry | _FileEntry,
     criterion: Criterion,
     spec: SparsitySpec,
@@ -193,32 +206,50 @@ def prune_layer(
 ) -> tuple[WeightLayer, np.ndarray, LayerReport]:
     """Run the stats -> score -> mask -> compensate pipeline on one layer.
 
-    ``calib_rows`` is an array, or a container entry such as an open file's
-    "<layer>.calib"; either is read one row range at a time: the statistics
-    rows when the statistics start, the held-out rows (``_holdout_bounds``)
-    only when the error report runs, after the Gram and the scores are
-    freed. When the criterion needs the Gram, the statistics and the Gram
-    share one float64 copy of an open file's statistics rows
-    (``_training_rows``), dropped after the Gram.
+    ``layer`` is a ``WeightLayer``, or a container holding the layer
+    ``name``, such as an open model file; its shape and centered flag then
+    come from the entry. ``calib_rows`` is an array, or a container entry
+    such as an open file's "<layer>.calib". Each input is read at the stage
+    that needs it:
+
+    - the statistics rows when the statistics start; when the criterion
+      needs the Gram, the statistics and the Gram share one float64 copy of
+      an open file's statistics rows (``_training_rows``), dropped after the
+      Gram;
+    - the weights and bias (``get_layer``) when the score starts, kept
+      through the mask and the bias update, then dropped once the float64
+      difference of the removed weights is formed;
+    - the held-out rows (``_holdout_bounds``) for the error report, which
+      holds the mask, that difference and its own buffers, no weights;
+    - the weights and bias again after the error report, to build the
+      pruned layer (for a ``WeightLayer``, the same arrays).
     """
+    if isinstance(layer, WeightLayer):
+        header, m, read = layer, layer.m, lambda: layer
+    else:
+        header, read = layer.entry(name), lambda: layer.get_layer(name)
+        if not header.is_layer:
+            raise InvalidArgument(f"tensor {name!r} is not a weight layer")
+        m = header.shape[0]
     if not isinstance(calib_rows, (TensorEntry, _FileEntry)):
         calib_rows = TensorEntry(f"{name}.calib", np.asarray(calib_rows))
-    _check_rows(calib_rows.shape, "calibration rows", layer.m)
+    _check_rows(calib_rows.shape, "calibration rows", m)
     n = calib_rows.shape[0]
     train_end, holdout_start = _holdout_bounds(n, holdout_fraction)
-    resolved = select_criterion(criterion, layer)
+    resolved = select_criterion(criterion, header)
     rule = CRITERION_RULES[resolved]
     if bias_update_enabled is None:
         bias_update_enabled = rule.bias_update
 
     train = _training_rows(calib_rows, train_end, rule.needs_gram)
-    stats = stats_update(stats_init(layer.m), train)
+    stats = stats_update(stats_init(m), train)
     gram = None
     if rule.needs_gram:
-        gram = GramAccumulator(layer.m)
+        gram = GramAccumulator(m)
         gram.update(train)
     del train
-    scores = compute_scores(resolved, layer.weights, stats=stats, gram=gram,
+    original = read()
+    scores = compute_scores(resolved, original.weights, stats=stats, gram=gram,
                             damping=criterion.damping)
 
     mask = build_mask(scores, spec)
@@ -227,16 +258,24 @@ def prune_layer(
     if violation is not None:
         raise AssertionError(f"layer {name!r}: built an invalid mask: {violation}")
 
-    compensated = bias_update(layer, mask, stats) if bias_update_enabled else layer
-    pruned = apply_mask(compensated, mask)
+    compensated = bias_update(original, mask, stats) if bias_update_enabled else original
+    delta_norm = bias_delta_norm(original, compensated)  # a finite norm: no overflow below
+    bias, shift = compensated.bias, _bias_change(original, compensated)
+    bias_added = original.bias is None and bias is not None
+    # W0 - W1 with its bits: a removed weight widened, a kept one +0.0.
+    diff = np.where(mask, original.weights, np.float64(0))
+    del original, compensated  # the error report holds no weights
+    mse = _mean_square(_removed_error(diff, shift, calib_rows.rows(holdout_start, n)))
+    del diff
+    pruned = apply_mask(replace(read(), bias=bias), mask)
 
     warnings = []
     try:
         empirically_centered = classify_centered(stats)
-        if empirically_centered != layer.centered:
+        if empirically_centered != pruned.centered:
             warnings.append(
                 f"empirical centering check ({empirically_centered}) disagrees "
-                f"with manifest flag ({layer.centered}); manifest wins")
+                f"with manifest flag ({pruned.centered}); manifest wins")
     except InsufficientSamples:
         warnings.append("too few rows for the empirical centering check")
 
@@ -245,12 +284,11 @@ def prune_layer(
         criterion=resolved,
         sparsity=str(spec),
         achieved_sparsity=float(mask.mean()) if mask.size else 0.0,
-        bias_delta_norm=bias_delta_norm(layer, pruned),
-        reconstruction_mse=reconstruction_mse(layer, pruned,
-                                              calib_rows.rows(holdout_start, n)),
-        centered=layer.centered,
+        bias_delta_norm=delta_norm,
+        reconstruction_mse=mse,
+        centered=pruned.centered,
         max_abs_mean=float(np.abs(stats.mean).max()),
-        bias_added=layer.bias is None and pruned.bias is not None,
+        bias_added=bias_added,
         warnings=warnings,
     )
     return pruned, mask, report
@@ -272,14 +310,12 @@ def prune_container(
     ``CRITERION_RULES``. A model that is itself a pruning output can be
     pruned again: its old biases and masks are replaced by the new ones.
 
-    Each worker reads its layer's weights and bias when it starts and its
-    "<layer>.calib" in two row ranges (``prune_layer``): the statistics rows
-    until the statistics and the Gram are done, then the held-out rows for
-    the error report. So on containers from ``open_container`` the run holds,
-    per worker, one layer's weights and one stage's rows, plus the pruned
-    outputs, and reading overlaps pruning. Every tensor of both inputs is
-    read, so an open file's values are all checked before the result is
-    returned.
+    Each worker passes ``model`` and its "<layer>.calib" entry to
+    ``prune_layer``, which reads each of the layer's inputs at the stage
+    that needs it. So on containers from ``open_container`` the run holds,
+    per worker, one stage's inputs and working set, plus the pruned outputs,
+    and reading overlaps pruning. Every tensor of both inputs is read, so an
+    open file's values are all checked before the result is returned.
     """
     _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
@@ -296,8 +332,8 @@ def prune_container(
 
     def run(name: str):
         try:
-            return prune_layer(name, model.get_layer(name), calib.entry(f"{name}.calib"),
-                               criterion, spec, bias_update_enabled, holdout_fraction)
+            return prune_layer(name, model, calib.entry(f"{name}.calib"), criterion, spec,
+                               bias_update_enabled, holdout_fraction)
         except PruneKitError as exc:
             raise type(exc)(f"layer {name!r}: {exc}") from exc
 

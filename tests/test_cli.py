@@ -447,6 +447,44 @@ def test_a_fault_in_either_calibration_row_range_fails_prune(deep, tmp_path, cap
     assert target != "elsewhere" or not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_model_file_changed_between_a_layers_two_reads_fails_prune(deep, tmp_path, capsys,
+                                                                     monkeypatch, threads):
+    # A layer's weights are read when its score starts and again after its
+    # error report; the model file grows in between.
+    model, out = tmp_path / "model.pkt", tmp_path / "o.pkt"
+    model.write_bytes((deep / "model.pkt").read_bytes())
+    build_mask = pruner.build_mask
+
+    def build_then_grow(scores, spec):
+        with open(model, "ab") as fh:  # the same file, open in prune, 4 bytes longer
+            fh.write(bytes(4))
+        return build_mask(scores, spec)
+
+    monkeypatch.setattr(pruner, "build_mask", build_then_grow)
+    code = cli.main(_prune_argv(model, deep / "calib.pkt", out, "--threads", threads))
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+    assert "changed since it was opened" in err and repr(str(model)) in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_layer_reports_bad_statistics_rows_before_bad_weights(deep, tmp_path, capsys,
+                                                                threads):
+    # A layer's weights are read after its statistics, so a NaN in both
+    # reports the calibration rows; a NaN in the weights alone, the model.
+    inputs = {name: tmp_path / f"{name}.pkt" for name in ("model", "calib")}
+    for name, path in inputs.items():
+        path.write_bytes((deep / f"{name}.pkt").read_bytes())
+    _poke(inputs["model"], "fc2", 5, np.nan)
+    _fails_before_writing(_prune_argv(inputs["model"], inputs["calib"], tmp_path / "o.pkt",
+                                      "--threads", threads), capsys, inputs["model"])
+    _poke(inputs["calib"], "fc2.calib", 300, np.nan)
+    _fails_before_writing(_prune_argv(inputs["model"], inputs["calib"], tmp_path / "o.pkt",
+                                      "--threads", threads), capsys, inputs["calib"])
+
+
 def test_unknown_subcommand_is_usage_error(workspace):
     # ``stats`` was a subcommand; it was removed because nothing read its output.
     # ``bench`` was a second front end over ``run_comparison``, which

@@ -13,13 +13,15 @@ solve against ``eye(m)``, a LAPACK copy that is not overwritten, a new
 temporary per arithmetic step, a batch widened at once, or a chunk's own
 product breaks these bounds. A loaded float32 payload is held as float32,
 in arrays of its own, and the load reads each tensor straight into its
-array, never holding the file's bytes beside them. ``prune`` reads a
-layer's weights and bias when that layer is pruned and its calibration rows
-in two ranges, never both input files whole: the statistics rows (for
-sparsegpt-score filled straight into the one float64 copy that the
-statistics and the Gram share, then dropped), and the held-out rows only for
-the error report. A verify check holds one window of trials at a time,
-whatever its trial count.
+array, never holding the file's bytes beside them. ``prune`` never holds
+both input files whole. It reads a layer's calibration rows in two ranges:
+the statistics rows (for sparsegpt-score filled straight into the one
+float64 copy that the statistics and the Gram share, then dropped), and the
+held-out rows only for the error report. It reads the layer's weights and
+bias when the score starts, drops them once the removed weights' float64
+difference is formed, so the error report holds no weights, and reads them
+again to build the pruned layer. A verify check holds one window of trials
+at a time, whatever its trial count.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ from prunekit import (
     TensorContainer,
     WeightLayer,
     bias_update,
+    build_mask,
     check_criterion_optimality,
     compute_scores,
     load_container,
@@ -257,3 +260,41 @@ def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows
     bound = (os.path.getsize(paths["out"]) + train_end * m * 8 + 2 * m * m * 8
              + m * h * 4 + held_out // 2)
     assert peak <= bound
+
+
+def test_prune_holds_no_weights_through_the_error_report(tmp_path):
+    rng = np.random.default_rng(12)
+    m, h, n, layers = 256, 2048, 512, 4  # wide layers, so the weights dominate
+    model, calib = TensorContainer(), TensorContainer()
+    for i in range(layers):
+        model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, h)).astype(np.float32),
+                                              rng.standard_normal(h).astype(np.float32),
+                                              centered=i % 2 == 1))
+        calib.add(f"fc{i}.calib", (rng.standard_normal((n, m)) + 3 * (i % 2 == 0))
+                  .astype(np.float32))
+    paths = {name: str(tmp_path / f"{name}.pkt") for name in ("model", "calib", "out")}
+    save_container(model, paths["model"])
+    save_container(calib, paths["calib"])
+    argv = ["prune", "--model", paths["model"], "--calib", paths["calib"],
+            "--criterion", "stade-w", "--sparsity", "0.5", "--threads", "1",
+            "--out", paths["out"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # imports and first-call caches, outside the trace
+        peak = _traced_peak(lambda: cli.main(argv))
+    size = m * h
+    _, start = _holdout_bounds(n, HOLDOUT_FRACTION)
+    held_out, chunk = n - start, min(n - start, _EVAL_ROWS)
+    scores = np.abs(rng.standard_normal((m, h)))
+    # The mask stage: the f32 weights, the float64 scores, and build_mask's
+    # mask with one block's selection.
+    masking = size * (4 + 8) + _traced_peak(lambda: build_mask(scores, SparsitySpec(ratio=0.5)))
+    # The error report: the mask, the float64 weight difference, the error
+    # buffer, the f32 held-out rows and one widened chunk with its one-byte
+    # finiteness check. The f32 weights kept through it are 4 bytes a
+    # weight more, and the parent's pruned copy 4 more again.
+    error = size * (1 + 8) + held_out * h * 8 + held_out * m * 4 + chunk * m * (8 + 1)
+    # While the last layer runs, the run holds the other layers' outputs: the
+    # output file less the last layer's f32 weights, mask and f32 bias.
+    earlier = os.path.getsize(paths["out"]) - (size * (4 + 1) + h * 4)
+    # 2% for the layer's vectors and the run's Python objects.
+    assert peak <= 1.02 * (earlier + max(masking, error))

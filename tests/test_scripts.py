@@ -108,3 +108,26 @@ def test_loc_counts_add_up_to_each_file_length(tmp_path):
         lines = len((package / name).read_text("utf-8").splitlines())
         assert code + doc + comment + blank == total == lines, name
     assert [int(n) for n in rows[-1][:5]] == [sum(col) for col in zip(*files.values())]
+
+
+def test_rss_peak_smoke(tmp_path):
+    model, calib = tmp_path / "model.pkt", tmp_path / "calib.pkt"
+    code = cli.main(["gen", "--seed", "2", "--dims", "256,1024,256", "--samples", "1024",
+                     "--out", str(model), "--calib-out", str(calib)])
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "rss_peak.py"), "--model", str(model),
+         "--calib", str(calib), "--criterion", "stade-w", "--sparsity", "0.5",
+         "--threads", "2", "--out", str(tmp_path / "out.pkt")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("sampled peak: ") and lines[1].startswith("ru_maxrss: ")
+    for line in lines[:2]:
+        assert float(line.split()[-2]) > 0, line
+    assert lines[2] == "innermost prunekit frame of each thread at the highest sample:"
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    frames = lines[3:]
+    assert frames and all(line.split(": ", 1)[1].split(".")[0] in modules
+                          for line in frames), frames
+    assert (tmp_path / "out.pkt").exists()
