@@ -3,8 +3,9 @@
 README's "CLI" section is the contract: the flags, the JSON summary line
 and the exit codes. ``main`` catches ``PruneKitError`` and nothing else.
 ``prune`` opens both input files, reads each layer's tensors as that layer
-is pruned, and closes both before the save opens ``--out``, so ``--out``
-may name either input.
+is pruned, and writes each pruned layer into a temporary file beside
+``--out``, which replaces ``--out`` only once every tensor is written, so
+``--out`` may name either input.
 """
 
 from __future__ import annotations
@@ -149,12 +150,11 @@ def _cmd_gen(args) -> tuple[int, dict]:
 def _cmd_prune(args) -> tuple[int, dict]:
     criterion = Criterion(args.criterion, damping=args.damping)
     with open_container(args.model) as model, open_container(args.calib) as calib:
-        pruned, report = prune_container(
+        _, report = prune_container(
             model, calib, criterion, args.sparsity,
             bias_update_enabled=_bias_flag(args.bias_update),
             holdout_fraction=args.holdout,
-            threads=args.threads)
-    save_container(pruned, args.out)
+            threads=args.threads, out=args.out)
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
               f"mse={rec.reconstruction_mse:.6e} bias_delta={rec.bias_delta_norm:.3e}")

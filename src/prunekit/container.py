@@ -4,22 +4,23 @@ README's "Container format" is the file layout and the layer rule. The
 layer rule needs only names, dtypes and shapes, so it is checked when a
 tensor (a layer or a part, in either order) enters a container: through
 ``TensorContainer.add``, or when ``open_container`` reads the manifest. The
-value rule (``_check_values``) is checked when an array enters: by ``add``,
-or each time an open file's tensor, or a range of its rows, is read. ``add``
-does not copy a bool, float32 or float64 array, whose owner must not write
-to it afterwards. Any number of readers may share one container, open or in
-memory; saving is single-writer.
+value rule (``_check_values``) is checked when an array enters: by ``add``
+or ``_Writer.add``, or each time an open file's tensor, or a range of its
+rows, is read. ``add`` does not copy a bool, float32 or float64 array, whose
+owner must not write to it afterwards. Any number of readers may share one
+container, open or in memory. Every file is written by ``_Writer``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import stat
 import struct
-from collections.abc import Iterator
-from contextlib import contextmanager
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -107,6 +108,19 @@ def _check_values(name: str, array: np.ndarray) -> None:
     if not boolean and array.size and not (
             -_F32_LIMIT < array.min() and array.max() < _F32_LIMIT):
         raise InvariantViolation(f"tensor {name!r}: value not finite as float32")
+
+
+def _stored(name: str, array: np.ndarray) -> np.ndarray:
+    """``array`` checked by the value rule, read-only, as it is held: a bool
+    or uint8 array as bool ("u8"), any other as float32 if it is float32,
+    else float64 (both "f32")."""
+    array = np.asarray(array)
+    _check_values(name, array)
+    dtype = (bool if array.dtype in (bool, np.uint8)
+             else np.float32 if array.dtype == np.float32 else np.float64)
+    arr = np.ascontiguousarray(array, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -217,15 +231,8 @@ class TensorContainer:
 
     def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
         """Check ``array`` against the value and layer rules, then store it
-        read-only: a bool or uint8 array as "u8" (bool in memory), any other
-        as "f32" (float32 in memory if it is float32, else float64)."""
-        array = np.asarray(array)
-        _check_values(name, array)
-        dtype = (bool if array.dtype in (bool, np.uint8)
-                 else np.float32 if array.dtype == np.float32 else np.float64)
-        arr = np.ascontiguousarray(array, dtype=dtype).view()
-        arr.flags.writeable = False
-        self._insert(TensorEntry(name, arr, centered))
+        (``_stored``)."""
+        self._insert(TensorEntry(name, _stored(name, array), centered))
 
     def _insert(self, new: TensorEntry | _FileEntry) -> None:
         """Store ``new`` if its name is new and non-empty and it keeps the
@@ -279,33 +286,189 @@ class TensorContainer:
         self.add(f"{layer_name}.mask", np.asarray(mask, dtype=bool))
 
 
+def _disk_bytes(array: np.ndarray) -> memoryview:
+    """The bytes of a held array (``_stored``) as the file stores them."""
+    disk = array.view(np.uint8) if array.dtype == bool else array.astype("<f4", copy=False)
+    return memoryview(disk.reshape(-1).view(np.uint8))
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """A tensor's place in a file being written: what its manifest record
+    and the layer rule need, before its array exists."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    centered: bool | None = None
+
+    @property
+    def is_layer(self) -> bool:
+        return self.centered is not None
+
+
+class _Writer:
+    """The one writer of container files, and the owner of their manifest
+    records.
+
+    It is given the file's tensors in order as ``_Slot`` records, which
+    must keep the layer rule, and the layers that are "open": each has a
+    "<layer>.bias" slot that ``add_layer`` drops if the layer comes without
+    a bias. So every tensor's offset is known once no layer is open. A
+    tensor given to ``add`` is checked by the value rule and against its
+    slot, from any thread. Until no layer is open it is held; then the
+    header is written, and every tensor held so far, and each later tensor
+    goes straight to its offset with a positional write, so it is held no
+    longer than that write.
+
+    As a context manager it writes a temporary file beside ``path``,
+    created with mode 0o666 less the umask, and moves it over ``path``
+    once every slot is written; on any failure it deletes that file and
+    ``path`` is untouched. With ``path`` None it holds every tensor and
+    puts them, in slot order, into ``container``.
+    """
+
+    def __init__(self, path: str | None, slots: list[_Slot],
+                 open_layers: Iterable[str] = ()) -> None:
+        self.path, self.container = path, None
+        self._layout = TensorContainer()
+        for slot in slots:
+            self._layout._insert(slot)
+        self._open = set(open_layers)
+        self._held: dict[str, np.ndarray] = {}
+        self._written: set[str] = set()
+        self._at: dict[str, int] | None = None  # each tensor's file position, once placed
+        self._lock = threading.Lock()
+        self._tmp: str | None = None
+        self._fd = -1
+
+    def __enter__(self) -> _Writer:
+        if self.path is not None:
+            tmp = f"{self.path}.{os.urandom(4).hex()}.tmp"
+            try:
+                self._fd = self._io(os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                self._tmp = tmp
+                if not self._open:
+                    self._flush(*self._place())
+            except BaseException:
+                self._discard()
+                raise
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None:
+            self._discard()
+            return
+        try:
+            missing = [name for name in self._layout._entries if name not in self._written]
+            if missing:
+                raise InvariantViolation(f"tensors {missing} were never written")
+            if self.path is None:
+                self.container = TensorContainer()
+                for slot in self._layout.entries():
+                    self.container._insert(TensorEntry(slot.name, self._held.pop(slot.name),
+                                                       slot.centered))
+                return
+            fd, self._fd = self._fd, -1
+            self._io(os.close, fd)
+            self._io(os.replace, self._tmp, self.path)
+            self._tmp = None
+        except BaseException:
+            self._discard()
+            raise
+
+    def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
+        self._put(TensorEntry(name, _stored(name, array), centered))
+
+    def _put(self, entry: TensorEntry) -> None:
+        """Write or hold a tensor whose array has passed the value rule."""
+        name = entry.name
+        with self._lock:
+            slot = self._layout._entries.get(name)
+            if slot is None or name in self._written or (
+                    (slot.dtype, slot.shape, slot.centered)
+                    != (entry.dtype, entry.shape, entry.centered)):
+                raise InvariantViolation(f"tensor {name!r}: a {entry.dtype} tensor of shape "
+                                         f"{entry.shape} has no place left in the file")
+            self._written.add(name)
+            if self._at is None:
+                self._held[name] = entry.array
+                return
+            at = self._at[name]
+        self._write(_disk_bytes(entry.array), at)
+
+    def add_layer(self, name: str, layer: WeightLayer, mask: np.ndarray) -> None:
+        """Add the layer's weights, bias and mask; an open layer is settled."""
+        self.add(name, layer.weights, centered=layer.centered)
+        if layer.bias is not None:
+            self.add(f"{name}.bias", layer.bias)
+        self.add(f"{name}.mask", np.asarray(mask, dtype=bool))
+        with self._lock:
+            if name not in self._open:
+                return
+            self._open.remove(name)
+            if layer.bias is None:
+                del self._layout._entries[f"{name}.bias"]
+            if self._open or self.path is None:
+                return
+            placed = self._place()
+        self._flush(*placed)
+
+    def _place(self) -> tuple[bytes, dict[str, np.ndarray]]:
+        """Fix every offset, under the lock; return the header and the held
+        tensors, which the caller writes."""
+        records, offset = [], 0
+        for slot in self._layout.entries():
+            record = {"name": slot.name, "shape": [int(d) for d in slot.shape],
+                      "dtype": slot.dtype, "offset": offset}
+            if slot.is_layer:
+                record["centered"] = bool(slot.centered)
+                record["has_bias"] = f"{slot.name}.bias" in self._layout
+            records.append(record)
+            offset += math.prod(slot.shape) * _DISK_DTYPES[slot.dtype].itemsize
+        manifest = json.dumps({"tensors": records}, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+        header = MAGIC + struct.pack("<I", len(manifest)) + manifest
+        self._at = {r["name"]: len(header) + r["offset"] for r in records}
+        held, self._held = self._held, {}
+        return header, held
+
+    def _flush(self, header: bytes, held: dict[str, np.ndarray]) -> None:
+        self._write(memoryview(header), 0)
+        while held:
+            name, array = held.popitem()
+            self._write(_disk_bytes(array), self._at[name])
+
+    def _write(self, data: memoryview, at: int) -> None:
+        done = 0
+        while done < len(data):  # one pwrite can write less than asked
+            done += self._io(os.pwrite, self._fd, data[done:], at + done)
+
+    def _io(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise IoFailure(f"cannot write container to {self.path!r}: {exc}") from exc
+
+    def _discard(self) -> None:
+        """Close and delete the temporary file, if there is one."""
+        fd, self._fd = self._fd, -1
+        if fd >= 0:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+        if self._tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self._tmp)
+            self._tmp = None
+
+
 def save_container(container: TensorContainer, path: str) -> None:
-    """Write ``container`` to ``path``; two saves of equal content are byte-identical."""
-    manifest = []
-    offset = 0
-    for entry in container.entries():
-        record = {
-            "name": entry.name,
-            "shape": [int(d) for d in entry.shape],
-            "dtype": entry.dtype,
-            "offset": offset,
-        }
-        if entry.is_layer:
-            record["centered"] = bool(entry.centered)
-            record["has_bias"] = f"{entry.name}.bias" in container
-        manifest.append(record)
-        offset += math.prod(entry.shape) * _DISK_DTYPES[entry.dtype].itemsize
-    manifest_bytes = json.dumps({"tensors": manifest}, sort_keys=True,
-                                separators=(",", ":")).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(manifest_bytes)))
-            fh.write(manifest_bytes)
-            for entry in container.entries():
-                fh.write(entry.array.astype(_DISK_DTYPES[entry.dtype], copy=False))
-    except OSError as exc:
-        raise IoFailure(f"cannot write container to {path!r}: {exc}") from exc
+    """Write ``container`` to ``path`` through ``_Writer``; two saves of equal
+    content are byte-identical."""
+    entries = container.entries()
+    with _Writer(path, [_Slot(e.name, e.dtype, e.shape, e.centered) for e in entries]) as out:
+        for entry in entries:
+            out._put(TensorEntry(entry.name, entry.array, entry.centered))
 
 
 def load_container(path: str) -> TensorContainer:
@@ -318,7 +481,7 @@ def load_container(path: str) -> TensorContainer:
     return container
 
 
-@contextmanager
+@contextlib.contextmanager
 def open_container(path: str) -> Iterator[TensorContainer]:
     """Open a container file and check its manifest; yield a container whose
     tensors are read from the file at each access, until the block ends.

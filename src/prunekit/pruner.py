@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .compensate import _bias_change, bias_delta_norm, bias_update
-from .container import TensorContainer, TensorEntry, WeightLayer, _FileEntry
+from .container import TensorContainer, TensorEntry, WeightLayer, _FileEntry, _Slot, _Writer
 from .criteria import (
     CRITERION_RULES,
     Criterion,
@@ -195,6 +195,15 @@ def _training_rows(calib: TensorEntry | _FileEntry, n: int, widen: bool) -> np.n
     return rows
 
 
+def _updates_bias(resolved: str, bias_update_enabled: bool | None) -> bool:
+    """Whether a layer whose criterion resolved to ``resolved`` takes the
+    bias update: ``bias_update_enabled``, or when None the criterion's
+    default from ``CRITERION_RULES``."""
+    if bias_update_enabled is None:
+        return CRITERION_RULES[resolved].bias_update
+    return bias_update_enabled
+
+
 def prune_layer(
     name: str,
     layer: WeightLayer | TensorContainer,
@@ -238,8 +247,6 @@ def prune_layer(
     train_end, holdout_start = _holdout_bounds(n, holdout_fraction)
     resolved = select_criterion(criterion, header)
     rule = CRITERION_RULES[resolved]
-    if bias_update_enabled is None:
-        bias_update_enabled = rule.bias_update
 
     train = _training_rows(calib_rows, train_end, rule.needs_gram)
     stats = stats_update(stats_init(m), train)
@@ -258,7 +265,8 @@ def prune_layer(
     if violation is not None:
         raise AssertionError(f"layer {name!r}: built an invalid mask: {violation}")
 
-    compensated = bias_update(original, mask, stats) if bias_update_enabled else original
+    compensated = (bias_update(original, mask, stats)
+                   if _updates_bias(resolved, bias_update_enabled) else original)
     delta_norm = bias_delta_norm(original, compensated)  # a finite norm: no overflow below
     bias, shift = compensated.bias, _bias_change(original, compensated)
     bias_added = original.bias is None and bias is not None
@@ -302,9 +310,12 @@ def prune_container(
     bias_update_enabled: bool | None = None,
     holdout_fraction: float = HOLDOUT_FRACTION,
     threads: int = 1,
-) -> tuple[TensorContainer, PruneReport]:
+    out: str | None = None,
+) -> tuple[TensorContainer | None, PruneReport]:
     """Prune every weight layer of ``model``; returns the pruned container
     (layers, biases, and "<layer>.mask" tensors) plus a per-layer report.
+    With ``out`` the pruned container is written to that file instead, and
+    None is returned in its place.
 
     ``bias_update_enabled`` None picks the resolved criterion's default from
     ``CRITERION_RULES``. A model that is itself a pruning output can be
@@ -312,10 +323,14 @@ def prune_container(
 
     Each worker passes ``model`` and its "<layer>.calib" entry to
     ``prune_layer``, which reads each of the layer's inputs at the stage
-    that needs it. So on containers from ``open_container`` the run holds,
-    per worker, one stage's inputs and working set, plus the pruned outputs,
-    and reading overlaps pruning. Every tensor of both inputs is read, so an
-    open file's values are all checked before the result is returned.
+    that needs it, and gives the pruned layer and its mask to ``_Writer``.
+    The output's layout comes from ``model``'s manifest, except that a layer
+    without a bias that takes the bias update is open until it is pruned
+    (``_Writer``). So on containers from ``open_container``, with ``out``,
+    the run holds per worker one stage's inputs and working set, and a
+    layer's outputs only while some layer is open. Every tensor of both
+    inputs is read, so an open file's values are all checked before the
+    result is returned.
     """
     _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
@@ -330,21 +345,35 @@ def prune_container(
         if f"{name}.calib" not in calib:
             raise MissingCalibration(f"no calibration rows for layer {name!r}")
 
-    def run(name: str):
-        try:
-            return prune_layer(name, model, calib.entry(f"{name}.calib"), criterion, spec,
-                               bias_update_enabled, holdout_fraction)
-        except PruneKitError as exc:
-            raise type(exc)(f"layer {name!r}: {exc}") from exc
-
-    results = dict(zip(layer_names, parallel_map(run, layer_names, threads)))
-
-    out = TensorContainer()
+    slots, open_layers, copies = [], [], []
     for entry in model.entries():
+        name = entry.name
         if entry.is_layer:
-            pruned, mask, _ = results[entry.name]
-            out.add_layer(entry.name, pruned)
-            out.add_mask(entry.name, mask)
-        elif model.layer_of(entry.name) is None:
-            out.add(entry.name, entry.array)
-    return out, PruneReport([results[name][2] for name in layer_names])
+            has_bias = f"{name}.bias" in model
+            if not has_bias and _updates_bias(select_criterion(criterion, entry),
+                                              bias_update_enabled):
+                open_layers.append(name)
+                has_bias = True
+            slots.append(_Slot(name, "f32", entry.shape, bool(entry.centered)))
+            if has_bias:
+                slots.append(_Slot(f"{name}.bias", "f32", entry.shape[1:]))
+            slots.append(_Slot(f"{name}.mask", "u8", entry.shape))
+        elif model.layer_of(name) is None:
+            slots.append(_Slot(name, entry.dtype, entry.shape))
+            copies.append(entry)
+
+    with _Writer(out, slots, open_layers) as writer:
+        def run(name: str) -> LayerReport:
+            try:
+                pruned, mask, report = prune_layer(
+                    name, model, calib.entry(f"{name}.calib"), criterion, spec,
+                    bias_update_enabled, holdout_fraction)
+            except PruneKitError as exc:
+                raise type(exc)(f"layer {name!r}: {exc}") from exc
+            writer.add_layer(name, pruned, mask)
+            return report
+
+        reports = parallel_map(run, layer_names, threads)
+        for entry in copies:
+            writer.add(entry.name, entry.array)
+    return writer.container, PruneReport(reports)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -253,11 +254,61 @@ def test_verify_threads_invariant():
 
 
 @pytest.mark.parametrize("command", ["prune", "verify"])
-def test_unwritable_output_fails_cleanly(workspace, command):
+def test_unwritable_output_fails_cleanly(workspace, command, capsys, monkeypatch):
     target = str(workspace / "no-such-dir" / "out.json")
     proc = run_cli(*_removed_flag_argv(workspace, command), "--report", target)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    if command == "prune":
+        # No file can be made beside an --out in a missing directory, and
+        # that fails before any layer is pruned.
+        def never(*args):
+            raise AssertionError("a layer was pruned")
+
+        monkeypatch.setattr(pruner, "prune_layer", never)
+        out = str(workspace / "no-such-dir" / "o.pkt")
+        assert cli.main([*_removed_flag_argv(workspace, command), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write container to {out!r}"), err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_write_leaves_out_as_it_was(deep, tmp_path, capsys, monkeypatch, existing):
+    # The second positional write fails as on a full disk. deep's fc2 and
+    # fc4 have no bias and take stade's bias update, so the first write is
+    # the header, made once fc4 is pruned, and the second a tensor held until then.
+    out = tmp_path / "o.pkt"
+    if existing:
+        out.write_bytes(b"an earlier run's output")
+    listing = sorted(os.listdir(tmp_path))
+    pwrite, calls = os.pwrite, []
+
+    def second_fails(fd, data, at):
+        calls.append(at)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, at)
+
+    monkeypatch.setattr(os, "pwrite", second_fails)
+    code = cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt", out))
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: cannot write container to {str(out)!r}"), err
+    assert "Traceback" not in err and len(calls) == 2
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert not existing or out.read_bytes() == b"an earlier run's output"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_out_gets_the_mode_the_umask_leaves(deep, tmp_path, capsys, umask):
+    out = tmp_path / "o.pkt"
+    old = os.umask(umask)
+    try:
+        assert cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt", out)) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["o.pkt"]
 
 
 def test_prune_error_names_the_layer(workspace):
@@ -357,10 +408,13 @@ def test_hostile_container_fails_cleanly(workspace, manifest):
 
 
 def _fails_before_writing(argv, capsys, path):
+    out = argv[argv.index("--out") + 1]
+    listing = sorted(os.listdir(os.path.dirname(out)))
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error:") and repr(str(path)) in err, err
-    assert "Traceback" not in err and not os.path.exists(argv[argv.index("--out") + 1])
+    assert "Traceback" not in err and not os.path.exists(out)
+    assert sorted(os.listdir(os.path.dirname(out))) == listing  # no temporary file left
 
 
 @pytest.mark.parametrize("role", ["model", "calib"])

@@ -14,7 +14,7 @@ from prunekit import (
     load_container,
     save_container,
 )
-from prunekit.container import MAGIC
+from prunekit.container import MAGIC, _Slot, _Writer
 from prunekit.errors import (
     InvariantViolation,
     IoFailure,
@@ -147,6 +147,63 @@ def test_empty_name_and_missing_entry_are_rejected():
 def test_save_to_an_unwritable_path_is_io_failure(tmp_path):
     with pytest.raises(IoFailure, match="cannot write container"):
         save_container(TensorContainer(), str(tmp_path / "no-such-dir" / "m.pkt"))
+
+
+def test_save_replaces_a_symlink_rather_than_writing_through_it(tmp_path):
+    target, link = tmp_path / "target.pkt", tmp_path / "link.pkt"
+    target.write_bytes(b"kept")
+    link.symlink_to(target)
+    save_container(make_layer_container(np.ones((2, 3))), str(link))
+    assert target.read_bytes() == b"kept" and not link.is_symlink()
+    assert np.array_equal(load_container(str(link)).get("layer0"), np.ones((2, 3)))
+
+
+_LAYOUT = [_Slot("fc", "f32", (2, 3), False), _Slot("fc.bias", "f32", (3,)),
+           _Slot("fc.mask", "u8", (2, 3))]
+
+
+@pytest.mark.parametrize("name, array, error", [
+    ("fc.bias", np.ones(4), "no place left"),            # not its slot's shape
+    ("fc.mask", np.ones((2, 3)), "no place left"),       # f32 where a u8 goes
+    ("fc.calib", np.ones(3), "no place left"),           # no slot
+    ("fc.bias", np.array([1.0, np.nan, 0.0]), "not finite"),
+])
+def test_writer_takes_each_tensor_into_its_own_slot_only(tmp_path, name, array, error):
+    # ... and a failed write leaves no file, temporary or final.
+    path = tmp_path / "o.pkt"
+    with pytest.raises(InvariantViolation, match=error):
+        with _Writer(str(path), _LAYOUT) as out:
+            out.add(name, array)
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_fails_when_a_slot_is_written_never_or_twice(tmp_path):
+    path, layer = str(tmp_path / "o.pkt"), WeightLayer(np.ones((2, 3), np.float32),
+                                                       np.ones(3), False)
+    with pytest.raises(InvariantViolation, match=r"\['fc.mask'\] were never written"):
+        with _Writer(path, _LAYOUT) as out:
+            out.add("fc", layer.weights, centered=False)
+            out.add("fc.bias", layer.bias)
+    with pytest.raises(InvariantViolation, match="'fc.bias': .* no place left"):
+        with _Writer(path, _LAYOUT) as out:
+            out.add_layer("fc", layer, np.ones((2, 3), bool))
+            out.add("fc.bias", np.ones(3))
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_drops_the_bias_slot_of_an_open_layer_that_gets_none(tmp_path):
+    layer = WeightLayer(np.ones((2, 3), np.float32), None, False)
+    mask = np.zeros((2, 3), bool)
+    for path in (str(tmp_path / "o.pkt"), None):
+        with _Writer(path, _LAYOUT, open_layers=("fc",)) as out:
+            out.add_layer("fc", layer, mask)
+        saved = out.container or load_container(path)
+        assert [e.name for e in saved.entries()] == ["fc", "fc.mask"]
+    expected = TensorContainer()
+    expected.add_layer("fc", layer)
+    expected.add_mask("fc", mask)
+    save_container(expected, str(tmp_path / "e.pkt"))
+    assert (tmp_path / "o.pkt").read_bytes() == (tmp_path / "e.pkt").read_bytes()
 
 
 def test_duplicate_name_in_file_rejected(tmp_path):

@@ -20,7 +20,10 @@ float64 copy that the statistics and the Gram share, then dropped), and the
 held-out rows only for the error report. It reads the layer's weights and
 bias when the score starts, drops them once the removed weights' float64
 difference is formed, so the error report holds no weights, and reads them
-again to build the pruned layer. A verify check holds one window of trials
+again to build the pruned layer. It writes each pruned layer to ``--out``
+as soon as no layer is open (one without a bias that takes the bias
+update), so a run whose layers all have a bias holds no layer's outputs
+beyond the layer's own pruning. A verify check holds one window of trials
 at a time, whatever its trial count.
 """
 
@@ -204,7 +207,7 @@ def test_file_shorter_than_its_stat_is_truncated(tmp_path, monkeypatch):
         load_container(str(path))
 
 
-def test_prune_holds_its_outputs_and_a_layer_at_a_time_not_both_files(tmp_path):
+def test_prune_holds_a_layer_at_a_time_not_its_outputs_or_both_files(tmp_path):
     rng = np.random.default_rng(9)
     m, n, layers = 256, 512, 8
     model, calib = TensorContainer(), TensorContainer()
@@ -223,14 +226,15 @@ def test_prune_holds_its_outputs_and_a_layer_at_a_time_not_both_files(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0  # imports and first-call caches, outside the trace
         peak = _traced_peak(lambda: cli.main(argv))
-    outputs = os.path.getsize(paths["out"])
     inputs = (m * m + m + n * m) * 4  # one layer's weights, bias and calibration rows
     working = max(_traced_peak(lambda: prune_layer(
         name, model.get_layer(name), calib.get(f"{name}.calib"), Criterion("stade-w"),
         SparsitySpec(ratio=0.5))) for name in ("fc0", "fc1"))
-    # The pruned outputs, about two layers' inputs, and one layer's working
-    # set; both input files held whole are six layers' inputs more.
-    assert peak <= outputs + 2 * inputs + working
+    # About two layers' inputs and one layer's working set. Every layer has
+    # a bias, so none is open and each goes to the file when it is pruned:
+    # the other layers' outputs held are seven layers' outputs more, both
+    # input files held whole six layers' inputs more.
+    assert peak <= 2 * inputs + working
 
 
 def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows(tmp_path):
@@ -252,13 +256,13 @@ def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows
         peak = _traced_peak(lambda: cli.main(argv))
     train_end, _ = _holdout_bounds(n, HOLDOUT_FRACTION)
     held_out = (n - train_end) * m * 4
-    # The pruned outputs, one layer's training rows in float64, the Gram's
-    # zero start and the m x m product summed into it, and the layer's float32
-    # weights, with half the float32 held-out rows to spare: the held-out rows
-    # read before the Gram, or the float32 training rows beside their float64
-    # copy (8 x the spare), break it.
-    bound = (os.path.getsize(paths["out"]) + train_end * m * 8 + 2 * m * m * 8
-             + m * h * 4 + held_out // 2)
+    # One layer's training rows in float64, the Gram's zero start and the
+    # m x m product summed into it, and the layer's float32 weights, with
+    # half the float32 held-out rows to spare: the held-out rows read before
+    # the Gram, or the float32 training rows beside their float64 copy
+    # (8 x the spare), break it. No layer is open (sparsegpt-score takes no
+    # bias update), so no layer's outputs are held.
+    bound = train_end * m * 8 + 2 * m * m * 8 + m * h * 4 + held_out // 2
     assert peak <= bound
 
 
@@ -293,8 +297,6 @@ def test_prune_holds_no_weights_through_the_error_report(tmp_path):
     # finiteness check. The f32 weights kept through it are 4 bytes a
     # weight more, and the parent's pruned copy 4 more again.
     error = size * (1 + 8) + held_out * h * 8 + held_out * m * 4 + chunk * m * (8 + 1)
-    # While the last layer runs, the run holds the other layers' outputs: the
-    # output file less the last layer's f32 weights, mask and f32 bias.
-    earlier = os.path.getsize(paths["out"]) - (size * (4 + 1) + h * 4)
-    # 2% for the layer's vectors and the run's Python objects.
-    assert peak <= 1.02 * (earlier + max(masking, error))
+    # Every layer has a bias, so none is open and no other layer's outputs
+    # are held. 2% for the layer's vectors and the run's Python objects.
+    assert peak <= 1.02 * max(masking, error)
