@@ -2,9 +2,9 @@
 """Sample the resident set of an in-process ``prunekit prune`` every 2 ms.
 
 Runs ``prunekit.cli.main(["prune", *ARGS])`` in this process while a thread
-reads ``/proc/self/statm`` every 2 ms. At each new high it records, for each
-other thread, the innermost frame of prunekit's own code. When the prune
-ends it prints the highest sample, ``ru_maxrss`` (the process's high-water
+reads ``/proc/self/statm`` every 2 ms. At each new high taken while the
+prune runs it records, for each other thread, the innermost frame of
+prunekit's own code. When the prune ends it prints the highest such sample, ``ru_maxrss`` (the process's high-water
 mark, which also counts the imports and any peak between two samples), and
 the frames recorded at the highest sample. Megabytes are 1e6 bytes, as in
 perfbench's ``peak_rss_mb``. The prune's own stdout is discarded; its exit
@@ -55,7 +55,8 @@ def innermost_frames(package: str, skip: int) -> dict[str, str]:
 
 class Sampler(threading.Thread):
     """Reads the resident set every ``INTERVAL_S`` until ``done`` is set and
-    keeps the highest sample with the frames seen at it."""
+    keeps the highest sample taken while some other thread runs prunekit
+    code, with the frames seen at it."""
 
     def __init__(self, package: str) -> None:
         super().__init__(name="rss-sampler", daemon=True)
@@ -68,8 +69,11 @@ class Sampler(threading.Thread):
         while True:
             rss = resident_bytes()
             if rss > self.peak:
-                self.peak = rss
-                self.frames = innermost_frames(self.package, threading.get_ident())
+                # A sample with no prunekit frame was taken before the prune
+                # started or after it returned, while ``done`` was not yet set.
+                frames = innermost_frames(self.package, threading.get_ident())
+                if frames:
+                    self.peak, self.frames = rss, frames
             if self.done.wait(INTERVAL_S):
                 return
 

@@ -9,11 +9,13 @@ on instances ``random_instance`` draws in the regime the criterion's
 
 ``check_criterion_optimality`` draws its trials ``_WINDOW`` at a time.
 Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child
-``SeedSequence(seed).spawn`` would make. Within a window, the instances of
-one row count n sit side by side as the columns of one n x (sum of widths)
-stack, and one ``stats_update``, one ``compute_scores`` and one
-``_enumerate`` pass check them all. The bits are those of checking each
-instance alone, because every step works per feature:
+``SeedSequence(seed).spawn`` would make. A window's PCG64 states are hashed
+from the seed and trial indices in one array pass and set, one trial at a
+time, on one reused ``Generator``; the tests pin them to numpy's own.
+Within a window, the instances of one row count n sit side by side as the
+columns of one n x (sum of widths) stack, and one ``stats_update``, one
+``compute_scores`` and one ``_enumerate`` pass check them all. The bits are
+those of checking each instance alone, because every step works per feature:
 
 - the statistics of at most ``stats._BLOCK_ROWS`` rows sum each column row
   by row, whatever the stack's width (an instance has at least two
@@ -35,6 +37,7 @@ raises ``NonFiniteInput`` at its first failing step, whichever trial that is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -159,6 +162,81 @@ class CheckResult:
 
 _WINDOW = 256  # trials drawn, checked and reduced together
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
+# 128-bit multiplier PCG64 steps by.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` >= 0 as SeedSequence takes an int: uint32 words, lowest first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, indices):
+    """Yield the ``(state, inc)`` of ``PCG64(SeedSequence(seed,
+    spawn_key=(i,)))`` for each trial index i.
+
+    SeedSequence's hash (``mix_entropy``, then ``generate_state(4, uint64)``)
+    runs over uint32 arrays, one lane per trial, for each run of indices
+    whose spawn keys have the same number of words. PCG64's seeding is then
+    one 128-bit multiply per trial.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (_POOL - len(run))  # a spawn key pads the run entropy to the pool
+    for _, keys in groupby(map(_uint32_words, indices), len):
+        entropy = np.array([run + key for key in keys], np.uint32).T
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const  # uint32 lanes wrap, as numpy's hash does
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            result = _MIX_MULT_L * x - _MIX_MULT_R * y
+            return result ^ (result >> 16)
+
+        pool = [hashmix(word) for word in entropy[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        words, hash_const = [], _INIT_B
+        for dst in range(2 * _POOL):
+            value = pool[dst % _POOL] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const
+            words.append((value ^ (value >> 16)).astype(np.uint64))
+        # Little-endian pairs of words: the seed's two uint64 halves, then inc's.
+        halves = [low | high << np.uint64(32) for low, high in zip(words[::2], words[1::2])]
+        for s_high, s_low, i_high, i_low in zip(*(half.tolist() for half in halves)):
+            inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+            yield ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _trial_rngs(seed: int, indices):
+    """For each trial index i, a Generator in the state that
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` starts in. It is one
+    Generator, reset for each trial: draw trial i's values before the next."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in _pcg64_states(seed, indices):
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+        yield rng
+
 
 def _check_window(tag, allow_bias, trials):
     """Check ``trials``, (index, instance) pairs, in one stack per row count.
@@ -209,18 +287,16 @@ def check_criterion_optimality(
         raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
     if not _is_count(seed):
         raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
-    trials = int(trials)
+    trials, seed = int(trials), int(seed)
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
     if data == "auto":
         data = default_data
 
-    def instance(idx: int):
-        child = np.random.SeedSequence(seed, spawn_key=(idx,))
-        return random_instance(np.random.default_rng(child), data)
-
     def run_window(start: int):
         window = range(start, min(start + _WINDOW, trials))
-        return _check_window(tag, allow_bias, [(idx, instance(idx)) for idx in window])
+        rngs = _trial_rngs(seed, window)
+        return _check_window(tag, allow_bias,
+                             [(idx, random_instance(rng, data)) for idx, rng in zip(window, rngs)])
 
     windows = parallel_map(run_window, range(0, trials, _WINDOW), threads)
     firsts = [first for _, _, first in windows if first]
@@ -229,7 +305,7 @@ def check_criterion_optimality(
         # Only the first counterexample is reported, so only it is built;
         # its instance is drawn again from the trial's own seed.
         idx, (crit_j, bf_j, bf_obj) = firsts[0]
-        calib, w_col, bias = instance(idx)
+        calib, w_col, bias = random_instance(next(_trial_rngs(seed, [idx])), data)
         first = {
             "trial": idx,
             "rows": int(calib.shape[0]),

@@ -231,6 +231,17 @@ def test_only_sparsegpt_score_imports_scipy(workspace):
     assert imported == ["False", "False", "True"]
 
 
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy loads numpy.random on first use; only a verify check uses it.
+    script = ("import sys\n"
+              "import prunekit.cli\n"
+              "from prunekit import *\n"
+              "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_verify_pass_and_fail_exit_codes():
     ok = run_cli("verify", "--criterion", "stade", "--trials", "100", "--seed", "1")
     assert ok.returncode == 0, ok.stderr

@@ -239,7 +239,7 @@ def test_prune_holds_a_layer_at_a_time_not_its_outputs_or_both_files(tmp_path):
 
 def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows(tmp_path):
     rng = np.random.default_rng(10)
-    m, h, n = 512, 64, 4096
+    m, h, n = 512, 512, 4096
     model, calib = TensorContainer(), TensorContainer()
     for i in range(2):
         model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, h)).astype(np.float32),
@@ -257,12 +257,13 @@ def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows
     train_end, _ = _holdout_bounds(n, HOLDOUT_FRACTION)
     held_out = (n - train_end) * m * 4
     # One layer's training rows in float64, the Gram's zero start and the
-    # m x m product summed into it, and the layer's float32 weights, with
-    # half the float32 held-out rows to spare: the held-out rows read before
-    # the Gram, or the float32 training rows beside their float64 copy
-    # (8 x the spare), break it. No layer is open (sparsegpt-score takes no
-    # bias update), so no layer's outputs are held.
-    bound = train_end * m * 8 + 2 * m * m * 8 + m * h * 4 + held_out // 2
+    # m x m product summed into it, with half the float32 held-out rows to
+    # spare; the layer's weights are read after the Gram. The held-out rows
+    # read before the Gram, or the float32 training rows beside their float64
+    # copy (8 x the spare), break it. No layer is open (sparsegpt-score takes
+    # no bias update), so no layer's outputs are held: fc0's float32 weights
+    # and mask held through fc1's Gram (1.5 x the spare) break it too.
+    bound = train_end * m * 8 + 2 * m * m * 8 + held_out // 2
     assert peak <= bound
 
 

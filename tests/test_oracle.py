@@ -328,6 +328,43 @@ def test_windowed_check_matches_per_trial_loop(tag, data, threads):
     assert got == expected
 
 
+def numpy_trial_state(seed, idx):
+    """The (state, inc) numpy's own SeedSequence and PCG64 give trial ``idx``."""
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,))).state["state"]
+    return state["state"], state["inc"]
+
+
+# Seeds of one, two and four uint32 words (the last 100 bits wide); indices
+# of a one-word spawn key, then of two words (2**32 and up).
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345]
+INDICES = [0, 1, 255, 256, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_states_are_numpys(seed):
+    # One call holds keys of both lengths, so it takes one array pass for each.
+    assert list(oracle._pcg64_states(seed, INDICES)) == [numpy_trial_state(seed, i) for i in INDICES]
+    for idx in INDICES:
+        assert list(oracle._pcg64_states(seed, [idx])) == [numpy_trial_state(seed, idx)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0), indices=st.lists(st.integers(min_value=0),
+                                                          min_size=1, max_size=5))
+def test_trial_states_are_numpys_for_any_seed_and_index(seed, indices):
+    assert list(oracle._pcg64_states(seed, indices)) == [numpy_trial_state(seed, i) for i in indices]
+
+
+def test_the_reused_generator_draws_as_a_fresh_one_per_trial():
+    # A float32 draw leaves half of a uint64 buffered in the bit generator;
+    # the next trial must start without it.
+    indices = [0, 1, 2, 2**32]
+    for idx, rng in zip(indices, oracle._trial_rngs(5, indices)):
+        fresh = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(idx,)))
+        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+        assert rng.standard_normal(3).tobytes() == fresh.standard_normal(3).tobytes()
+
+
 @pytest.mark.parametrize("window", [4, 7])
 @pytest.mark.parametrize("data", DATA_REGIMES)
 @pytest.mark.parametrize("tag", CHECKABLE_TAGS)
