@@ -44,10 +44,12 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", default="all")
-    parser.add_argument("--seed", type=int, nargs="+", default=[0])
+    # extend, so "--seed 1 --seed 2" checks both seeds as "--seed 1 2" does;
+    # no default list, which extend would keep in front of the given seeds
+    parser.add_argument("--seed", type=int, nargs="+", action="extend")
     args = parser.parse_args(argv)
     same = True
-    for seed in args.seed:
+    for seed in args.seed or [0]:
         before, ok_before = run_outputs(args.parent, args.workload, seed)
         after, ok_after = run_outputs(args.change, args.workload, seed)
         same = same and ok_before and ok_after

@@ -24,10 +24,10 @@ from .stats import _BLOCK_ROWS, ColumnStats, _check_stats, _continued
 def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> WeightLayer:
     """Return the layer with its bias compensated for the masked weights.
 
-    Uses the pre-prune weight values; weights are not modified here. When the
-    layer has no bias and some compensation is non-zero, a bias vector is
-    materialized (callers should surface that a parameter vector was added).
-    Finite inputs whose bias overflows float64 raise ``NonFiniteInput``.
+    Uses the pre-prune weight values; weights are not modified here. A
+    layer without a bias gets the compensation as its bias, zeros included
+    (README's "Container format"). Finite inputs whose bias overflows
+    float64 raise ``NonFiniteInput``.
     """
     mask = _layer_mask(layer, mask)
     _check_stats(stats, layer.m, min_rows=1)
@@ -35,8 +35,6 @@ def bias_update(layer: WeightLayer, mask: np.ndarray, stats: ColumnStats) -> Wei
     with np.errstate(over="ignore", invalid="ignore"):
         delta = _pruned_shift(mask, stats.mean, layer.weights)
         if layer.bias is None:
-            if not np.any(delta):
-                return layer
             return WeightLayer(layer.weights, delta, layer.centered)
         # Leave untouched columns bit-identical (avoids -0.0 + 0.0 flips).
         bias = np.where(delta != 0.0, layer.bias + delta, layer.bias)

@@ -20,7 +20,7 @@ import os
 import stat
 import struct
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -312,14 +312,10 @@ class _Writer:
     records.
 
     It is given the file's tensors in order as ``_Slot`` records, which
-    must keep the layer rule, and the layers that are "open": each has a
-    "<layer>.bias" slot that ``add_layer`` drops if the layer comes without
-    a bias. So every tensor's offset is known once no layer is open. A
-    tensor given to ``add`` is checked by the value rule and against its
-    slot, from any thread. Until no layer is open it is held; then the
-    header is written, and every tensor held so far, and each later tensor
-    goes straight to its offset with a positional write, so it is held no
-    longer than that write.
+    must keep the layer rule and fix every offset, so the header is written
+    at open. A tensor given to ``add`` is checked by
+    the value rule and against its slot, from any thread, and goes straight
+    to its offset with a positional write (README's "Performance").
 
     As a context manager it writes a temporary file beside ``path``,
     created with mode 0o666 less the umask, and moves it over ``path``
@@ -328,16 +324,26 @@ class _Writer:
     puts them, in slot order, into ``container``.
     """
 
-    def __init__(self, path: str | None, slots: list[_Slot],
-                 open_layers: Iterable[str] = ()) -> None:
+    def __init__(self, path: str | None, slots: list[_Slot]) -> None:
         self.path, self.container = path, None
         self._layout = TensorContainer()
         for slot in slots:
             self._layout._insert(slot)
-        self._open = set(open_layers)
-        self._held: dict[str, np.ndarray] = {}
+        records, offset = [], 0
+        for slot in self._layout.entries():
+            record = {"name": slot.name, "shape": [int(d) for d in slot.shape],
+                      "dtype": slot.dtype, "offset": offset}
+            if slot.is_layer:
+                record["centered"] = bool(slot.centered)
+                record["has_bias"] = f"{slot.name}.bias" in self._layout
+            records.append(record)
+            offset += math.prod(slot.shape) * _DISK_DTYPES[slot.dtype].itemsize
+        manifest = json.dumps({"tensors": records}, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+        self._header = MAGIC + struct.pack("<I", len(manifest)) + manifest
+        self._at = {r["name"]: len(self._header) + r["offset"] for r in records}
+        self._held: dict[str, np.ndarray] = {}  # every tensor, when ``path`` is None
         self._written: set[str] = set()
-        self._at: dict[str, int] | None = None  # each tensor's file position, once placed
         self._lock = threading.Lock()
         self._tmp: str | None = None
         self._fd = -1
@@ -348,8 +354,7 @@ class _Writer:
             try:
                 self._fd = self._io(os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 self._tmp = tmp
-                if not self._open:
-                    self._flush(*self._place())
+                self._write(memoryview(self._header), 0)
             except BaseException:
                 self._discard()
                 raise
@@ -391,53 +396,17 @@ class _Writer:
                 raise InvariantViolation(f"tensor {name!r}: a {entry.dtype} tensor of shape "
                                          f"{entry.shape} has no place left in the file")
             self._written.add(name)
-            if self._at is None:
+            if self.path is None:
                 self._held[name] = entry.array
                 return
-            at = self._at[name]
-        self._write(_disk_bytes(entry.array), at)
+        self._write(_disk_bytes(entry.array), self._at[name])
 
     def add_layer(self, name: str, layer: WeightLayer, mask: np.ndarray) -> None:
-        """Add the layer's weights, bias and mask; an open layer is settled."""
+        """Add the layer's weights, bias if it has one, and mask."""
         self.add(name, layer.weights, centered=layer.centered)
         if layer.bias is not None:
             self.add(f"{name}.bias", layer.bias)
         self.add(f"{name}.mask", np.asarray(mask, dtype=bool))
-        with self._lock:
-            if name not in self._open:
-                return
-            self._open.remove(name)
-            if layer.bias is None:
-                del self._layout._entries[f"{name}.bias"]
-            if self._open or self.path is None:
-                return
-            placed = self._place()
-        self._flush(*placed)
-
-    def _place(self) -> tuple[bytes, dict[str, np.ndarray]]:
-        """Fix every offset, under the lock; return the header and the held
-        tensors, which the caller writes."""
-        records, offset = [], 0
-        for slot in self._layout.entries():
-            record = {"name": slot.name, "shape": [int(d) for d in slot.shape],
-                      "dtype": slot.dtype, "offset": offset}
-            if slot.is_layer:
-                record["centered"] = bool(slot.centered)
-                record["has_bias"] = f"{slot.name}.bias" in self._layout
-            records.append(record)
-            offset += math.prod(slot.shape) * _DISK_DTYPES[slot.dtype].itemsize
-        manifest = json.dumps({"tensors": records}, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-        header = MAGIC + struct.pack("<I", len(manifest)) + manifest
-        self._at = {r["name"]: len(header) + r["offset"] for r in records}
-        held, self._held = self._held, {}
-        return header, held
-
-    def _flush(self, header: bytes, held: dict[str, np.ndarray]) -> None:
-        self._write(memoryview(header), 0)
-        while held:
-            name, array = held.popitem()
-            self._write(_disk_bytes(array), self._at[name])
 
     def _write(self, data: memoryview, at: int) -> None:
         done = 0

@@ -322,15 +322,11 @@ def prune_container(
     pruned again: its old biases and masks are replaced by the new ones.
 
     Each worker passes ``model`` and its "<layer>.calib" entry to
-    ``prune_layer``, which reads each of the layer's inputs at the stage
-    that needs it, and gives the pruned layer and its mask to ``_Writer``.
-    The output's layout comes from ``model``'s manifest, except that a layer
-    without a bias that takes the bias update is open until it is pruned
-    (``_Writer``). So on containers from ``open_container``, with ``out``,
-    the run holds per worker one stage's inputs and working set, and a
-    layer's outputs only while some layer is open. Every tensor of both
-    inputs is read, so an open file's values are all checked before the
-    result is returned.
+    ``prune_layer`` and gives the pruned layer and its mask to ``_Writer``.
+    The output's layout comes from ``model``'s manifest and the layer rule
+    of README's "Container format"; what a run holds is README's
+    "Performance". Every tensor of both inputs is read, so an open file's
+    values are all checked before the result is returned.
     """
     _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
@@ -345,24 +341,20 @@ def prune_container(
         if f"{name}.calib" not in calib:
             raise MissingCalibration(f"no calibration rows for layer {name!r}")
 
-    slots, open_layers, copies = [], [], []
+    slots, copies = [], []
     for entry in model.entries():
         name = entry.name
         if entry.is_layer:
-            has_bias = f"{name}.bias" in model
-            if not has_bias and _updates_bias(select_criterion(criterion, entry),
-                                              bias_update_enabled):
-                open_layers.append(name)
-                has_bias = True
             slots.append(_Slot(name, "f32", entry.shape, bool(entry.centered)))
-            if has_bias:
+            if f"{name}.bias" in model or _updates_bias(select_criterion(criterion, entry),
+                                                        bias_update_enabled):
                 slots.append(_Slot(f"{name}.bias", "f32", entry.shape[1:]))
             slots.append(_Slot(f"{name}.mask", "u8", entry.shape))
         elif model.layer_of(name) is None:
             slots.append(_Slot(name, entry.dtype, entry.shape))
             copies.append(entry)
 
-    with _Writer(out, slots, open_layers) as writer:
+    with _Writer(out, slots) as writer:
         def run(name: str) -> LayerReport:
             try:
                 pruned, mask, report = prune_layer(

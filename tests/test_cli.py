@@ -125,6 +125,37 @@ def test_prune_of_files_writes_what_prune_container_writes_in_memory(deep, tmp_p
         assert files[name].read_bytes() == memory[name].read_bytes(), name
 
 
+def test_a_bias_less_layer_that_takes_the_update_gains_a_bias_of_zeros(tmp_path, capsys):
+    # Magnitude prunes feature 0's small weights, and feature 0's rows are
+    # +1, -1, ..., so every pruned feature's mean is exactly 0: the update
+    # moves nothing, and the layer still leaves with a bias.
+    model, calib = TensorContainer(), TensorContainer()
+    model.add_layer("fc", WeightLayer(np.array([[0.5, 0.25, 1.0], [4.0, 8.0, 2.0]],
+                                               np.float32), None, centered=False))
+    rows = np.ones((100, 2), np.float32)
+    rows[1::2, 0] = -1.0
+    rows[:, 1] += np.random.default_rng(13).standard_normal(100).astype(np.float32)
+    calib.add("fc.calib", rows)
+    paths = {name: str(tmp_path / f"{name}.pkt") for name in ("model", "calib", "out")}
+    save_container(model, paths["model"])
+    save_container(calib, paths["calib"])
+    report = tmp_path / "report.json"
+    assert cli.main(_prune_argv(paths["model"], paths["calib"], paths["out"],
+                                "--bias-update", "on", "--report", str(report),
+                                criterion="magnitude")) == 0
+    blob = (tmp_path / "out.pkt").read_bytes()
+    (length,) = struct.unpack_from("<I", blob, len(MAGIC))
+    manifest = json.loads(blob[len(MAGIC) + 4: len(MAGIC) + 4 + length])
+    assert [r.get("has_bias") for r in manifest["tensors"]] == [True, None, None]
+    assert load_container(paths["out"]).get("fc.bias").tolist() == [0.0, 0.0, 0.0]
+    layer = json.loads(report.read_text())["layers"][0]
+    assert layer["bias_added"] and layer["bias_delta_norm"] == 0.0
+    pruned, _ = prune_container(model, calib, Criterion("magnitude"),
+                                SparsitySpec(ratio=0.5), bias_update_enabled=True)
+    save_container(pruned, str(tmp_path / "memory.pkt"))
+    assert blob == (tmp_path / "memory.pkt").read_bytes()
+
+
 @pytest.mark.parametrize("target", ["model", "calib"])
 def test_prune_may_write_over_either_input(deep, tmp_path, capsys, target):
     # Every read ends before the save opens its output.

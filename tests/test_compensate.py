@@ -52,15 +52,15 @@ def test_multi_prune_sums_contributions():
     assert out.bias[0] == pytest.approx(1.0 + 1.0 * 2.0 + 2.0 * 3.0)
 
 
-def test_missing_bias_materialized_only_when_needed():
+def test_missing_bias_materialized_even_when_zero():
     layer = WeightLayer(np.array([[1.0], [2.0]]), None, centered=False)
     stats = stats_of([[3.0, 0.0], [5.0, 0.0]])
     pruned_const = bias_update(layer, single_prune_mask(2, 1, 0), stats)
     assert pruned_const.bias is not None
     assert pruned_const.bias[0] == pytest.approx(4.0)
-    # pruning a feature with exactly zero mean adds nothing
+    # pruning a feature with exactly zero mean still adds a bias, of zeros
     pruned_zero = bias_update(layer, single_prune_mask(2, 1, 1), stats)
-    assert pruned_zero.bias is None
+    assert pruned_zero.bias is not None and pruned_zero.bias.tolist() == [0.0]
 
 
 def test_bias_optimal_against_golden_section():

@@ -191,21 +191,6 @@ def test_writer_fails_when_a_slot_is_written_never_or_twice(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_writer_drops_the_bias_slot_of_an_open_layer_that_gets_none(tmp_path):
-    layer = WeightLayer(np.ones((2, 3), np.float32), None, False)
-    mask = np.zeros((2, 3), bool)
-    for path in (str(tmp_path / "o.pkt"), None):
-        with _Writer(path, _LAYOUT, open_layers=("fc",)) as out:
-            out.add_layer("fc", layer, mask)
-        saved = out.container or load_container(path)
-        assert [e.name for e in saved.entries()] == ["fc", "fc.mask"]
-    expected = TensorContainer()
-    expected.add_layer("fc", layer)
-    expected.add_mask("fc", mask)
-    save_container(expected, str(tmp_path / "e.pkt"))
-    assert (tmp_path / "o.pkt").read_bytes() == (tmp_path / "e.pkt").read_bytes()
-
-
 def test_duplicate_name_in_file_rejected(tmp_path):
     manifest = json.dumps({"tensors": [
         {"name": "t", "shape": [1], "dtype": "f32", "offset": 0},

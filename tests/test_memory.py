@@ -21,10 +21,9 @@ held-out rows only for the error report. It reads the layer's weights and
 bias when the score starts, drops them once the removed weights' float64
 difference is formed, so the error report holds no weights, and reads them
 again to build the pruned layer. It writes each pruned layer to ``--out``
-as soon as no layer is open (one without a bias that takes the bias
-update), so a run whose layers all have a bias holds no layer's outputs
-beyond the layer's own pruning. A verify check holds one window of trials
-at a time, whatever its trial count.
+as soon as it is pruned, so a run holds no layer's outputs beyond the
+layer's own pruning, whether its layers have a bias or not. A verify check
+holds one window of trials at a time, whatever its trial count.
 """
 
 import contextlib
@@ -207,13 +206,17 @@ def test_file_shorter_than_its_stat_is_truncated(tmp_path, monkeypatch):
         load_container(str(path))
 
 
-def test_prune_holds_a_layer_at_a_time_not_its_outputs_or_both_files(tmp_path):
+@pytest.mark.parametrize("biased, criterion", [(True, "stade-w"), (False, "stade")],
+                         ids=["biases", "bias-less-with-update"])
+def test_prune_holds_a_layer_at_a_time_not_its_outputs_or_both_files(tmp_path, biased,
+                                                                      criterion):
     rng = np.random.default_rng(9)
     m, n, layers = 256, 512, 8
     model, calib = TensorContainer(), TensorContainer()
     for i in range(layers):
-        model.add_layer(f"fc{i}", WeightLayer(rng.standard_normal((m, m)).astype(np.float32),
-                                              rng.standard_normal(m).astype(np.float32),
+        weights = rng.standard_normal((m, m)).astype(np.float32)
+        bias = rng.standard_normal(m).astype(np.float32)  # drawn either way: same data
+        model.add_layer(f"fc{i}", WeightLayer(weights, bias if biased else None,
                                               centered=i % 2 == 1))
         calib.add(f"fc{i}.calib", (rng.standard_normal((n, m)) + 3 * (i % 2 == 0))
                   .astype(np.float32))
@@ -221,19 +224,19 @@ def test_prune_holds_a_layer_at_a_time_not_its_outputs_or_both_files(tmp_path):
     save_container(model, paths["model"])
     save_container(calib, paths["calib"])
     argv = ["prune", "--model", paths["model"], "--calib", paths["calib"],
-            "--criterion", "stade-w", "--sparsity", "0.5", "--threads", "1",
+            "--criterion", criterion, "--sparsity", "0.5", "--threads", "1",
             "--out", paths["out"]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0  # imports and first-call caches, outside the trace
         peak = _traced_peak(lambda: cli.main(argv))
     inputs = (m * m + m + n * m) * 4  # one layer's weights, bias and calibration rows
     working = max(_traced_peak(lambda: prune_layer(
-        name, model.get_layer(name), calib.get(f"{name}.calib"), Criterion("stade-w"),
+        name, model.get_layer(name), calib.get(f"{name}.calib"), Criterion(criterion),
         SparsitySpec(ratio=0.5))) for name in ("fc0", "fc1"))
-    # About two layers' inputs and one layer's working set. Every layer has
-    # a bias, so none is open and each goes to the file when it is pruned:
-    # the other layers' outputs held are seven layers' outputs more, both
-    # input files held whole six layers' inputs more.
+    # About two layers' inputs and one layer's working set. Each layer goes
+    # to the file when it is pruned, with or without a bias of its own: the
+    # other layers' outputs held are seven layers' outputs more, both input
+    # files held whole six layers' inputs more.
     assert peak <= 2 * inputs + working
 
 
@@ -260,9 +263,9 @@ def test_sparsegpt_prune_holds_float64_training_rows_not_their_float32_file_rows
     # m x m product summed into it, with half the float32 held-out rows to
     # spare; the layer's weights are read after the Gram. The held-out rows
     # read before the Gram, or the float32 training rows beside their float64
-    # copy (8 x the spare), break it. No layer is open (sparsegpt-score takes
-    # no bias update), so no layer's outputs are held: fc0's float32 weights
-    # and mask held through fc1's Gram (1.5 x the spare) break it too.
+    # copy (8 x the spare), break it. No layer's outputs are held: fc0's
+    # float32 weights and mask held through fc1's Gram (1.5 x the spare)
+    # break it too.
     bound = train_end * m * 8 + 2 * m * m * 8 + held_out // 2
     assert peak <= bound
 
@@ -298,6 +301,6 @@ def test_prune_holds_no_weights_through_the_error_report(tmp_path):
     # finiteness check. The f32 weights kept through it are 4 bytes a
     # weight more, and the parent's pruned copy 4 more again.
     error = size * (1 + 8) + held_out * h * 8 + held_out * m * 4 + chunk * m * (8 + 1)
-    # Every layer has a bias, so none is open and no other layer's outputs
-    # are held. 2% for the layer's vectors and the run's Python objects.
+    # No other layer's outputs are held. 2% for the layer's vectors and the
+    # run's Python objects.
     assert peak <= 1.02 * max(masking, error)

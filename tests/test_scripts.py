@@ -78,15 +78,17 @@ def _stub_tree(root, report_hash, correct="true", code=0):
 ], ids=["same", "changed-hash", "incorrect", "nonzero-exit"])
 def test_same_outputs_compares_hashes(tmp_path, change, expected):
     parent = _stub_tree(tmp_path / "parent", "b" * 64)
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "same_outputs.py"), parent,
-         _stub_tree(tmp_path / "change", **change), "--seed", "3", "4"],
-        capture_output=True, text=True)
-    assert proc.returncode == expected, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 4  # two outputs at each of two seeds
-    assert lines[0] == f"seed 3 verify-oracle verify.json same {'a' * 64}"
-    assert (lines[1].split()[4] == "DIFFERENT") == (change["report_hash"] != "b" * 64)
+    tree = _stub_tree(tmp_path / "change", **change)
+    for seeds in (["3", "4"], ["3", "--seed", "4"]):  # either form checks both seeds
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "same_outputs.py"), parent, tree, "--seed", *seeds],
+            capture_output=True, text=True)
+        assert proc.returncode == expected, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4  # two outputs at each of two seeds
+        assert lines[0] == f"seed 3 verify-oracle verify.json same {'a' * 64}"
+        assert lines[2].startswith("seed 4 ")
+        assert (lines[1].split()[4] == "DIFFERENT") == (change["report_hash"] != "b" * 64)
 
 
 def _loc_rows(*paths):
