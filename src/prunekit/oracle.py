@@ -7,15 +7,16 @@ frozen. It is the ground truth each criterion's argmin is checked against,
 on instances ``random_instance`` draws in the regime the criterion's
 ``CRITERION_RULES`` row names.
 
-``check_criterion_optimality`` draws its trials ``_WINDOW`` at a time.
+``check_criterion_optimality`` checks its trials ``_WINDOW`` at a time.
 Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child
 ``SeedSequence(seed).spawn`` would make. A window's PCG64 states are hashed
-from the seed and trial indices in one array pass and set, one trial at a
-time, on one reused ``Generator``; the tests pin them to numpy's own.
-Within a window, the instances of one row count n sit side by side as the
-columns of one n x (sum of widths) stack, and one ``stats_update``, one
-``compute_scores`` and one ``_enumerate`` pass check them all. The bits are
-those of checking each instance alone, because every step works per feature:
+in one array pass (the tests pin them to numpy's own) and set, one trial at
+a time, on one reused ``Generator``: first to draw each trial's row count
+alone, then to draw one row count's trials in full and check them as the
+columns of one n x (sum of widths) stack, with one ``stats_update``,
+``compute_scores`` and ``_enumerate``, before the next row count. The bits
+are those of checking each instance alone, because every step works per
+feature:
 
 - the statistics of at most ``stats._BLOCK_ROWS`` rows sum each column row
   by row, whatever the stack's width (an instance has at least two
@@ -26,12 +27,10 @@ those of checking each instance alone, because every step works per feature:
 - each instance's argmins read its own slice, ties going to the lowest
   index.
 
-Each dense output is ``calib @ w_col + bias`` on the instance's own
-contiguous rows, never on a strided slice of the stack, whose product the
-BLAS may sum in another order. A window is reduced to its mismatch count,
-largest bias shift and first mismatch before the next one runs, so the
-working set does not grow with the trial count. A stack that overflows
-raises ``NonFiniteInput`` at its first failing step, whichever trial that is.
+A window is reduced to its mismatch count, largest bias shift and lowest
+mismatching trial before the next one runs, so the working set does not grow
+with the trial count. A stack that overflows raises ``NonFiniteInput`` at
+its first failing step, whichever trial that is.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .stats import _is_count, _matrix, stats_init, stats_update
 
 MAX_FEATURES = 64
 MAX_ROWS = 4096
+MAX_TRIALS = 10**9
 
 DATA_REGIMES = ("uncentered", "centered", "offset")
 
@@ -66,13 +66,14 @@ def brute_force_single_prune(
 ) -> tuple[int, float, float]:
     """Enumerate every single-weight prune of one output column.
 
-    Returns ``(best_j, best_bias, best_objective)`` where the objective is
-    the empirical mean squared output difference over the calibration rows.
-    With ``allow_bias`` the bias is re-fit per candidate to its closed-form
-    least-squares minimizer ``bias + mean(x_j) * w_j``; otherwise it stays
-    fixed. Ties resolve to the lowest input index. A candidate whose
-    objective is not finite raises ``NonFiniteInput``: the enumeration must
-    weigh every candidate to be ground truth.
+    Returns ``(best_j, best_bias, best_objective)``. The objective is the
+    mean squared output difference over the calibration rows, the mean of
+    the removed term ``(x_j * w_j - s_j)**2``: ``s_j = mean(x_j) * w_j``
+    with ``allow_bias``, which re-fits the bias to its least-squares
+    minimizer ``bias + s_j``, and 0 with the bias fixed. So the bias only
+    shifts ``best_bias``. Ties resolve to the lowest input index. A candidate
+    whose objective is not finite raises ``NonFiniteInput``: the enumeration
+    must weigh every candidate to be ground truth.
     """
     calib = _matrix(calib, "calib")
     n, m = calib.shape
@@ -87,33 +88,42 @@ def brute_force_single_prune(
     if n == 0:
         raise EmptyStats("enumeration needs at least one calibration row")
 
-    return _enumerate(calib, [(calib, w_col, bias)], allow_bias)[0]
+    best = _enumerate(calib, [w_col], [bias], allow_bias)[0]
+    if not np.isfinite(best[1]):
+        raise NonFiniteInput(f"refit bias of feature {best[0]} is not finite")
+    return best
 
 
-def _enumerate(stack, instances, allow_bias):
-    """Each of ``instances``' ``(best_j, best_bias, best_objective)``, as
-    ``brute_force_single_prune`` returns it. ``instances`` are (calib, w_col,
-    bias) of one row count and ``stack`` their calibrations side by side.
-    Each objective is a mean along one contiguous row: the same pairwise
-    summation, and so the same bits, as the mean of that candidate's 1-D
-    error vector on its own. A non-finite one raises ``NonFiniteInput``.
+def _enumerate(stack, ws, biases, allow_bias):
+    """Each instance's ``(best_j, best_bias, best_objective)``, as
+    ``brute_force_single_prune`` returns it, for instances of one row count
+    whose calibrations ``stack`` holds side by side. Each objective is a mean
+    along one contiguous row: the same pairwise summation, and so the same
+    bits, as the mean of that candidate's 1-D removed term on its own. A
+    non-finite one raises ``NonFiniteInput``.
     """
-    _, ws, biases = zip(*instances)
     sizes = [w_col.shape[0] for w_col in ws]
-    cols, w, bias = np.ascontiguousarray(stack.T), np.concatenate(ws), np.repeat(biases, sizes)
+    cols, w = np.ascontiguousarray(stack.T), np.concatenate(ws)
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = np.repeat([calib @ w_col + b for calib, w_col, b in instances], sizes, axis=0)
-        refit = bias + cols.mean(axis=1) * w if allow_bias else bias
-        pruned = dense - cols * w[:, None] - bias[:, None] + refit[:, None]
-        objective = np.mean((dense - pruned) ** 2, axis=1)
+        shift = cols.mean(axis=1) * w if allow_bias else np.zeros_like(w)
+        removed = cols * w[:, None]
+        removed -= shift[:, None]
+        objective = np.mean(removed ** 2, axis=1)
     bad = np.flatnonzero(~np.isfinite(objective))
     if bad.size:  # an index into the stack: the instance's feature when it holds one
         raise NonFiniteInput(f"objective of feature {bad[0]} is not finite")
     best = []
-    for start, m in zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes):
+    for start, m, bias in zip(np.cumsum([0, *sizes[:-1]]).tolist(), sizes, biases):
         j = int(objective[start : start + m].argmin())  # ties go to the lowest index
-        best.append((j, float(refit[start + j]), float(objective[start + j])))
+        refit = bias + float(shift[start + j]) if allow_bias else bias
+        best.append((j, refit, float(objective[start + j])))
     return best
+
+
+def _draw_rows(rng: np.random.Generator) -> int:
+    """The row count of the instance ``random_instance`` draws from ``rng``:
+    its first draw, and the only one a window's first pass makes."""
+    return int(rng.integers(8, 65))
 
 
 def random_instance(rng: np.random.Generator, data: str = "uncentered"):
@@ -128,7 +138,7 @@ def random_instance(rng: np.random.Generator, data: str = "uncentered"):
     """
     if data not in DATA_REGIMES:
         raise InvalidArgument(f"unknown data regime {data!r}")
-    n = int(rng.integers(8, 65))
+    n = _draw_rows(rng)
     m = int(rng.integers(2, 17))
     mu = rng.uniform(-5.0, 5.0, size=m)
     sigma = rng.uniform(0.1, 2.0, size=m)
@@ -160,7 +170,7 @@ class CheckResult:
         return self.mismatches == 0
 
 
-_WINDOW = 256  # trials drawn, checked and reduced together
+_WINDOW = 1024  # trials drawn, checked and reduced together
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
 # 128-bit multiplier PCG64 steps by.
@@ -226,37 +236,36 @@ def _pcg64_states(seed: int, indices):
             yield ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _trial_rngs(seed: int, indices):
-    """For each trial index i, a Generator in the state that
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` starts in. It is one
-    Generator, reset for each trial: draw trial i's values before the next."""
+def _trial_rngs(states):
+    """For trial i's ``(state, inc)`` from ``_pcg64_states``, a Generator in
+    the state ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` starts in.
+    It is one Generator, reset for each trial: draw i's values before the next."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for state, inc in _pcg64_states(seed, indices):
+    for state, inc in states:
         bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                "state": {"state": state, "inc": inc}}
         yield rng
 
 
-def _check_window(tag, allow_bias, trials):
-    """Check ``trials``, (index, instance) pairs, in one stack per row count.
-
-    Returns the mismatch count, the largest bias shift and the first mismatch
-    as ``(index, (criterion choice, enumeration choice, objective))``, or None.
-    """
-    stacks = {}
-    for idx, instance in trials:
-        stacks.setdefault(instance[0].shape[0], []).append((idx, instance))
+def _check_window(tag, data, allow_bias, seed, window):
+    """Check ``window``'s trials in the two passes the module docstring states.
+    Returns the mismatch count, the largest bias shift and the lowest
+    mismatching trial as ``(index, (criterion choice, enumeration choice,
+    objective))``, or None."""
+    states, groups = list(_pcg64_states(seed, window)), {}
+    for idx, state, rng in zip(window, states, _trial_rngs(states)):
+        groups.setdefault(_draw_rows(rng), []).append((idx, state))  # in index order
+    rngs = _trial_rngs([state for group in groups.values() for _, state in group])
     mismatched, shift = [], 0.0
-    for stacked in stacks.values():
-        indices, instances = zip(*stacked)
-        calibs, ws, biases = zip(*instances)
+    for group in groups.values():
+        calibs, ws, biases = zip(*(random_instance(next(rngs), data) for _ in group))
         stack, w = np.hstack(calibs), np.concatenate(ws)
         stats = stats_update(stats_init(w.shape[0]), stack)
         scores = compute_scores(tag, w[:, None], stats=stats)[:, 0]
         start = 0
-        for idx, w_col, bias, (bf_j, bf_b, bf_obj) in zip(
-                indices, ws, biases, _enumerate(stack, instances, allow_bias)):
+        for (idx, _), w_col, bias, (bf_j, bf_b, bf_obj) in zip(
+                group, ws, biases, _enumerate(stack, ws, biases, allow_bias)):
             crit_j = int(scores[start : start + w_col.shape[0]].argmin())  # ties: lowest index
             start += w_col.shape[0]
             shift = max(shift, abs(bf_b - bias))
@@ -278,34 +287,34 @@ def check_criterion_optimality(
     one the criterion is claimed optimal for in ``CRITERION_RULES``.
     ``max_bias_shift`` records the largest |refit bias - original bias|
     seen, which must vanish on centered data. ``trials`` must be an integer
-    >= 1 and ``seed`` one >= 0; ``threads`` workers check the windows of trials.
+    in [1, ``MAX_TRIALS``] and ``seed`` one >= 0; ``threads`` workers check
+    the windows of trials.
     """
     if tag not in CHECKABLE_TAGS:
         raise InvalidArgument(f"no optimality check for criterion {tag!r}; "
                          f"expected one of {sorted(CHECKABLE_TAGS)}")
-    if not _is_count(trials, 1):
-        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_count(trials, 1) or trials > MAX_TRIALS:
+        raise InvalidArgument(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
     if not _is_count(seed):
         raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
     trials, seed = int(trials), int(seed)
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
-    if data == "auto":
-        data = default_data
+    data = default_data if data == "auto" else data
+    if data not in DATA_REGIMES:
+        raise InvalidArgument(f"unknown data regime {data!r}")
 
     def run_window(start: int):
-        window = range(start, min(start + _WINDOW, trials))
-        rngs = _trial_rngs(seed, window)
-        return _check_window(tag, allow_bias,
-                             [(idx, random_instance(rng, data)) for idx, rng in zip(window, rngs)])
+        return _check_window(tag, data, allow_bias, seed,
+                             range(start, min(start + _WINDOW, trials)))
 
     windows = parallel_map(run_window, range(0, trials, _WINDOW), threads)
-    firsts = [first for _, _, first in windows if first]
-    first = None
-    if firsts:
+    first = next((first for _, _, first in windows if first), None)
+    if first:
         # Only the first counterexample is reported, so only it is built;
         # its instance is drawn again from the trial's own seed.
-        idx, (crit_j, bf_j, bf_obj) = firsts[0]
-        calib, w_col, bias = random_instance(next(_trial_rngs(seed, [idx])), data)
+        idx, (crit_j, bf_j, bf_obj) = first
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        calib, w_col, bias = random_instance(rng, data)
         first = {
             "trial": idx,
             "rows": int(calib.shape[0]),

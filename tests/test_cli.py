@@ -22,7 +22,7 @@ from prunekit import (
     prune_container,
     save_container,
 )
-from prunekit import cli, pruner
+from prunekit import cli, oracle, pruner
 from prunekit.cli import build_parser
 from prunekit.criteria import CRITERION_TAGS
 from prunekit.container import MAGIC, open_container
@@ -293,6 +293,23 @@ def test_verify_threads_invariant():
     b = run_cli("verify", "--criterion", "stade-star", "--trials", "50",
                 "--seed", "5", "--threads", "4")
     assert last_json_line(a.stdout) == last_json_line(b.stdout)
+
+
+@pytest.mark.parametrize("trials", ["3000000000000000000000", "9223372036854775807"],
+                         ids=["beyond-ssize_t", "int64-max"])
+def test_verify_trials_beyond_the_ceiling_fail_before_any_trial(trials, tmp_path, capsys,
+                                                                monkeypatch):
+    # Windowing this many trials overflows ssize_t or exhausts memory.
+    def no_trial(*args):
+        raise AssertionError("a window was checked")
+
+    monkeypatch.setattr(oracle, "_check_window", no_trial)
+    report = tmp_path / "verify.json"
+    code = cli.main(["verify", "--criterion", "stade", "--trials", trials,
+                     "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not report.exists()
+    assert captured.err.startswith("error:") and f"[1, {oracle.MAX_TRIALS}]" in captured.err
 
 
 @pytest.mark.parametrize("command", ["prune", "verify"])

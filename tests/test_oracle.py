@@ -1,4 +1,6 @@
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +84,12 @@ def test_one_non_finite_candidate_is_typed_error():
         brute_force_single_prune(np.array([1.0, 1e-308]), 0.0, calib, True)
 
 
+def test_a_non_finite_refit_bias_is_typed_error():
+    # Both objectives are 0, but the bias plus the mean shift overflows.
+    with pytest.raises(NonFiniteInput, match="refit bias"):
+        brute_force_single_prune(np.ones(2), 1.5e308, np.full((3, 2), 5e307), True)
+
+
 def test_tie_resolves_to_lowest_index():
     calib = np.array([[1.0, 1.0], [-1.0, -1.0]])  # identical features
     w = np.array([2.0, 2.0])
@@ -116,18 +124,17 @@ def test_refit_bias_matches_compensation_path():
 
 
 def loop_single_prune(w_col, bias, calib, allow_bias):
-    """Reference: the enumerator as one candidate per loop iteration."""
+    """Reference: the enumerator as one candidate per loop iteration, each
+    objective the mean of the candidate's removed term."""
     best_j, best_b, best_obj = -1, float(bias), np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = calib @ w_col + bias
         for j in range(calib.shape[1]):
-            b = bias + calib[:, j].mean() * w_col[j] if allow_bias else bias
-            pruned = dense - calib[:, j] * w_col[j] - bias + b
-            objective = float(np.mean((dense - pruned) ** 2))
+            shift = calib[:, j].mean() * w_col[j] if allow_bias else 0.0
+            objective = float(np.mean((calib[:, j] * w_col[j] - shift) ** 2))
             if not np.isfinite(objective):
                 raise NonFiniteInput(f"objective of feature {j} is not finite")
             if objective < best_obj:
-                best_j, best_b, best_obj = j, float(b), objective
+                best_j, best_b, best_obj = j, float(bias + shift), objective
     return best_j, best_b, best_obj
 
 
@@ -175,6 +182,35 @@ def test_enumeration_matches_candidate_loop(case, allow_bias):
     got = brute_force_single_prune(w_col, bias, calib, allow_bias)
     assert type(got[0]) is int
     assert got == expected  # bit-identical, ties to the same lowest index
+
+
+def exact_objectives(w_col, calib, allow_bias):
+    """Every candidate's objective as an exact fraction."""
+    n = calib.shape[0]
+    objectives = []
+    for j in range(calib.shape[1]):
+        removed = [Fraction(x) * Fraction(w_col[j]) for x in calib[:, j]]
+        shift = sum(removed) / n if allow_bias else 0
+        objectives.append(sum((r - shift) ** 2 for r in removed) / n)
+    return objectives
+
+
+@pytest.mark.parametrize("allow_bias", [True, False])
+def test_enumeration_does_not_depend_on_the_bias(allow_bias):
+    # Each objective is the mean of the candidate's removed term, so the bias
+    # moves only best_bias: an objective taken as the difference of two
+    # outputs at a bias of 2**50 or 2**53 loses its low bits, and its argmin.
+    rng = np.random.default_rng(1)
+    for case in range(200):
+        calib, w_col, _ = random_instance(rng, "uncentered")
+        found = {brute_force_single_prune(w_col, bias, calib, allow_bias)[::2]
+                 for bias in (0.0, 1e8, 2.0**50, 2.0**53)}
+        assert len(found) == 1, case
+        if case == 0:
+            (j, objective), = found
+            exact = exact_objectives(w_col, calib, allow_bias)
+            assert j == min(range(len(exact)), key=exact.__getitem__)
+            assert abs(Fraction(objective) - exact[j]) <= 4 * Fraction(math.ulp(objective))
 
 
 def test_stade_matches_enumeration_on_uncentered_data():
@@ -248,7 +284,8 @@ def test_counterexample_deterministic_across_threads():
     detail = a.first_counterexample
     assert (detail["trial"], detail["criterion_choice"], detail["enumeration_choice"]) \
         == (2, 3, 4)
-    assert detail["enumeration_objective"] == 0.0006974445790327541
+    # The mean of the removed term alone; exactly 0.0006974445790327535.
+    assert detail["enumeration_objective"] == 0.0006974445790327551
     assert a.mismatches == 161
 
 
@@ -261,6 +298,8 @@ def test_check_rejects_unknown_criterion_and_bad_trials():
         check_criterion_optimality("stade", trials=2.5, seed=0)
     with pytest.raises(ValueError, match="integer"):
         check_criterion_optimality("stade", trials=True, seed=0)
+    with pytest.raises(ValueError, match="integer in"):
+        check_criterion_optimality("stade", trials=oracle.MAX_TRIALS + 1, seed=0)
     with pytest.raises(ValueError):
         check_criterion_optimality("stade", trials=10, seed=0, data="weird")
 
@@ -359,10 +398,53 @@ def test_the_reused_generator_draws_as_a_fresh_one_per_trial():
     # A float32 draw leaves half of a uint64 buffered in the bit generator;
     # the next trial must start without it.
     indices = [0, 1, 2, 2**32]
-    for idx, rng in zip(indices, oracle._trial_rngs(5, indices)):
+    for idx, rng in zip(indices, oracle._trial_rngs(oracle._pcg64_states(5, indices))):
         fresh = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(idx,)))
         assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
         assert rng.standard_normal(3).tobytes() == fresh.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("seed, start", [(0, 0), (73, 3 * 1024), (2**64 + 5, 2**32 - 100)])
+def test_first_pass_draws_each_trials_row_count(seed, start, monkeypatch):
+    # The second pass draws every trial once, from its own state, grouped by
+    # the row count the first pass drew and in index order within a group;
+    # that row count is the one the full draw has.
+    window = range(start, start + 300)
+    real, drawn = oracle.random_instance, []
+
+    def draw(rng, data):
+        state = rng.bit_generator.state["state"]
+        instance = real(rng, data)
+        drawn.append((instance[0].shape[0], (state["state"], state["inc"])))
+        return instance
+
+    monkeypatch.setattr(oracle, "random_instance", draw)
+    oracle._check_window("stade", "uncentered", True, seed, window)
+    trial = {numpy_trial_state(seed, idx): idx for idx in window}
+    got = [(rows, trial[state]) for rows, state in drawn]
+    expected = [(random_instance(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(idx,))))[0].shape[0], idx) for idx in window]
+    assert sorted(got) == sorted(expected)
+    order = [rows for rows, _ in got]
+    assert got == sorted(got, key=lambda pair: (order.index(pair[0]), pair[1]))
+
+
+def test_a_check_makes_one_stack_per_window_and_row_count(monkeypatch):
+    trials, seed = oracle._WINDOW + 300, 73
+    stacks = []
+
+    def counting_stats_update(stats, stack):
+        stacks.append(stack.shape[0])
+        return stats_update(stats, stack)
+
+    monkeypatch.setattr(oracle, "stats_update", counting_stats_update)
+    check_criterion_optimality("stade", trials, seed)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    rows = [random_instance(np.random.default_rng(child))[0].shape[0] for child in children]
+    expected = [n for start in range(0, trials, oracle._WINDOW)
+                for n in set(rows[start : start + oracle._WINDOW])]
+    assert sorted(stacks) == sorted(expected)
+    assert len(stacks) <= 57 * math.ceil(trials / oracle._WINDOW)
 
 
 @pytest.mark.parametrize("window", [4, 7])
@@ -381,7 +463,7 @@ def test_small_windows_split_stacks_alike(tag, data, window, monkeypatch):
 
 # Trial index -> what its instance becomes: rows that overflow the statistics,
 # or a last weight whose objective overflows while its statistics and score
-# stay finite. Every instance keeps 8 rows, so a window is one stack.
+# stay finite. Every instance has 8 rows, so a window is one stack.
 OVERFLOWS = {
     "rows": {3: "rows"},
     "weight": {3: "weight"},
@@ -398,7 +480,7 @@ def test_overflow_in_a_stack_raises_the_per_trial_error(tag, case, monkeypatch):
 
     def draw(rng, data):
         calib, w_col, bias = real(rng, data)
-        calib, kind = calib[:8].copy(), OVERFLOWS[case].get(len(drawn))
+        kind = OVERFLOWS[case].get(len(drawn))
         drawn.append(kind)
         if kind == "rows":
             calib *= 1e200
@@ -410,6 +492,7 @@ def test_overflow_in_a_stack_raises_the_per_trial_error(tag, case, monkeypatch):
     # trial than the first failing one, so the message (which step, which
     # feature of the stack) may differ from the per-trial loop's; the type may not.
     monkeypatch.setattr(oracle, "random_instance", draw)
+    monkeypatch.setattr(oracle, "_draw_rows", lambda rng: 8)
     monkeypatch.setattr(oracle, "_WINDOW", 7)
     with pytest.raises(NonFiniteInput):
         per_trial_check(tag, 12, 4)
