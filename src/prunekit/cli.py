@@ -18,10 +18,11 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .container import _staged, _TempFile, open_container, save_container
 # perfbench/tracing.py wraps cli.load_container, so the name stays here.
-from .container import load_container, open_container, save_container  # noqa: F401
+from .container import load_container  # noqa: F401
 from .criteria import CHECKABLE_TAGS, CRITERION_TAGS, Criterion
-from .errors import InvalidRatio, IoFailure, PruneKitError
+from .errors import InvalidRatio, PruneKitError
 from .harness import NORM_KINDS, ToyMlpConfig, gen_toy_mlp
 from .masks import SparsitySpec
 from .oracle import DATA_REGIMES, check_criterion_optimality
@@ -120,20 +121,18 @@ def _bias_flag(value: str) -> bool | None:
     return {"on": True, "off": False, "auto": None}[value]
 
 
-def _write_report(path: str | None, payload: dict) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write report to {path!r}: {exc}") from exc
+def _write_report(out: str | _TempFile | None, payload: dict) -> None:
+    """Write ``payload`` as indented JSON to ``out``, as ``_staged`` takes it."""
+    with _staged((out, "report")) as (file,):
+        if file is not None:
+            file.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
-    model, calib = gen_toy_mlp(args.seed, ToyMlpConfig(args.dims, args.norm, args.samples))
-    save_container(model, args.out)
-    save_container(calib, args.calib_out)
+    with _staged((args.out, "container"), (args.calib_out, "container")) as (out, calib_out):
+        model, calib = gen_toy_mlp(args.seed, ToyMlpConfig(args.dims, args.norm, args.samples))
+        save_container(model, out)
+        save_container(calib, calib_out)
     summary = {
         "command": "gen",
         "seed": args.seed,
@@ -149,16 +148,17 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 def _cmd_prune(args) -> tuple[int, dict]:
     criterion = Criterion(args.criterion, damping=args.damping)
-    with open_container(args.model) as model, open_container(args.calib) as calib:
-        _, report = prune_container(
-            model, calib, criterion, args.sparsity,
-            bias_update_enabled=_bias_flag(args.bias_update),
-            holdout_fraction=args.holdout,
-            threads=args.threads, out=args.out)
+    with _staged((args.out, "container"), (args.report, "report")) as (out, report_out):
+        with open_container(args.model) as model, open_container(args.calib) as calib:
+            _, report = prune_container(
+                model, calib, criterion, args.sparsity,
+                bias_update_enabled=_bias_flag(args.bias_update),
+                holdout_fraction=args.holdout,
+                threads=args.threads, out=out)
+        _write_report(report_out, asdict(report))
     for rec in report.layers:
         print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
               f"mse={rec.reconstruction_mse:.6e} bias_delta={rec.bias_delta_norm:.3e}")
-    _write_report(args.report, asdict(report))
     summary = {
         "command": "prune",
         "model": args.model,
@@ -174,11 +174,12 @@ def _cmd_prune(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    result = check_criterion_optimality(
-        args.criterion, args.trials, args.seed, data=args.data,
-        threads=args.threads)
-    payload = asdict(result)
-    _write_report(args.report, payload)
+    with _staged((args.report, "report")) as (report,):
+        result = check_criterion_optimality(
+            args.criterion, args.trials, args.seed, data=args.data,
+            threads=args.threads)
+        payload = asdict(result)
+        _write_report(report, payload)
     summary = {"command": "verify", **payload}
     return (0 if result.passed else 1), summary
 

@@ -1,14 +1,12 @@
 """Bit-exact binary container for weight layers, calibration data and masks.
 
-README's "Container format" is the file layout and the layer rule. The
-layer rule needs only names, dtypes and shapes, so it is checked when a
-tensor (a layer or a part, in either order) enters a container: through
-``TensorContainer.add``, or when ``open_container`` reads the manifest. The
-value rule (``_check_values``) is checked when an array enters: by ``add``
-or ``_Writer.add``, or each time an open file's tensor, or a range of its
-rows, is read. ``add`` does not copy a bool, float32 or float64 array, whose
-owner must not write to it afterwards. Any number of readers may share one
-container, open or in memory. Every file is written by ``_Writer``.
+README's "Container format" is the file layout, the layer and value rules
+and when each is checked. A tensor's header is one ``_Slot`` record, which
+is all the layer rule reads, whether the tensor is held (``TensorEntry``),
+in an open file (``_FileEntry``) or not yet written. ``add`` does not copy
+a bool, float32 or float64 array, whose owner must not write to it
+afterwards. Any number of readers may share one container, open or in
+memory. Every file is written by ``_Writer``.
 """
 
 from __future__ import annotations
@@ -123,33 +121,41 @@ def _stored(name: str, array: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
-class TensorEntry:
-    """A tensor held in memory."""
+@dataclass(frozen=True, eq=False)
+class _Slot:
+    """A tensor's header: what its manifest record and the layer rule need.
+    A bare slot is a tensor's place in a file being written, before its
+    array exists; ``TensorEntry`` and ``_FileEntry`` add where its values are."""
 
     name: str
-    array: np.ndarray
+    dtype: str
+    shape: tuple[int, ...]
     centered: bool | None = None
-
-    @property
-    def dtype(self) -> str:
-        return "u8" if self.array.dtype == bool else "f32"
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.array.shape
 
     @property
     def is_layer(self) -> bool:
         return self.centered is not None
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class TensorEntry(_Slot):
+    """A tensor held in memory."""
+
+    array: np.ndarray
+
+    @classmethod
+    def of(cls, name: str, array: np.ndarray, centered: bool | None = None) -> TensorEntry:
+        """The entry of a held array (``_stored``), its dtype and shape taken from it."""
+        return cls(name, "u8" if array.dtype == bool else "f32", array.shape, centered,
+                   array=array)
 
     def rows(self, a: int, b: int) -> np.ndarray:
         """Rows [a, b) along the first axis: a view of the held array."""
         return self.array[a:b]
 
 
-@dataclass(frozen=True)
-class _FileEntry:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class _FileEntry(_Slot):
     """A tensor of an open container file, whose manifest record passed
     every check. ``rows`` reads a range of it anew at each call, with a
     positional read into an array of its own, so concurrent readers share no
@@ -157,18 +163,10 @@ class _FileEntry:
     that the file still has the size and modification time it had when it
     was opened, so a file changed between two reads of one tensor fails."""
 
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    centered: bool | None
     fh: BinaryIO
     start: int  # the file position of its first byte
     path: str
     opened: tuple[int, int]  # the file's (st_size, st_mtime_ns) when it was opened
-
-    @property
-    def is_layer(self) -> bool:
-        return self.centered is not None
 
     @property
     def array(self) -> np.ndarray:
@@ -232,7 +230,7 @@ class TensorContainer:
     def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
         """Check ``array`` against the value and layer rules, then store it
         (``_stored``)."""
-        self._insert(TensorEntry(name, _stored(name, array), centered))
+        self._insert(TensorEntry.of(name, _stored(name, array), centered))
 
     def _insert(self, new: TensorEntry | _FileEntry) -> None:
         """Store ``new`` if its name is new and non-empty and it keeps the
@@ -292,19 +290,75 @@ def _disk_bytes(array: np.ndarray) -> memoryview:
     return memoryview(disk.reshape(-1).view(np.uint8))
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """A tensor's place in a file being written: what its manifest record
-    and the layer rule need, before its array exists."""
+class _TempFile:
+    """A new file beside ``path``, made with mode 0o666 less the umask, that
+    ``commit`` moves over ``path`` and ``discard`` deletes. An ``OSError``
+    is raised as ``IoFailure`` naming ``path`` and what is written (``kind``)."""
 
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    centered: bool | None = None
+    def __init__(self, path: str, kind: str = "container") -> None:
+        self.path, self._kind = path, kind
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        self._fd = self._io(os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        self._tmp: str | None = tmp
 
-    @property
-    def is_layer(self) -> bool:
-        return self.centered is not None
+    def __fspath__(self) -> str:
+        """The temporary file, until ``commit`` or ``discard``."""
+        return self._tmp
+
+    def write(self, data: bytes | memoryview, at: int = 0) -> None:
+        done = 0
+        while done < len(data):  # one pwrite can write less than asked
+            done += self._io(os.pwrite, self._fd, data[done:], at + done)
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, -1
+        if fd >= 0:
+            self._io(os.close, fd)
+
+    def commit(self) -> None:
+        self.close()
+        self._io(os.replace, self._tmp, self.path)
+        self._tmp = None
+
+    def discard(self) -> None:
+        with contextlib.suppress(IoFailure):
+            self.close()
+        if self._tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self._tmp)
+            self._tmp = None
+
+    def _io(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {self._kind} to {self.path!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _staged(*targets: tuple[str | _TempFile | None, str]) -> Iterator[list[_TempFile | None]]:
+    """All or none of a command's outputs (README's "CLI"). Each target is a
+    (path, kind) pair; a ``_TempFile`` is made for each path before the
+    block runs. After the block every one is closed, and only then is each
+    moved over its path; on any failure every one is deleted. A target that
+    is None, or already a ``_TempFile``, is passed through and left to its
+    maker."""
+    made, files = [], []
+    try:
+        for out, kind in targets:
+            if isinstance(out, str):
+                out = _TempFile(out, kind)
+                made.append(out)
+            files.append(out)
+        yield files
+        for file in made:
+            file.close()
+        for file in made:
+            file.commit()
+    except BaseException:
+        for file in made:
+            file.discard()
+        raise
 
 
 class _Writer:
@@ -313,19 +367,14 @@ class _Writer:
 
     It is given the file's tensors in order as ``_Slot`` records, which
     must keep the layer rule and fix every offset, so the header is written
-    at open. A tensor given to ``add`` is checked by
-    the value rule and against its slot, from any thread, and goes straight
-    to its offset with a positional write (README's "Performance").
-
-    As a context manager it writes a temporary file beside ``path``,
-    created with mode 0o666 less the umask, and moves it over ``path``
-    once every slot is written; on any failure it deletes that file and
-    ``path`` is untouched. With ``path`` None it holds every tensor and
-    puts them, in slot order, into ``container``.
+    at open. ``add`` checks a tensor by the value rule and against its
+    slot, from any thread, and writes it at its offset. ``out`` is taken as
+    ``_staged`` takes it; with ``out`` None each tensor takes its slot's
+    place in the layout, which is then ``container``.
     """
 
-    def __init__(self, path: str | None, slots: list[_Slot]) -> None:
-        self.path, self.container = path, None
+    def __init__(self, out: str | _TempFile | None, slots: list[_Slot]) -> None:
+        self._out, self.container = out, None
         self._layout = TensorContainer()
         for slot in slots:
             self._layout._insert(slot)
@@ -342,51 +391,34 @@ class _Writer:
                               separators=(",", ":")).encode("utf-8")
         self._header = MAGIC + struct.pack("<I", len(manifest)) + manifest
         self._at = {r["name"]: len(self._header) + r["offset"] for r in records}
-        self._held: dict[str, np.ndarray] = {}  # every tensor, when ``path`` is None
         self._written: set[str] = set()
         self._lock = threading.Lock()
-        self._tmp: str | None = None
-        self._fd = -1
 
     def __enter__(self) -> _Writer:
-        if self.path is not None:
-            tmp = f"{self.path}.{os.urandom(4).hex()}.tmp"
-            try:
-                self._fd = self._io(os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                self._tmp = tmp
-                self._write(memoryview(self._header), 0)
-            except BaseException:
-                self._discard()
-                raise
+        with contextlib.ExitStack() as stack:
+            (self._file,) = stack.enter_context(_staged((self._out, "container")))
+            if self._file is not None:
+                self._file.write(memoryview(self._header))
+            self._stage = stack.pop_all()
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is not None:
-            self._discard()
+            self._stage.__exit__(kind, exc, tb)
             return
-        try:
+        with self._stage:
             missing = [name for name in self._layout._entries if name not in self._written]
             if missing:
                 raise InvariantViolation(f"tensors {missing} were never written")
-            if self.path is None:
-                self.container = TensorContainer()
-                for slot in self._layout.entries():
-                    self.container._insert(TensorEntry(slot.name, self._held.pop(slot.name),
-                                                       slot.centered))
-                return
-            fd, self._fd = self._fd, -1
-            self._io(os.close, fd)
-            self._io(os.replace, self._tmp, self.path)
-            self._tmp = None
-        except BaseException:
-            self._discard()
-            raise
+            if self._file is None:
+                self.container = self._layout
 
     def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
-        self._put(TensorEntry(name, _stored(name, array), centered))
+        self._put(TensorEntry.of(name, _stored(name, array), centered))
 
-    def _put(self, entry: TensorEntry) -> None:
-        """Write or hold a tensor whose array has passed the value rule."""
+    def _put(self, entry: TensorEntry | _FileEntry) -> None:
+        """Write a tensor whose array has passed the value rule, or with
+        ``out`` None put it in its slot's place."""
         name = entry.name
         with self._lock:
             slot = self._layout._entries.get(name)
@@ -396,10 +428,10 @@ class _Writer:
                 raise InvariantViolation(f"tensor {name!r}: a {entry.dtype} tensor of shape "
                                          f"{entry.shape} has no place left in the file")
             self._written.add(name)
-            if self.path is None:
-                self._held[name] = entry.array
+            if self._file is None:
+                self._layout._entries[name] = entry
                 return
-        self._write(_disk_bytes(entry.array), self._at[name])
+        self._file.write(_disk_bytes(entry.array), self._at[name])
 
     def add_layer(self, name: str, layer: WeightLayer, mask: np.ndarray) -> None:
         """Add the layer's weights, bias if it has one, and mask."""
@@ -408,45 +440,21 @@ class _Writer:
             self.add(f"{name}.bias", layer.bias)
         self.add(f"{name}.mask", np.asarray(mask, dtype=bool))
 
-    def _write(self, data: memoryview, at: int) -> None:
-        done = 0
-        while done < len(data):  # one pwrite can write less than asked
-            done += self._io(os.pwrite, self._fd, data[done:], at + done)
 
-    def _io(self, call, *args):
-        try:
-            return call(*args)
-        except OSError as exc:
-            raise IoFailure(f"cannot write container to {self.path!r}: {exc}") from exc
-
-    def _discard(self) -> None:
-        """Close and delete the temporary file, if there is one."""
-        fd, self._fd = self._fd, -1
-        if fd >= 0:
-            with contextlib.suppress(OSError):
-                os.close(fd)
-        if self._tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self._tmp)
-            self._tmp = None
-
-
-def save_container(container: TensorContainer, path: str) -> None:
-    """Write ``container`` to ``path`` through ``_Writer``; two saves of equal
+def save_container(container: TensorContainer, path: str | _TempFile) -> None:
+    """Write ``container`` to ``path`` (``_Writer``); two saves of equal
     content are byte-identical."""
-    entries = container.entries()
-    with _Writer(path, [_Slot(e.name, e.dtype, e.shape, e.centered) for e in entries]) as out:
-        for entry in entries:
-            out._put(TensorEntry(entry.name, entry.array, entry.centered))
+    with _Writer(path, container.entries()) as out:
+        for entry in container.entries():
+            out._put(entry)
 
 
 def load_container(path: str) -> TensorContainer:
     """Read a container file whole: ``open_container``, then every tensor
     read into memory, so a load holds the payload once."""
     with open_container(path) as container:
-        for entry in container.entries():
-            container._entries[entry.name] = TensorEntry(entry.name, entry.array,
-                                                         entry.centered)
+        for e in container.entries():
+            container._entries[e.name] = TensorEntry.of(e.name, e.array, e.centered)
     return container
 
 
@@ -539,9 +547,9 @@ def _read_manifest(fh: BinaryIO, path: str) -> TensorContainer:
             raise ShapeMismatch(f"{path!r}: tensor {name!r} has shape {shape!r}, "
                                 f"which numpy cannot build")
         try:
-            container._insert(_FileEntry(name, dtype, tuple(shape), flags["centered"], fh,
-                                         header_end + offset, path,
-                                         (info.st_size, info.st_mtime_ns)))
+            container._insert(_FileEntry(name, dtype, tuple(shape), flags["centered"], fh=fh,
+                                         start=header_end + offset, path=path,
+                                         opened=(info.st_size, info.st_mtime_ns)))
         except PruneKitError as exc:
             raise type(exc)(f"{path!r}: {exc}") from exc
     if end != payload_len:

@@ -36,7 +36,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .compensate import _bias_change, bias_delta_norm, bias_update
-from .container import TensorContainer, TensorEntry, WeightLayer, _FileEntry, _Slot, _Writer
+from .container import (
+    TensorContainer,
+    TensorEntry,
+    WeightLayer,
+    _FileEntry,
+    _Slot,
+    _TempFile,
+    _Writer,
+)
 from .criteria import (
     CRITERION_RULES,
     Criterion,
@@ -217,21 +225,10 @@ def prune_layer(
 
     ``layer`` is a ``WeightLayer``, or a container holding the layer
     ``name``, such as an open model file; its shape and centered flag then
-    come from the entry. ``calib_rows`` is an array, or a container entry
-    such as an open file's "<layer>.calib". Each input is read at the stage
-    that needs it:
-
-    - the statistics rows when the statistics start; when the criterion
-      needs the Gram, the statistics and the Gram share one float64 copy of
-      an open file's statistics rows (``_training_rows``), dropped after the
-      Gram;
-    - the weights and bias (``get_layer``) when the score starts, kept
-      through the mask and the bias update, then dropped once the float64
-      difference of the removed weights is formed;
-    - the held-out rows (``_holdout_bounds``) for the error report, which
-      holds the mask, that difference and its own buffers, no weights;
-    - the weights and bias again after the error report, to build the
-      pruned layer (for a ``WeightLayer``, the same arrays).
+    come from the entry, which must be a layer. ``calib_rows`` is an array,
+    or a container entry such as an open file's "<layer>.calib". Each input
+    is read at the stage that needs it (README's "Performance"); the
+    weights are read twice, for a ``WeightLayer`` as the same arrays.
     """
     if isinstance(layer, WeightLayer):
         header, m, read = layer, layer.m, lambda: layer
@@ -241,7 +238,7 @@ def prune_layer(
             raise InvalidArgument(f"tensor {name!r} is not a weight layer")
         m = header.shape[0]
     if not isinstance(calib_rows, (TensorEntry, _FileEntry)):
-        calib_rows = TensorEntry(f"{name}.calib", np.asarray(calib_rows))
+        calib_rows = TensorEntry.of(f"{name}.calib", np.asarray(calib_rows))
     _check_rows(calib_rows.shape, "calibration rows", m)
     n = calib_rows.shape[0]
     train_end, holdout_start = _holdout_bounds(n, holdout_fraction)
@@ -310,23 +307,16 @@ def prune_container(
     bias_update_enabled: bool | None = None,
     holdout_fraction: float = HOLDOUT_FRACTION,
     threads: int = 1,
-    out: str | None = None,
+    out: str | _TempFile | None = None,
 ) -> tuple[TensorContainer | None, PruneReport]:
     """Prune every weight layer of ``model``; returns the pruned container
     (layers, biases, and "<layer>.mask" tensors) plus a per-layer report.
-    With ``out`` the pruned container is written to that file instead, and
-    None is returned in its place.
-
-    ``bias_update_enabled`` None picks the resolved criterion's default from
-    ``CRITERION_RULES``. A model that is itself a pruning output can be
-    pruned again: its old biases and masks are replaced by the new ones.
-
-    Each worker passes ``model`` and its "<layer>.calib" entry to
-    ``prune_layer`` and gives the pruned layer and its mask to ``_Writer``.
-    The output's layout comes from ``model``'s manifest and the layer rule
-    of README's "Container format"; what a run holds is README's
-    "Performance". Every tensor of both inputs is read, so an open file's
-    values are all checked before the result is returned.
+    With ``out`` (as ``_Writer`` takes it) the pruned container is written
+    there instead, as README's "Performance" describes, and None is
+    returned in its place. ``bias_update_enabled`` None picks the resolved
+    criterion's default from ``CRITERION_RULES``. Every tensor of both
+    inputs is read, so an open file's values are all checked before the
+    result is returned.
     """
     _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
     layer_names = model.layer_names()
@@ -345,13 +335,13 @@ def prune_container(
     for entry in model.entries():
         name = entry.name
         if entry.is_layer:
-            slots.append(_Slot(name, "f32", entry.shape, bool(entry.centered)))
+            slots.append(entry)
             if f"{name}.bias" in model or _updates_bias(select_criterion(criterion, entry),
                                                         bias_update_enabled):
                 slots.append(_Slot(f"{name}.bias", "f32", entry.shape[1:]))
             slots.append(_Slot(f"{name}.mask", "u8", entry.shape))
         elif model.layer_of(name) is None:
-            slots.append(_Slot(name, entry.dtype, entry.shape))
+            slots.append(entry)
             copies.append(entry)
 
     with _Writer(out, slots) as writer:

@@ -334,9 +334,9 @@ def test_unwritable_output_fails_cleanly(workspace, command, capsys, monkeypatch
 
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_failed_write_leaves_out_as_it_was(deep, tmp_path, capsys, monkeypatch, existing):
-    # The second positional write fails as on a full disk. deep's fc2 and
-    # fc4 have no bias and take stade's bias update, so the first write is
-    # the header, made once fc4 is pruned, and the second a tensor held until then.
+    # The second positional write fails as on a full disk. The first write
+    # is the header, made when the output opens, before any layer is
+    # pruned; the second is fc0's weights, written once fc0 is pruned.
     out = tmp_path / "o.pkt"
     if existing:
         out.write_bytes(b"an earlier run's output")
@@ -355,6 +355,44 @@ def test_a_failed_write_leaves_out_as_it_was(deep, tmp_path, capsys, monkeypatch
     assert code == 1 and err.startswith(f"error: cannot write container to {str(out)!r}"), err
     assert "Traceback" not in err and len(calls) == 2
     assert sorted(os.listdir(tmp_path)) == listing
+    assert not existing or out.read_bytes() == b"an earlier run's output"
+
+
+def _never(*args):
+    raise AssertionError("the command's work started")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_with_an_unwritable_calib_out_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                                               existing):
+    # Both temporary files are made before the model is generated.
+    monkeypatch.setattr(cli, "gen_toy_mlp", _never)
+    out = tmp_path / "m.pkt"
+    if existing:
+        out.write_bytes(b"an earlier run's output")
+    listing = sorted(os.listdir(tmp_path))
+    code = cli.main(["gen", "--seed", "0", "--out", str(out),
+                     "--calib-out", str(tmp_path / "nodir" / "c.pkt")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: cannot write container to "), err
+    assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == listing
+    assert not existing or out.read_bytes() == b"an earlier run's output"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_prune_with_an_unwritable_report_leaves_out_as_it_was(deep, tmp_path, capsys,
+                                                              monkeypatch, existing):
+    # The report's temporary file is made before any layer is pruned.
+    monkeypatch.setattr(pruner, "prune_layer", _never)
+    out, report = tmp_path / "o.pkt", tmp_path / "nodir" / "r.json"
+    if existing:
+        out.write_bytes(b"an earlier run's output")
+    listing = sorted(os.listdir(tmp_path))
+    code = cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt", out,
+                                "--report", str(report)))
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: cannot write report to {str(report)!r}"), err
+    assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == listing
     assert not existing or out.read_bytes() == b"an earlier run's output"
 
 

@@ -35,6 +35,7 @@ from prunekit.errors import (
     DimensionMismatch,
     IndivisibleGroup,
     InsufficientSamples,
+    InvalidArgument,
     MissingCalibration,
     NonFiniteInput,
     ShapeMismatch,
@@ -164,6 +165,16 @@ def test_weight_layer_holds_the_layer_rule(weights, bias, error):
     with pytest.raises(error):
         prune_layer("fc", WeightLayer(weights, bias, centered=False), rows,
                     Criterion("stade"), SparsitySpec(ratio=0.5))
+
+
+@pytest.mark.parametrize("name", ["l.bias", "t"])
+def test_prune_layer_of_a_tensor_that_is_not_a_layer_is_invalid_argument(name):
+    # A layer's part, or a tensor of no layer, has no weights to prune.
+    rows = np.random.default_rng(7).standard_normal((20, 4))
+    model, _ = single_layer_containers(np.ones((4, 3)), np.zeros(3), rows)
+    model.add("t", np.ones((4, 3)))
+    with pytest.raises(InvalidArgument, match=f"{name!r} is not a weight layer"):
+        prune_layer(name, model, rows, Criterion("stade"), SparsitySpec(ratio=0.5))
 
 
 def test_split_holdout_tail_or_every_row():

@@ -133,3 +133,20 @@ def test_rss_peak_smoke(tmp_path):
     assert frames and all(line.split(": ", 1)[1].split(".")[0] in modules
                           for line in frames), frames
     assert (tmp_path / "out.pkt").exists()
+
+
+def test_a_traced_gen_counts_the_bytes_it_saves(tmp_path, monkeypatch, capsys):
+    # The tracer counts cli.save_container's bytes from the file its second
+    # argument names, which gen's outputs hold until both are written.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _ in tracing._targets():
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))  # restored after the test
+    tracer = tracing.Tracer()
+    tracer.install()
+    outs = [tmp_path / "m.pkt", tmp_path / "c.pkt"]
+    assert cli.main(["gen", "--out", str(outs[0]), "--calib-out", str(outs[1])]) == 0
+    saved = [span[6] for span in tracer.spans if span[1] == "cli.save_container"]
+    assert saved == [out.stat().st_size for out in outs]
