@@ -121,11 +121,10 @@ def _bias_flag(value: str) -> bool | None:
     return {"on": True, "off": False, "auto": None}[value]
 
 
-def _write_report(out: str | _TempFile | None, payload: dict) -> None:
-    """Write ``payload`` as indented JSON to ``out``, as ``_staged`` takes it."""
-    with _staged((out, "report")) as (file,):
-        if file is not None:
-            file.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+def _write_report(file: _TempFile | None, payload: dict) -> None:
+    """Write ``payload`` as indented JSON into ``file``, a staged report, if any."""
+    if file is not None:
+        file.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _cmd_gen(args) -> tuple[int, dict]:

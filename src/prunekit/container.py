@@ -6,7 +6,8 @@ is all the layer rule reads, whether the tensor is held (``TensorEntry``),
 in an open file (``_FileEntry``) or not yet written. ``add`` does not copy
 a bool, float32 or float64 array, whose owner must not write to it
 afterwards. Any number of readers may share one container, open or in
-memory. Every file is written by ``_Writer``.
+memory. ``_staged`` stages every output where its path enters, and
+``_Writer`` writes each container file into the file staged for it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
     IoFailure,
     MagicMismatch,
@@ -174,6 +176,9 @@ class _FileEntry(_Slot):
 
     def rows(self, a: int, b: int) -> np.ndarray:
         """Rows [a, b) along the first axis, checked by the value rule."""
+        if self.fh.closed:
+            raise IoFailure(f"cannot read container from {self.path!r}: the container "
+                            f"was closed when its block ended")
         dtype = _DISK_DTYPES[self.dtype]
         array = np.empty((b - a, *self.shape[1:]), dtype=dtype)
         buf = array.reshape(-1).view(np.uint8)
@@ -337,12 +342,18 @@ class _TempFile:
 
 @contextlib.contextmanager
 def _staged(*targets: tuple[str | _TempFile | None, str]) -> Iterator[list[_TempFile | None]]:
-    """All or none of a command's outputs (README's "CLI"). Each target is a
-    (path, kind) pair; a ``_TempFile`` is made for each path before the
-    block runs. After the block every one is closed, and only then is each
-    moved over its path; on any failure every one is deleted. A target that
-    is None, or already a ``_TempFile``, is passed through and left to its
-    maker."""
+    """All or none of a command's outputs (README's "CLI"), and the one place
+    an output is staged. Each target is a (path, kind) pair; a ``_TempFile``
+    is made for each path before the block runs. After the block every one
+    is closed, and only then is each moved over its path; on any failure
+    every one is deleted. A target that is None, or already a ``_TempFile``,
+    is passed through and left to its maker. Two paths that name one file
+    (the same resolved directory and final name) raise ``InvalidArgument``
+    before any file is made."""
+    paths = [out for out, _ in targets if isinstance(out, str)]
+    where = {(os.path.realpath(os.path.dirname(p) or "."), os.path.basename(p)) for p in paths}
+    if len(where) < len(paths):
+        raise InvalidArgument(f"two of the outputs {', '.join(map(repr, paths))} name one file")
     made, files = [], []
     try:
         for out, kind in targets:
@@ -368,13 +379,13 @@ class _Writer:
     It is given the file's tensors in order as ``_Slot`` records, which
     must keep the layer rule and fix every offset, so the header is written
     at open. ``add`` checks a tensor by the value rule and against its
-    slot, from any thread, and writes it at its offset. ``out`` is taken as
-    ``_staged`` takes it; with ``out`` None each tensor takes its slot's
-    place in the layout, which is then ``container``.
+    slot, from any thread, and writes it at its offset. ``file`` is a file
+    ``_staged`` made, which the writer only writes; with ``file`` None each
+    tensor takes its slot's place in the layout, which is then ``container``.
     """
 
-    def __init__(self, out: str | _TempFile | None, slots: list[_Slot]) -> None:
-        self._out, self.container = out, None
+    def __init__(self, file: _TempFile | None, slots: list[_Slot]) -> None:
+        self._file, self.container = file, None
         self._layout = TensorContainer()
         for slot in slots:
             self._layout._insert(slot)
@@ -395,36 +406,31 @@ class _Writer:
         self._lock = threading.Lock()
 
     def __enter__(self) -> _Writer:
-        with contextlib.ExitStack() as stack:
-            (self._file,) = stack.enter_context(_staged((self._out, "container")))
-            if self._file is not None:
-                self._file.write(memoryview(self._header))
-            self._stage = stack.pop_all()
+        if self._file is not None:
+            self._file.write(memoryview(self._header))
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if kind is not None:
-            self._stage.__exit__(kind, exc, tb)
-            return
-        with self._stage:
+        if kind is None:
             missing = [name for name in self._layout._entries if name not in self._written]
             if missing:
                 raise InvariantViolation(f"tensors {missing} were never written")
             if self._file is None:
                 self.container = self._layout
 
-    def add(self, name: str, array: np.ndarray, centered: bool | None = None) -> None:
-        self._put(TensorEntry.of(name, _stored(name, array), centered))
+    def add(self, name: str, array: np.ndarray) -> None:
+        """Write ``array`` as the tensor ``name``, with its slot's centered flag."""
+        slot = self._layout._entries.get(name)  # the keys never change
+        self._put(TensorEntry.of(name, _stored(name, array), slot.centered if slot else None))
 
     def _put(self, entry: TensorEntry | _FileEntry) -> None:
         """Write a tensor whose array has passed the value rule, or with
-        ``out`` None put it in its slot's place."""
+        ``file`` None put it in its slot's place."""
         name = entry.name
         with self._lock:
             slot = self._layout._entries.get(name)
             if slot is None or name in self._written or (
-                    (slot.dtype, slot.shape, slot.centered)
-                    != (entry.dtype, entry.shape, entry.centered)):
+                    (slot.dtype, slot.shape) != (entry.dtype, entry.shape)):
                 raise InvariantViolation(f"tensor {name!r}: a {entry.dtype} tensor of shape "
                                          f"{entry.shape} has no place left in the file")
             self._written.add(name)
@@ -435,16 +441,16 @@ class _Writer:
 
     def add_layer(self, name: str, layer: WeightLayer, mask: np.ndarray) -> None:
         """Add the layer's weights, bias if it has one, and mask."""
-        self.add(name, layer.weights, centered=layer.centered)
+        self.add(name, layer.weights)
         if layer.bias is not None:
             self.add(f"{name}.bias", layer.bias)
         self.add(f"{name}.mask", np.asarray(mask, dtype=bool))
 
 
 def save_container(container: TensorContainer, path: str | _TempFile) -> None:
-    """Write ``container`` to ``path`` (``_Writer``); two saves of equal
-    content are byte-identical."""
-    with _Writer(path, container.entries()) as out:
+    """Write ``container`` to ``path`` (``_staged``, ``_Writer``); two saves
+    of equal content are byte-identical."""
+    with _staged((path, "container")) as (file,), _Writer(file, container.entries()) as out:
         for entry in container.entries():
             out._put(entry)
 

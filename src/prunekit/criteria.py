@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .container import WeightLayer
+from .container import WeightLayer, _Slot
 from .errors import (
     DimensionMismatch,
     EmptyStats,
@@ -68,7 +68,7 @@ CRITERION_RULES = {
                                 ("uncentered", False)),
     "sparsegpt-score": CriterionRule(None, 0, True, False, None),
 }
-# stade-w is not a row: select_criterion resolves it to wanda or stade per layer.
+# stade-w is not a row: select_criterion resolves it per layer.
 CRITERION_TAGS = (*CRITERION_RULES, "stade-w")
 CHECKABLE_TAGS = tuple(tag for tag, rule in CRITERION_RULES.items() if rule.optimal_in)
 
@@ -190,11 +190,15 @@ def _scratch(widened: np.ndarray, weights) -> np.ndarray | None:
     return None if np.may_share_memory(widened, weights) else widened
 
 
-def select_criterion(criterion: Criterion, layer: WeightLayer) -> str:
-    """Resolve stade-w against the layer's centered flag; other tags pass through."""
-    if criterion.tag == "stade-w":
-        return "wanda" if layer.centered else "stade"
-    return criterion.tag
+def select_criterion(criterion: Criterion, layer: WeightLayer | _Slot,
+                     bias_update: bool | None = None) -> str:
+    """Resolve stade-w to the ``CRITERION_RULES`` row optimal in the layer's
+    regime: wanda on a centered layer; on an uncentered one stade-star with
+    the bias update off (``bias_update`` False), else stade. Other tags pass
+    through."""
+    if criterion.tag != "stade-w":
+        return criterion.tag
+    return "wanda" if layer.centered else "stade-star" if bias_update is False else "stade"
 
 
 def compute_scores(tag: str, weights: np.ndarray,

@@ -3,10 +3,10 @@
 Each weight layer is pruned independently: its calibration rows
 ("<layer>.calib" in a companion container) are split into a statistics
 part and a held-out tail, the criterion is resolved against the layer's
-centered flag (stade-w), scores are ranked into a mask, the bias is
-compensated, and the held-out rows score the reconstruction error. Every
-tensor that is not a layer or a part of one (``TensorContainer.layer_of``)
-is copied unchanged.
+centered flag and bias update (stade-w), scores are ranked into a mask,
+the bias is compensated, and the held-out rows score the reconstruction
+error. Every tensor that is not a layer or a part of one
+(``TensorContainer.layer_of``) is copied unchanged.
 
 The error report is one product of the removed weights, ``x @ (W0 - W1)``.
 It splits the held-out rows, never the columns: a column block is a
@@ -42,6 +42,7 @@ from .container import (
     WeightLayer,
     _FileEntry,
     _Slot,
+    _staged,
     _TempFile,
     _Writer,
 )
@@ -242,7 +243,7 @@ def prune_layer(
     _check_rows(calib_rows.shape, "calibration rows", m)
     n = calib_rows.shape[0]
     train_end, holdout_start = _holdout_bounds(n, holdout_fraction)
-    resolved = select_criterion(criterion, header)
+    resolved = select_criterion(criterion, header, bias_update_enabled)
     rule = CRITERION_RULES[resolved]
 
     train = _training_rows(calib_rows, train_end, rule.needs_gram)
@@ -311,7 +312,7 @@ def prune_container(
 ) -> tuple[TensorContainer | None, PruneReport]:
     """Prune every weight layer of ``model``; returns the pruned container
     (layers, biases, and "<layer>.mask" tensors) plus a per-layer report.
-    With ``out`` (as ``_Writer`` takes it) the pruned container is written
+    With ``out`` (as ``_staged`` takes it) the pruned container is written
     there instead, as README's "Performance" describes, and None is
     returned in its place. ``bias_update_enabled`` None picks the resolved
     criterion's default from ``CRITERION_RULES``. Every tensor of both
@@ -336,15 +337,15 @@ def prune_container(
         name = entry.name
         if entry.is_layer:
             slots.append(entry)
-            if f"{name}.bias" in model or _updates_bias(select_criterion(criterion, entry),
-                                                        bias_update_enabled):
+            resolved = select_criterion(criterion, entry, bias_update_enabled)
+            if f"{name}.bias" in model or _updates_bias(resolved, bias_update_enabled):
                 slots.append(_Slot(f"{name}.bias", "f32", entry.shape[1:]))
             slots.append(_Slot(f"{name}.mask", "u8", entry.shape))
         elif model.layer_of(name) is None:
             slots.append(entry)
             copies.append(entry)
 
-    with _Writer(out, slots) as writer:
+    with _staged((out, "container")) as (file,), _Writer(file, slots) as writer:
         def run(name: str) -> LayerReport:
             try:
                 pruned, mask, report = prune_layer(

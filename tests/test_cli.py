@@ -25,7 +25,7 @@ from prunekit import (
 from prunekit import cli, oracle, pruner
 from prunekit.cli import build_parser
 from prunekit.criteria import CRITERION_TAGS
-from prunekit.container import MAGIC, open_container
+from prunekit.container import MAGIC, _staged, open_container
 from prunekit.errors import InvariantViolation
 from test_container import test_hostile_file_is_typed_error as _load_rejects
 
@@ -120,9 +120,31 @@ def test_prune_of_files_writes_what_prune_container_writes_in_memory(deep, tmp_p
                                      holdout_fraction=float(holdout))
     memory = {name: tmp_path / f"memory.{name}" for name in ("pkt", "json")}
     save_container(pruned, str(memory["pkt"]))
-    cli._write_report(str(memory["json"]), asdict(report))
+    with _staged((str(memory["json"]), "report")) as (file,):
+        cli._write_report(file, asdict(report))
     for name in ("pkt", "json"):
         assert files[name].read_bytes() == memory[name].read_bytes(), name
+
+
+def test_stade_w_with_the_bias_frozen_prunes_uncentered_layers_as_stade_star(tmp_path,
+                                                                            capsys):
+    # With --norm none neither layer's input is centered, and stade is
+    # optimal only with the bias refit.
+    model, calib = tmp_path / "model.pkt", tmp_path / "calib.pkt"
+    assert cli.main(["gen", "--seed", "1", "--dims", "16,32,8", "--samples", "512",
+                     "--out", str(model), "--calib-out", str(calib)]) == 0
+    masks, reports = {}, {}
+    for criterion in ("stade-w", "stade-star", "stade"):
+        out, report = tmp_path / f"{criterion}.pkt", tmp_path / f"{criterion}.json"
+        assert cli.main(_prune_argv(model, calib, out, "--bias-update", "off",
+                                    "--report", str(report), criterion=criterion)) == 0
+        pruned = load_container(str(out))
+        masks[criterion] = [pruned.get(f"{name}.mask") for name in ("fc1", "fc2")]
+        reports[criterion] = json.loads(report.read_text())["layers"]
+    assert [r["criterion"] for r in reports["stade-w"]] == ["stade-star"] * 2
+    for w, star, stade in zip(masks["stade-w"], masks["stade-star"], masks["stade"]):
+        assert np.array_equal(w, star) and not np.array_equal(w, stade)
+    assert reports["stade-w"] == reports["stade-star"]
 
 
 def test_a_bias_less_layer_that_takes_the_update_gains_a_bias_of_zeros(tmp_path, capsys):
@@ -394,6 +416,50 @@ def test_prune_with_an_unwritable_report_leaves_out_as_it_was(deep, tmp_path, ca
     assert code == 1 and err.startswith(f"error: cannot write report to {str(report)!r}"), err
     assert "Traceback" not in err and sorted(os.listdir(tmp_path)) == listing
     assert not existing or out.read_bytes() == b"an earlier run's output"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_refuses_two_outputs_that_name_one_file(tmp_path, capsys, monkeypatch, existing):
+    # Refused before any temporary file is made or the model is generated.
+    monkeypatch.setattr(cli, "gen_toy_mlp", _never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if existing:
+        (tmp_path / "x.pkt").write_bytes(b"an earlier run's output")
+    listing = sorted(os.listdir(tmp_path))
+    code = cli.main(["gen", "--out", "x.pkt", "--calib-out", "sub/../x.pkt"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "name one file" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == listing and os.listdir(tmp_path / "sub") == []
+    assert not existing or (tmp_path / "x.pkt").read_bytes() == b"an earlier run's output"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_prune_refuses_a_report_on_its_out(deep, tmp_path, capsys, monkeypatch, existing):
+    monkeypatch.setattr(pruner, "prune_layer", _never)
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "o.pkt").write_bytes(b"an earlier run's output")
+    listing = sorted(os.listdir(tmp_path))
+    code = cli.main(_prune_argv(deep / "model.pkt", deep / "calib.pkt", "o.pkt",
+                                "--report", "./o.pkt"))
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "name one file" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert not existing or (tmp_path / "o.pkt").read_bytes() == b"an earlier run's output"
+
+
+def test_an_output_may_be_a_symlink_to_another(tmp_path, capsys):
+    # Paths are told apart by directory and final name: the link is
+    # replaced by its own output, not written through.
+    out, link = tmp_path / "x.pkt", tmp_path / "link.pkt"
+    link.symlink_to(out)
+    assert cli.main(["gen", "--out", str(out), "--calib-out", str(link)]) == 0
+    assert not link.is_symlink()
+    assert load_container(str(out)).layer_names() == ["fc1", "fc2"]
+    assert load_container(str(link)).layer_names() == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

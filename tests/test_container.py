@@ -14,7 +14,7 @@ from prunekit import (
     load_container,
     save_container,
 )
-from prunekit.container import MAGIC, _Slot, _Writer
+from prunekit.container import MAGIC, _Slot, _staged, _Writer, open_container
 from prunekit.errors import (
     InvariantViolation,
     IoFailure,
@@ -172,7 +172,7 @@ def test_writer_takes_each_tensor_into_its_own_slot_only(tmp_path, name, array, 
     # ... and a failed write leaves no file, temporary or final.
     path = tmp_path / "o.pkt"
     with pytest.raises(InvariantViolation, match=error):
-        with _Writer(str(path), _LAYOUT) as out:
+        with _staged((str(path), "container")) as (file,), _Writer(file, _LAYOUT) as out:
             out.add(name, array)
     assert os.listdir(tmp_path) == []
 
@@ -181,14 +181,24 @@ def test_writer_fails_when_a_slot_is_written_never_or_twice(tmp_path):
     path, layer = str(tmp_path / "o.pkt"), WeightLayer(np.ones((2, 3), np.float32),
                                                        np.ones(3), False)
     with pytest.raises(InvariantViolation, match=r"\['fc.mask'\] were never written"):
-        with _Writer(path, _LAYOUT) as out:
-            out.add("fc", layer.weights, centered=False)
+        with _staged((path, "container")) as (file,), _Writer(file, _LAYOUT) as out:
+            out.add("fc", layer.weights)
             out.add("fc.bias", layer.bias)
     with pytest.raises(InvariantViolation, match="'fc.bias': .* no place left"):
-        with _Writer(path, _LAYOUT) as out:
+        with _staged((path, "container")) as (file,), _Writer(file, _LAYOUT) as out:
             out.add_layer("fc", layer, np.ones((2, 3), bool))
             out.add("fc.bias", np.ones(3))
     assert os.listdir(tmp_path) == []
+
+
+def test_a_closed_container_fails_as_an_io_failure(tmp_path):
+    path = str(tmp_path / "c.pkt")
+    save_container(make_layer_container(np.ones((2, 3))), path)
+    with open_container(path) as c:
+        assert c.get("layer0").tolist() == np.ones((2, 3)).tolist()
+    with pytest.raises(IoFailure, match="the container was closed") as info:
+        c.get("layer0")
+    assert f"from {path!r}:" in str(info.value)
 
 
 def test_duplicate_name_in_file_rejected(tmp_path):

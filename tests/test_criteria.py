@@ -24,6 +24,8 @@ from prunekit.errors import (
     NonFiniteInput,
     SingularGram,
 )
+from prunekit.container import _Slot
+from prunekit.criteria import CRITERION_RULES
 
 
 def stats_of(rows):
@@ -253,6 +255,15 @@ def test_sparsegpt_on_column_strided_rows_matches_a_contiguous_copy(m):
         np.testing.assert_allclose(scores[0], scores[1], rtol=1e-10, atol=0.0)
 
 
+def test_sparsegpt_rejects_an_inverse_diagonal_that_is_not_finite():
+    # dpotrf and dtrtri succeed on a subnormal Gram, but the inverse
+    # diagonal, 1e320, overflows to infinity.
+    g = GramAccumulator(2)
+    g.update([[1e-160, 0.0], [0.0, 1e-160]])
+    with pytest.raises(SingularGram, match="inverse diagonal is not strictly positive"):
+        compute_scores("sparsegpt-score", np.ones((2, 2)), gram=g, damping=0.0)
+
+
 def test_finite_gram_above_half_the_float64_range_is_kept():
     # 1.2e154 squared is 1.44e308: finite, though twice it is not.
     g = GramAccumulator(1)
@@ -301,6 +312,20 @@ def test_select_criterion_resolves_stade_w():
     stats = stats_update(stats_init(2), np.eye(2))
     with pytest.raises(InvalidArgument, match="unresolved criterion 'stade-w'"):
         compute_scores("stade-w", np.ones((2, 2)), stats=stats)
+
+
+@pytest.mark.parametrize("bias_update", [True, False, None])
+@pytest.mark.parametrize("centered", [True, False])
+def test_stade_w_resolves_to_the_row_optimal_in_its_cell(centered, bias_update):
+    # bias_update None is --bias-update auto: the resolved row's default.
+    resolved = select_criterion(Criterion("stade-w"), _Slot("fc", "f32", (2, 2), centered),
+                                bias_update)
+    rule = CRITERION_RULES[resolved]
+    refit = rule.bias_update if bias_update is None else bias_update
+    assert rule.optimal_in[0] == ("centered" if centered else "uncentered")
+    # On centered rows the refit moves no bias, so wanda covers both settings.
+    assert centered or rule.optimal_in[1] == refit
+    assert resolved == ("wanda" if centered else "stade" if refit else "stade-star")
 
 
 def test_criterion_damping_validation():
