@@ -1,7 +1,8 @@
 """Command-line entry point: ``gen``, ``prune`` and ``verify``.
 
 README's "CLI" section is the contract: the flags, the JSON summary line
-and the exit codes. ``main`` catches ``PruneKitError`` and nothing else.
+and the exit codes. ``main``, the one writer of stdout, catches a command's
+``PruneKitError`` and nothing else.
 ``prune`` opens both input files, reads each layer's tensors as that layer
 is pruned, and writes each pruned layer into a temporary file beside
 ``--out``, which replaces ``--out`` only once every tensor is written, so
@@ -127,7 +128,7 @@ def _write_report(file: _TempFile | None, payload: dict) -> None:
         file.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _cmd_gen(args) -> tuple[int, dict]:
+def _cmd_gen(args) -> tuple[int, list[str], dict]:
     with _staged((args.out, "container"), (args.calib_out, "container")) as (out, calib_out):
         model, calib = gen_toy_mlp(args.seed, ToyMlpConfig(args.dims, args.norm, args.samples))
         save_container(model, out)
@@ -142,10 +143,10 @@ def _cmd_gen(args) -> tuple[int, dict]:
         "model": args.out,
         "calib": args.calib_out,
     }
-    return 0, summary
+    return 0, [], summary
 
 
-def _cmd_prune(args) -> tuple[int, dict]:
+def _cmd_prune(args) -> tuple[int, list[str], dict]:
     criterion = Criterion(args.criterion, damping=args.damping)
     with _staged((args.out, "container"), (args.report, "report")) as (out, report_out):
         with open_container(args.model) as model, open_container(args.calib) as calib:
@@ -155,9 +156,9 @@ def _cmd_prune(args) -> tuple[int, dict]:
                 holdout_fraction=args.holdout,
                 threads=args.threads, out=out)
         _write_report(report_out, asdict(report))
-    for rec in report.layers:
-        print(f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
-              f"mse={rec.reconstruction_mse:.6e} bias_delta={rec.bias_delta_norm:.3e}")
+    lines = [f"{rec.layer}: criterion={rec.criterion} sparsity={rec.achieved_sparsity:.4f} "
+             f"mse={rec.reconstruction_mse:.6e} bias_delta={rec.bias_delta_norm:.3e}"
+             for rec in report.layers]
     summary = {
         "command": "prune",
         "model": args.model,
@@ -169,29 +170,37 @@ def _cmd_prune(args) -> tuple[int, dict]:
                      if report.layers else 0.0),
         "report": args.report,
     }
-    return 0, summary
+    return 0, lines, summary
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
+def _cmd_verify(args) -> tuple[int, list[str], dict]:
     with _staged((args.report, "report")) as (report,):
-        result = check_criterion_optimality(
-            args.criterion, args.trials, args.seed, data=args.data,
-            threads=args.threads)
+        result = check_criterion_optimality(args.criterion, args.trials, args.seed,
+                                            data=args.data)
         payload = asdict(result)
         _write_report(report, payload)
     summary = {"command": "verify", **payload}
-    return (0 if result.passed else 1), summary
+    return (0 if result.passed else 1), [], summary
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, summary = args.func(args)
+        code, lines, summary = args.func(args)
     except PruneKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(summary, sort_keys=True))
+    try:
+        print(*lines, json.dumps(summary, sort_keys=True), sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout after every output was in place. As
+        # Python's SIGPIPE note shows, stdout then goes to devnull, so the
+        # flush at exit raises nothing, and the command's code stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -27,10 +27,11 @@ feature:
 - each instance's argmins read its own slice, ties going to the lowest
   index.
 
-A window is reduced to its mismatch count, largest bias shift and lowest
-mismatching trial before the next one runs, so the working set does not grow
-with the trial count. A stack that overflows raises ``NonFiniteInput`` at
-its first failing step, whichever trial that is.
+Windows run in order on the calling thread; each one's mismatch count,
+largest bias shift and lowest mismatching trial join running totals before
+the next, so the working set does not grow with the trial count. A stack
+that overflows raises ``NonFiniteInput`` at its first failing step,
+whichever trial that is.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import (
     InvalidDimension,
     NonFiniteInput,
 )
-from .parallel import parallel_map
 from .stats import _is_count, _matrix, stats_init, stats_update
 
 MAX_FEATURES = 64
@@ -279,7 +279,6 @@ def check_criterion_optimality(
     trials: int,
     seed: int,
     data: str = "auto",
-    threads: int = 1,
 ) -> CheckResult:
     """Compare a criterion's argmin against enumeration over random instances.
 
@@ -287,8 +286,7 @@ def check_criterion_optimality(
     one the criterion is claimed optimal for in ``CRITERION_RULES``.
     ``max_bias_shift`` records the largest |refit bias - original bias|
     seen, which must vanish on centered data. ``trials`` must be an integer
-    in [1, ``MAX_TRIALS``] and ``seed`` one >= 0; ``threads`` workers check
-    the windows of trials.
+    in [1, ``MAX_TRIALS``] and ``seed`` one >= 0.
     """
     if tag not in CHECKABLE_TAGS:
         raise InvalidArgument(f"no optimality check for criterion {tag!r}; "
@@ -303,12 +301,12 @@ def check_criterion_optimality(
     if data not in DATA_REGIMES:
         raise InvalidArgument(f"unknown data regime {data!r}")
 
-    def run_window(start: int):
-        return _check_window(tag, data, allow_bias, seed,
-                             range(start, min(start + _WINDOW, trials)))
-
-    windows = parallel_map(run_window, range(0, trials, _WINDOW), threads)
-    first = next((first for _, _, first in windows if first), None)
+    mismatches, max_bias_shift, first = 0, 0.0, None
+    for start in range(0, trials, _WINDOW):
+        count, shift, window_first = _check_window(
+            tag, data, allow_bias, seed, range(start, min(start + _WINDOW, trials)))
+        mismatches, max_bias_shift = mismatches + count, max(max_bias_shift, shift)
+        first = first or window_first  # windows run in trial order
     if first:
         # Only the first counterexample is reported, so only it is built;
         # its instance is drawn again from the trial's own seed.
@@ -327,7 +325,6 @@ def check_criterion_optimality(
             "feature_means": calib.mean(axis=0).tolist(),
             "feature_stds": calib.std(axis=0, ddof=1).tolist(),
         }
-    mismatches = sum(count for count, _, _ in windows)
     return CheckResult(
         criterion=tag,
         data=data,
@@ -335,6 +332,6 @@ def check_criterion_optimality(
         trials=trials,
         matches=trials - mismatches,
         mismatches=mismatches,
-        max_bias_shift=float(max(shift for _, shift, _ in windows)),
+        max_bias_shift=max_bias_shift,
         first_counterexample=first,
     )

@@ -31,6 +31,7 @@ break that:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,11 +63,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .masks import SparsitySpec, apply_mask, build_mask, mask_violation
-from .parallel import parallel_map
 from .stats import (
     _BLOCK_ROWS,
     ColumnStats,
     _check_rows,
+    _is_count,
     _is_fraction,
     _matrix,
     _rows,
@@ -113,17 +114,6 @@ def classify_centered(stats: ColumnStats) -> bool:
     return bool(ratio.max() <= max(CENTERED_RATIO_THRESHOLD, noise))
 
 
-def _output_error(original: WeightLayer, pruned: WeightLayer,
-                  rows: np.ndarray) -> np.ndarray:
-    """``rows @ (W0 - W1) + (b0 - b1)`` in one n x H buffer, a missing bias
-    counted as zero: the two layers' output difference as one product
-    (``_removed_error``), the weight difference widened to float64 once."""
-    rows = _rows(rows, "rows", original.m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.subtract(original.weights, pruned.weights, dtype=np.float64)
-    return _removed_error(diff, _bias_change(original, pruned), rows)
-
-
 def _removed_error(diff: np.ndarray, shift: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``rows @ diff - shift`` in one n x H buffer: the output error of
     removing the float64 weight difference ``diff`` and moving the bias by
@@ -162,11 +152,15 @@ def reconstruction_mse(original: WeightLayer, pruned: WeightLayer,
     An empty output (no rows or no output columns) averages to 0.0. Finite
     inputs whose error overflows float64 raise ``NonFiniteInput``; outputs
     that overflow while their difference does not are not an error. The
-    mean is taken over ``_output_error``'s whole buffer at once.
+    mean is taken over ``_removed_error``'s whole buffer at once, a missing
+    bias counted as zero and the weight difference widened once.
     """
     if original.weights.shape != pruned.weights.shape:
         raise ShapeMismatch("layer shapes differ")
-    return _mean_square(_output_error(original, pruned, rows))
+    rows = _rows(rows, "rows", original.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(original.weights, pruned.weights, dtype=np.float64)
+    return _mean_square(_removed_error(diff, _bias_change(original, pruned), rows))
 
 
 def _holdout_fraction(fraction: float) -> float:
@@ -319,7 +313,9 @@ def prune_container(
     inputs is read, so an open file's values are all checked before the
     result is returned.
     """
-    _holdout_fraction(holdout_fraction)  # a bad fraction fails before any layer
+    _holdout_fraction(holdout_fraction)  # bad arguments fail before any layer
+    if not _is_count(threads, 1):
+        raise InvalidArgument(f"threads must be an integer >= 1, got {threads!r}")
     layer_names = model.layer_names()
     # The tensors that nothing below reads, the old masks the output replaces
     # and calibration tensors of no layer, are read once only to be checked.
@@ -356,7 +352,12 @@ def prune_container(
             writer.add_layer(name, pruned, mask)
             return report
 
-        reports = parallel_map(run, layer_names, threads)
+        workers = min(threads, len(layer_names))
+        if workers <= 1:
+            reports = [run(name) for name in layer_names]
+        else:  # pool.map returns the reports in layer order
+            with ThreadPoolExecutor(workers) as pool:
+                reports = list(pool.map(run, layer_names))
         for entry in copies:
             writer.add(entry.name, entry.array)
     return writer.container, PruneReport(reports)

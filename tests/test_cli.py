@@ -317,6 +317,37 @@ def test_verify_threads_invariant():
     assert last_json_line(a.stdout) == last_json_line(b.stdout)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("prune",), 0),
+    (("verify", "--criterion", "stade"), 0),
+    (("verify", "--criterion", "wanda", "--data", "offset"), 1),
+], ids=["prune", "verify", "verify-counterexample"])
+def test_a_closed_stdout_ends_with_the_commands_own_code(deep, tmp_path, argv, code):
+    # The read end is closed before the command starts, so its first write to
+    # stdout fails with EPIPE, after every output is in place.
+    out, report = tmp_path / "out.pkt", tmp_path / "report.json"
+    if argv[0] == "prune":
+        argv = _prune_argv(deep / "model.pkt", deep / "calib.pkt", out)
+    else:
+        argv = [*argv, "--trials", "60", "--seed", "1"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "prunekit", *argv, "--report", str(report)],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    for text in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert text not in proc.stderr
+    payload = json.loads(report.read_text())
+    if argv[0] == "prune":
+        assert load_container(str(out)).layer_names() == [f"fc{i}" for i in range(5)]
+        assert len(payload["layers"]) == 5
+    else:
+        assert (payload["mismatches"] > 0) == bool(code)
+
+
 @pytest.mark.parametrize("trials", ["3000000000000000000000", "9223372036854775807"],
                          ids=["beyond-ssize_t", "int64-max"])
 def test_verify_trials_beyond_the_ceiling_fail_before_any_trial(trials, tmp_path, capsys,
@@ -762,10 +793,11 @@ def test_bad_sparsity_is_usage_error(workspace, command, value):
     ("prune", None, ("--threads", "-3")),
     ("verify", None, ("--threads", "0")),
     ("prune", None, ("--threads", "1.5")),
+    ("verify", None, ("--threads", "abc")),
     ("gen", "--out", ()),
     ("prune", "--out", ()),
 ], ids=["damping-abc", "threads-abc", "threads-negative", "threads-zero",
-        "threads-float", "gen-no-out", "prune-no-out"])
+        "threads-float", "verify-threads-abc", "gen-no-out", "prune-no-out"])
 def test_flag_syntax_errors_are_usage_errors(workspace, command, missing, extra):
     argv = list(_removed_flag_argv(workspace, command))
     if missing:

@@ -23,7 +23,8 @@ difference is formed, so the error report holds no weights, and reads them
 again to build the pruned layer. It writes each pruned layer to ``--out``
 as soon as it is pruned, so a run holds no layer's outputs beyond the
 layer's own pruning, whether its layers have a bias or not. A verify check
-holds one window of trials at a time, whatever its trial count.
+holds one window of trials at a time, and running totals of the windows
+before it, whatever its trial count.
 """
 
 import contextlib
@@ -51,7 +52,7 @@ from prunekit import (
     stats_init,
     stats_update,
 )
-from prunekit import cli
+from prunekit import cli, oracle
 from prunekit.errors import TruncatedPayload
 from prunekit.pruner import _EVAL_ROWS, HOLDOUT_FRACTION, _holdout_bounds
 from prunekit.stats import _BLOCK_ROWS
@@ -152,6 +153,14 @@ def test_verify_working_set_does_not_grow_with_trials():
     large = _traced_peak(lambda: check("wanda", 8000, 0, data="offset"))
     # Per-trial seeds or outcomes kept for the whole run grow eightfold.
     assert large <= 1.25 * small
+
+
+def test_verify_keeps_running_totals_not_a_record_per_window(monkeypatch):
+    # 10**8 trials are 97,657 windows; a record kept for each one until the
+    # end holds megabytes, the running totals a few objects.
+    monkeypatch.setattr(oracle, "_check_window", lambda *args: (0, 0.5, None))
+    peak = _traced_peak(lambda: check_criterion_optimality("stade", 10**8, 0))
+    assert peak <= 4096
 
 
 def test_loaded_float32_tensors_are_float32_and_own_their_memory(tmp_path):

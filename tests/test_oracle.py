@@ -22,7 +22,6 @@ from prunekit import (
 from prunekit.criteria import CHECKABLE_TAGS, CRITERION_RULES
 from prunekit.errors import EmptyStats, InstanceTooLarge, InvalidDimension, NonFiniteInput
 from prunekit.oracle import DATA_REGIMES, MAX_FEATURES, MAX_ROWS, CheckResult
-from prunekit.parallel import parallel_map
 
 # Two features: one symmetric around zero, one constant with a large offset.
 # With a bias refit the constant feature prunes for free; without one the
@@ -269,18 +268,10 @@ def test_stade_matches_enumeration_on_large_offset_f32_features(mean, std):
         assert chosen == best
 
 
-def test_check_result_deterministic_across_threads():
-    a = check_criterion_optimality("stade", trials=64, seed=3, threads=1)
-    b = check_criterion_optimality("stade", trials=64, seed=3, threads=4)
-    assert a == b
-
-
-def test_counterexample_deterministic_across_threads():
+def test_counterexample_is_the_seeds_first_mismatching_trial():
     # The reported record is built after all trials ran; pin it to the first
     # mismatching trial of this seed so that building it cannot shift it.
-    a = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=1)
-    b = check_criterion_optimality("wanda", trials=200, seed=10, data="offset", threads=2)
-    assert a == b
+    a = check_criterion_optimality("wanda", trials=200, seed=10, data="offset")
     detail = a.first_counterexample
     assert (detail["trial"], detail["criterion_choice"], detail["enumeration_choice"]) \
         == (2, 3, 4)
@@ -304,7 +295,7 @@ def test_check_rejects_unknown_criterion_and_bad_trials():
         check_criterion_optimality("stade", trials=10, seed=0, data="weird")
 
 
-def per_trial_check(tag, trials, seed, data="auto", threads=1):
+def per_trial_check(tag, trials, seed, data="auto"):
     """Reference: the check as one trial at a time, each from one child of a
     spawn list, with the first counterexample's instance drawn again."""
     default_data, allow_bias = CRITERION_RULES[tag].optimal_in
@@ -324,7 +315,7 @@ def per_trial_check(tag, trials, seed, data="auto", threads=1):
         mismatch = None if crit_j == bf_j else (crit_j, bf_j, bf_obj)
         return abs(bf_b - bias), mismatch
 
-    outcomes = parallel_map(run_trial, range(trials), threads)
+    outcomes = [run_trial(idx) for idx in range(trials)]
     mismatched = [idx for idx, (_, mismatch) in enumerate(outcomes) if mismatch]
     first = None
     if mismatched:
@@ -355,15 +346,14 @@ def per_trial_check(tag, trials, seed, data="auto", threads=1):
     )
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("data", DATA_REGIMES)
 @pytest.mark.parametrize("tag", CHECKABLE_TAGS)
-def test_windowed_check_matches_per_trial_loop(tag, data, threads):
+def test_windowed_check_matches_per_trial_loop(tag, data):
     # One full window and part of a second. Off centered data wanda
     # mismatches, so its first counterexample is compared too.
     trials = oracle._WINDOW + 44
-    expected = asdict(per_trial_check(tag, trials, 17, data, threads))
-    got = asdict(check_criterion_optimality(tag, trials, 17, data, threads))
+    expected = asdict(per_trial_check(tag, trials, 17, data))
+    got = asdict(check_criterion_optimality(tag, trials, 17, data))
     assert got == expected
 
 
@@ -455,10 +445,9 @@ def test_small_windows_split_stacks_alike(tag, data, window, monkeypatch):
     # leave most stacks a single instance.
     monkeypatch.setattr(oracle, "_WINDOW", window)
     for trials in (1, window - 1, window, window + 1, 2 * window + 3):
-        for threads in (1, 2):
-            expected = asdict(per_trial_check(tag, trials, 0, data, threads))
-            got = asdict(check_criterion_optimality(tag, trials, 0, data, threads))
-            assert got == expected, (trials, threads)
+        expected = asdict(per_trial_check(tag, trials, 0, data))
+        got = asdict(check_criterion_optimality(tag, trials, 0, data))
+        assert got == expected, trials
 
 
 # Trial index -> what its instance becomes: rows that overflow the statistics,

@@ -24,6 +24,7 @@ from prunekit import (
     classify_centered,
     compute_scores,
     gen_toy_mlp,
+    load_container,
     mask_violation,
     prune_container,
     prune_layer,
@@ -41,8 +42,8 @@ from prunekit.errors import (
     ShapeMismatch,
     SingularGram,
 )
+from prunekit.compensate import _bias_change
 from prunekit.criteria import CRITERION_RULES
-from prunekit.parallel import parallel_map
 from prunekit.pruner import split_holdout
 
 
@@ -293,10 +294,16 @@ def test_thread_count_invariance():
 
 
 @pytest.mark.parametrize("threads", [0, -3, 2.5, True])
-def test_parallel_map_threads_must_be_a_positive_integer(threads):
-    with pytest.raises(ValueError, match="threads"):
-        parallel_map(abs, [-1, -2], threads)
-    assert parallel_map(abs, [-1, -2], np.int64(2)) == [1, 2]
+def test_prune_container_threads_must_be_a_positive_integer(threads, tmp_path):
+    model, calib = toy_pair()
+    out = tmp_path / "out.pkt"
+    with pytest.raises(InvalidArgument, match="threads"):
+        prune_container(model, calib, Criterion("stade"), SparsitySpec(ratio=0.5),
+                        threads=threads, out=str(out))
+    assert os.listdir(tmp_path) == []  # refused before the output is staged
+    prune_container(model, calib, Criterion("stade"), SparsitySpec(ratio=0.5),
+                    threads=np.int64(2), out=str(out))
+    assert load_container(str(out)).layer_names() == model.layer_names()
 
 
 def test_classify_centered_exact_zero_mean():
@@ -592,7 +599,9 @@ def _same_bits_as_whole(original, pruned, rows, block):
     ``block``, have the bits of the whole product's. The error alone would
     hide a last-bit change in a few outputs."""
     with mock.patch.object(pruner_module, "_EVAL_ROWS", block):
-        diff = pruner_module._output_error(original, pruned, rows)
+        diff = pruner_module._removed_error(
+            np.subtract(original.weights, pruned.weights, dtype=np.float64),
+            _bias_change(original, pruned), rows)
         error = reconstruction_mse(original, pruned, rows)
     want_diff, want_error = _whole_error(original, pruned, rows)
     return diff.tobytes() == want_diff.tobytes() and error.hex() == want_error.hex()
